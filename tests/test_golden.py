@@ -1,0 +1,94 @@
+"""Golden output digests: byte-level regression guard for the simulator.
+
+The other determinism tests compare a rerun with a rerun, so a change in
+how the random streams are consumed, or in which neighbor pairs the graph
+holds, would pass them unnoticed. These sha256 values pin the bytes of
+reduced-size outputs of the bundled configs, of one run with every
+protocol option switched on, and of the neighbor CSR itself. A change
+that alters any of them changes the simulator's results.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from dscsim import cli, netsim, rng
+from dscsim.config import apply_override, load_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config(name, **overrides):
+    cfg = load_config(CONFIGS / name)
+    for path, value in overrides.items():
+        cfg = apply_override(cfg, path, value)
+    return cfg
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+SIMULATE = {
+    "demo-sparse.ini": "cf189a9a8a21ae8400f509c256cc0b18d79b9b08d7ae96e024c051a4f6caa1bd",
+    "demo-dense.ini": "9edf42861ec9cbde7935490afc3cc5b9f88265a10ea98a3fb08f858b6adf62c9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_simulate_digest(tmp_path, name):
+    cfg = _config(name, **{"run.steps": 200})
+    assert cli.dispatch("simulate", cfg, tmp_path) == 0
+    assert _sha256(tmp_path / "simulation.csv") == SIMULATE[name]
+
+
+ALL_OPTIONS = "05777d9bf4c2bcf8cf04c3e5d97264a30fe1e631001f28a6e97a0374bbc0c8ca"
+
+
+def test_simulate_digest_all_protocol_options(tmp_path):
+    cfg = _config(
+        "demo-dense.ini",
+        **{
+            "run.steps": 200,
+            "network.delta": 0.05,
+            "network.failure_rate": 0.002,
+            "network.rotation_period": 15,
+            "network.single_shot": True,
+            "network.refresh_on_detect": True,
+            "network.seed": 7,
+        },
+    )
+    assert cli.dispatch("simulate", cfg, tmp_path) == 0
+    assert _sha256(tmp_path / "simulation.csv") == ALL_OPTIONS
+
+
+SWEEP = {
+    "demo-sparse.ini": "0c0b59458d03b8615b7516ff977fd0471c45ac7b8a008c19db89736fa74ec7f0",
+    "demo-dense.ini": "0bfd5e39985e2b13fa874b6338555b3a13a3879ded69cd1a5f9fc3c08148001f",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_sweep_digest(tmp_path, name, jobs):
+    cfg = _config(name, **{"run.steps": 200, "run.n_seeds": 3})
+    assert cli.dispatch("sweep", cfg, tmp_path, jobs=jobs) == 0
+    assert _sha256(tmp_path / "sweep.csv") == SWEEP[name]
+
+
+CSR = {
+    (400, 20.0): "e9bd4bdbb957476d9fe89cb69d5bbf9c27c62c64eaf131dcb405c1a6471a80a1",
+    (400, 40.0): "7c5af385959f53274214ff196346c239d4168ab7f2b7e1dd54e57e796661dcf1",
+    (400, 65.0): "7151a6418a58f46370afd6f6d400478acdcfdd089e07cab9480760b774e462a8",
+    (4000, 20.0): "5c9a373ba97bb16b4b67402fd3d1ead6ccf89dcf632187faac4b85b5fed33670",
+}
+
+
+@pytest.mark.parametrize("n, r_star", sorted(CSR))
+def test_neighbor_csr_digest(n, r_star):
+    net = netsim.NetworkConfig(n=n, width=1000.0, height=1000.0, seed=3)
+    positions = netsim.place_sensors(net, rng.substream(net.seed, rng.PLACEMENT))
+    indptr, indices = netsim.neighbor_csr(positions, r_star)
+    digest = hashlib.sha256(indptr.tobytes() + indices.tobytes()).hexdigest()
+    assert digest == CSR[(n, r_star)]
