@@ -49,7 +49,6 @@ from .netsim import (
     NetworkConfig,
     SimRecord,
     Simulation,
-    SpatialGrid,
     active_fraction,
     ensemble_run,
     neighbor_csr,
@@ -71,7 +70,6 @@ __all__ = [
     "SensorSpec",
     "SimRecord",
     "Simulation",
-    "SpatialGrid",
     "Trajectory",
     "__version__",
     "active_fraction",

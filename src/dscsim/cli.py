@@ -41,6 +41,11 @@ from .config import (
 
 SUBCOMMANDS = ("sample", "simulate", "sweep", "analyze", "meanfield", "pde")
 
+# Columns of sweep.csv after "point" and the sweep axes.
+SWEEP_COLUMNS = (
+    "seed", "plateau_mean", "plateau_std", "p", "alpha_theory_g1", "n", "tau_star", "initial_active",
+)
+
 
 def _fmt(value) -> str:
     """Locale-independent cell formatting; floats at 17 significant digits."""
@@ -165,11 +170,8 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, jobs: int) -> dict | None:
     n_seeds = config.run.n_seeds
     base_seed = config.network.seed
 
-    tasks = []
-    for point in points:
-        cfg_pt = _apply_point(config, point)
-        for k in range(n_seeds):
-            tasks.append((cfg_pt, base_seed + k))
+    configs = [_apply_point(config, point) for point in points]
+    tasks = [(cfg_pt, base_seed + k) for cfg_pt in configs for k in range(n_seeds)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_task, tasks, chunksize=1))
@@ -177,15 +179,12 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, jobs: int) -> dict | None:
         results = [_sweep_task(t) for t in tasks]
 
     rows = []
-    idx = 0
-    for point_idx, point in enumerate(points):
-        cfg_pt = _apply_point(config, point)
+    for point_idx, (point, cfg_pt) in enumerate(zip(points, configs)):
         spec, net = cfg_pt.sensor, cfg_pt.network
         p = sensor.detection_probability(spec, cfg_pt.environment)
         alpha_g1 = meanfield.alpha_theory(spec, net.area, p, 1.0)
         for k in range(n_seeds):
-            mean, std = results[idx]
-            idx += 1
+            mean, std = results[point_idx * n_seeds + k]
             rows.append(
                 [point_idx]
                 + [point[a] for a in axes]
@@ -200,21 +199,7 @@ def _cmd_sweep(config: ExperimentConfig, out: Path, jobs: int) -> dict | None:
                     net.initial_active,
                 ]
             )
-    header = (
-        ["point"]
-        + axes
-        + [
-            "seed",
-            "plateau_mean",
-            "plateau_std",
-            "p",
-            "alpha_theory_g1",
-            "n",
-            "tau_star",
-            "initial_active",
-        ]
-    )
-    _write_csv(out / "sweep.csv", header, rows)
+    _write_csv(out / "sweep.csv", ["point", *axes, *SWEEP_COLUMNS], rows)
     return {
         "grid": [{"path": a.path, "values": list(a.values)} for a in config.sweep],
         "points": points,
@@ -231,8 +216,7 @@ def _cmd_analyze(config: ExperimentConfig, out: Path, jobs: int, input_csv: Path
     if not rows:
         raise ValueError(f"no sweep rows in {path}")
 
-    fixed = {"point", "seed", "plateau_mean", "plateau_std", "p", "alpha_theory_g1",
-             "n", "tau_star", "initial_active"}
+    fixed = {"point", *SWEEP_COLUMNS}
     axes = [c for c in rows[0] if c not in fixed]
 
     grouped: dict[int, list[dict]] = {}
@@ -354,6 +338,8 @@ def dispatch(subcommand: str, config: ExperimentConfig, out_dir, jobs: int = 1, 
     """
     if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     extras = _HANDLERS[subcommand](config, out, jobs, **kwargs) or {}

@@ -10,7 +10,7 @@ lists, e.g.
     sensor.r_star = 20, 27, 30, 40
 
 Defaults follow the reference scenario: gamma = 26/3, omega = 0.98,
-initial_active = 10, g = 0.7, nu = 1.
+initial_active = 10, g = 0.7.
 """
 
 from __future__ import annotations
@@ -40,15 +40,12 @@ class RunSettings:
 @dataclass(frozen=True)
 class MeanFieldSettings:
     g: float = 0.7
-    nu: float = 1.0
     t_detect: float = 100.0
     v_star: float = 0.0
 
     def __post_init__(self):
         if self.g <= 0:
             raise ValueError("g must be > 0")
-        if not 0.0 <= self.nu <= 1.0:
-            raise ValueError("nu must be in [0, 1]")
         if self.t_detect <= 0:
             raise ValueError("t_detect must be > 0")
         if self.v_star < 0:
@@ -116,11 +113,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_rotation(raw: str) -> int | None:
-    value = int(raw)
-    return value  # 0 disables reshuffling; None (key absent) means auto
-
-
 # section -> key -> (converter, required)
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "environment": {
@@ -138,7 +130,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "width": (float, True),
         "height": (float, True),
         "delta": (float, False),
-        "rotation_period": (_parse_rotation, False),
+        "rotation_period": (int, False),
         "initial_active": (int, False),
         "seed": (int, False),
         "failure_rate": (float, False),
@@ -152,7 +144,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "meanfield": {
         "g": (float, False),
-        "nu": (float, False),
         "t_detect": (float, False),
         "v_star": (float, False),
     },
@@ -207,6 +198,10 @@ def _parse_sweep(parser: configparser.ConfigParser) -> tuple[SweepAxis, ...]:
         section, _, key = path.partition(".")
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ValueError(f"sweep parameter path '{path}' does not exist")
+        # A sweep runs run.n_seeds members at seeds network.seed + k of the
+        # base config and reads no [meanfield] or [pde] key.
+        if section in ("meanfield", "pde") or path in ("run.n_seeds", "network.seed"):
+            raise ValueError(f"sweep axis '{path}' is not read by the sweep subcommand")
         convert = _SCHEMA[section][key][0]
         tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
         if not tokens:

@@ -112,40 +112,6 @@ class SimRecord:
     detections: int
 
 
-class SpatialGrid:
-    """Uniform-grid spatial hash over 2D points.
-
-    Cells are squares of the given size; a query for radius <= k * cell
-    size scans the (2k+1)^2 surrounding cells and filters exactly by
-    Euclidean distance, so results are exact for any radius.
-    """
-
-    def __init__(self, positions: np.ndarray, cell_size: float):
-        if not cell_size > 0:
-            raise ValueError("cell_size must be > 0")
-        self.positions = np.asarray(positions, dtype=float)
-        self.cell_size = float(cell_size)
-        keys = np.floor(self.positions / self.cell_size).astype(np.int64)
-        self._keys = keys
-        self._cells: dict[tuple[int, int], list[int]] = {}
-        for i, (cx, cy) in enumerate(keys):
-            self._cells.setdefault((int(cx), int(cy)), []).append(i)
-
-    def query(self, index: int, radius: float) -> np.ndarray:
-        """Indices of all points within `radius` of point `index` (inclusive,
-        excluding the point itself), sorted ascending."""
-        span = max(1, math.ceil(radius / self.cell_size))
-        cx, cy = (int(v) for v in self._keys[index])
-        candidates: list[int] = []
-        for gx in range(cx - span, cx + span + 1):
-            for gy in range(cy - span, cy + span + 1):
-                candidates.extend(self._cells.get((gx, gy), ()))
-        cand = np.array(candidates, dtype=np.int64)
-        delta = self.positions[cand] - self.positions[index]
-        mask = (delta[:, 0] ** 2 + delta[:, 1] ** 2 <= radius * radius) & (cand != index)
-        return np.sort(cand[mask])
-
-
 def place_sensors(config: NetworkConfig, gen: np.random.Generator) -> np.ndarray:
     """n i.i.d. uniform positions in [0, width] x [0, height], shape (n, 2)."""
     return gen.random((config.n, 2)) * np.array([config.width, config.height])
@@ -153,17 +119,51 @@ def place_sensors(config: NetworkConfig, gen: np.random.Generator) -> np.ndarray
 
 def neighbors_within(positions: np.ndarray, index: int, r_star: float) -> np.ndarray:
     """All sensor indices within r_star of the given sensor (inclusive)."""
-    return SpatialGrid(positions, r_star).query(index, r_star)
+    indptr, indices = neighbor_csr(positions, r_star)
+    return indices[indptr[index]:indptr[index + 1]]
+
+
+def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(start, start + count) over the given runs."""
+    return np.arange(int(counts.sum())) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
 def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency of the communication graph in CSR form (indptr, indices)."""
-    grid = SpatialGrid(positions, r_star)
-    rows = [grid.query(i, r_star) for i in range(len(positions))]
-    indptr = np.zeros(len(positions) + 1, dtype=np.int64)
-    np.cumsum([row.size for row in rows], out=indptr[1:])
-    indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    return indptr, indices
+    """Adjacency of the communication graph in CSR form (indptr, indices).
+
+    Row i lists, ascending, every j != i whose offset d = positions[j] -
+    positions[i] satisfies d_x**2 + d_y**2 <= r_star**2 in floating point.
+    Points are sorted by square cell; each point's 3 x 3 block of cells is
+    found by binary search in that order and filtered by the exact test.
+    """
+    pos = np.asarray(positions, dtype=float)
+    n = len(pos)
+    if n == 0:
+        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    lo = pos.min(axis=0)
+    extent = float((pos.max(axis=0) - lo).max())
+    # The 2**-16 margin exceeds the rounding error of the distance test and
+    # of the cell arithmetic, so every accepted pair lies in the same or an
+    # adjacent cell. Cells at least extent / 2**31 wide keep the cell ids
+    # below 2**63; the 2**-500 floor covers an r_star whose square underflows.
+    cell = max(r_star, extent / 2**31, 2.0**-500) * (1.0 + 2.0**-16)
+    kx, ky = np.floor((pos - lo) / cell).astype(np.int64).T
+    rows = int(ky.max()) + 3  # a padding row each side: ky +- 1 never wraps
+    cell_id = kx * rows + ky + 1
+    order = np.argsort(cell_id)
+    sorted_id = cell_id[order]
+    block = (np.arange(-1, 2)[:, None] * rows + np.arange(-1, 2)).ravel()
+    target = (cell_id[:, None] + block).ravel()
+    start = np.searchsorted(sorted_id, target, side="left")
+    count = np.searchsorted(sorted_id, target, side="right") - start
+    i = np.repeat(np.arange(target.size) // block.size, count)
+    j = order[_ragged_arange(start, count)]
+    d = pos[j] - pos[i]
+    keep = (d[:, 0] ** 2 + d[:, 1] ** 2 <= r_star * r_star) & (i != j)
+    pairs = np.sort(i[keep] * n + j[keep])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+    return indptr, pairs % n
 
 
 class Simulation:
@@ -215,12 +215,10 @@ class Simulation:
     def _deliver(self, broadcasters: np.ndarray) -> np.ndarray:
         """Boolean mask of sensors receiving at least one message."""
         received = np.zeros(self.config.n, dtype=bool)
-        counts = self.indptr[broadcasters + 1] - self.indptr[broadcasters]
-        total = int(counts.sum())
-        if total:
-            starts = np.repeat(self.indptr[broadcasters], counts)
-            offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            received[self.indices[starts + offsets]] = True
+        if broadcasters.size:
+            starts = self.indptr[broadcasters]
+            counts = self.indptr[broadcasters + 1] - starts
+            received[self.indices[_ragged_arange(starts, counts)]] = True
         return received
 
     def step(self) -> SimRecord:
@@ -334,6 +332,8 @@ def ensemble_run(
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [
         (replace(config, seed=config.seed + i), spec, model, steps) for i in range(n_seeds)
     ]

@@ -334,7 +334,7 @@ def test_criterion_10_conservation_determinism_neighbors():
     again = run(cfg, spec, REFERENCE, 300)
     identical = records == again
 
-    # spatial hash equals the brute-force oracle on 100 random layouts
+    # neighbor search equals the brute-force oracle on 100 random layouts
     oracle_ok = True
     gen = np.random.default_rng(123)
     for _ in range(100):

@@ -44,7 +44,6 @@ class TestParsing:
         assert cfg.environment.omega == 0.98
         assert cfg.network.initial_active == 10
         assert cfg.meanfield.g == 0.7
-        assert cfg.meanfield.nu == 1.0
         assert cfg.network.delta == 0.0
         assert cfg.network.seed == 0
 
@@ -58,8 +57,9 @@ class TestParsing:
             parse_config("[environment]\nc0 = 1.0\n[network]\nn = 10\nwidth = 1\nheight = 1\n")
 
     def test_unknown_key_is_a_hard_error(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config(MINIMAL + "\n[run]\nstep_count = 10\n")
+        for extra in ("\n[run]\nstep_count = 10\n", "\n[meanfield]\nnu = 1.0\n"):
+            with pytest.raises(ValueError, match="unknown key"):
+                parse_config(MINIMAL + extra)
 
     def test_unknown_section_is_a_hard_error(self):
         with pytest.raises(ValueError, match="unknown section"):
@@ -129,6 +129,11 @@ class TestSweep:
     def test_unknown_sweep_path_rejected(self):
         with pytest.raises(ValueError, match="path"):
             parse_config(SMALL_RUN + "\n[sweep]\nsensor.gain = 1, 2\n")
+
+    @pytest.mark.parametrize("path", ["run.n_seeds", "network.seed", "meanfield.g", "pde.nx"])
+    def test_axis_that_sweep_never_reads_rejected(self, path):
+        with pytest.raises(ValueError, match=f"sweep axis '{path}'"):
+            parse_config(SMALL_RUN + f"\n[sweep]\n{path} = 1, 3\n")
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="values"):
@@ -251,6 +256,18 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "error" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_error_exit(self, tmp_path, config_file, capsys, jobs):
+        argv = ["sweep", "--config", str(config_file), "--out", str(tmp_path), "--jobs", jobs]
+        assert cli.main(argv) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_env_var_jobs_zero_is_error_exit(self, tmp_path, config_file, capsys, monkeypatch):
+        monkeypatch.setenv("DSCSIM_JOBS", "0")
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(tmp_path)]) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_env_var_seed_override(self, tmp_path, config_file, monkeypatch):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dscsim import analysis, meanfield, rng, sensor
 from dscsim.environment import ConcentrationModel
@@ -74,6 +76,30 @@ class TestPlacement:
                 assert abs(int(quad.sum()) - cfg.n / 4) <= bound
 
 
+def _brute_force_csr(pos, r_star):
+    """All-pairs oracle, with the builder's float expression d = pos[j] - pos[i]."""
+    d = pos[None, :, :] - pos[:, None, :]
+    adj = (d[..., 0] ** 2 + d[..., 1] ** 2 <= r_star * r_star) & ~np.eye(len(pos), dtype=bool)
+    return np.concatenate([[0], np.cumsum(adj.sum(axis=1))]), np.nonzero(adj)[1]
+
+
+_COORD = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_KM_SQUARE = np.random.default_rng(7).random((200, 2)) * 1000.0
+
+
+@st.composite
+def _placements(draw):
+    """Free or lattice points in +-1e3, with duplicates drawn by index."""
+    if draw(st.booleans()):
+        base = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40))
+    else:
+        spacing = draw(st.floats(1e-3, 30.0))
+        cells = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+        base = [(i * spacing, j * spacing) for i, j in draw(st.lists(cells, min_size=1, max_size=40))]
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=60))
+    return [base[k] for k in picks]
+
+
 class TestNeighborSearch:
     def test_inclusive_boundary_at_exact_range(self):
         pos = np.array([[0.0, 0.0], [40.0, 0.0], [40.0001, 40.0]])
@@ -103,10 +129,32 @@ class TestNeighborSearch:
         gen = np.random.default_rng(5)
         pos = gen.random((60, 2)) * [200.0, 200.0]
         indptr, indices = neighbor_csr(pos, 35.0)
-        for i in range(60):
-            assert np.array_equal(
-                indices[indptr[i]:indptr[i + 1]], neighbors_within(pos, i, 35.0)
-            )
+        expected_indptr, expected_indices = _brute_force_csr(pos, 35.0)
+        assert np.array_equal(indptr, expected_indptr)
+        assert np.array_equal(indices, expected_indices)
+
+    @settings(derandomize=True, deadline=None)
+    @given(positions=_placements(), r_star=st.floats(1e-3, 3e3))
+    # Pairs that pass the distance test from two cells apart.
+    @example(positions=[[0.9999999999999999, 0.0], [2.0, 0.0]], r_star=1.0)
+    @example(positions=[[32 * 0.9999999999999999, 0.0], [64.0, 0.0]], r_star=32.0)
+    @example(positions=[[1.0, -1.3e-38], [-1.3e-38, -1.3e-38]], r_star=1.0)
+    # r_star**2 underflows to 0, so the test accepts any pair whose squared
+    # separation underflows too.
+    @example(positions=[[0.0, 0.0], [1e-170, 0.0]], r_star=1e-300)
+    # Tiny range on a 1 km square: cell ids would overflow int64 at width r_star.
+    @example(positions=np.vstack([_KM_SQUARE, _KM_SQUARE[:4]]), r_star=1e-9)
+    def test_csr_is_the_brute_force_graph(self, positions, r_star):
+        pos = np.asarray(positions, dtype=float)
+        n = len(pos)
+        indptr, indices = neighbor_csr(pos, r_star)
+        expected_indptr, expected_indices = _brute_force_csr(pos, r_star)
+        assert np.array_equal(indptr, expected_indptr)
+        assert np.array_equal(indices, expected_indices)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        assert np.all(rows != indices)
+        assert np.array_equal(np.sort(indices * n + rows), rows * n + indices)  # symmetric
+        assert np.all(np.diff(indices)[rows[1:] == rows[:-1]] > 0)
 
 
 class TestStepSemantics:
@@ -216,6 +264,11 @@ class TestDeterminism:
         parallel = ensemble_run(cfg, SPEC40, REFERENCE, steps=60, n_seeds=4, jobs=2)
         assert serial.mean.tobytes() == parallel.mean.tobytes()
         assert serial.std.tobytes() == parallel.std.tobytes()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_ensemble_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            ensemble_run(paper_config(n=10), SPEC40, REFERENCE, steps=5, n_seeds=2, jobs=jobs)
 
     def test_single_seed_ensemble_has_zero_std(self):
         cfg = paper_config(seed=24, n=100)
