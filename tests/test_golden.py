@@ -4,16 +4,18 @@ The other determinism tests compare a rerun with a rerun, so a change in
 how the random streams are consumed, or in which neighbor pairs the graph
 holds, would pass them unnoticed. These sha256 values pin the bytes of
 reduced-size outputs of the bundled configs, of one run with every
-protocol option switched on, and of the neighbor CSR itself. A change
-that alters any of them changes the simulator's results.
+protocol option switched on, of the sweep -> analyze bridge and the
+meanfield report, and of the neighbor CSR itself. A change that alters
+any of them changes the simulator's results.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dscsim import cli, netsim, rng
+from dscsim import __version__, cli, netsim, rng
 from dscsim.config import apply_override, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -69,12 +71,44 @@ SWEEP = {
 }
 
 
+# The sweep's manifest.json, hashed with the installed numpy version
+# written as "NUMPY" so that the digest pins only what dscsim writes.
+SWEEP_MANIFEST = {
+    "demo-sparse.ini": "303d009e16d204c7524b26e4321ee15feff7886813afe48032e311767013c214",
+    "demo-dense.ini": "283fb257ef536d5ec426b5f08b8f4927c96148baf4855e9e8dff737581ea585d",
+}
+
+ANALYSIS = {
+    "demo-sparse.ini": "ef7e2b28b9f99ec882e8d9691d8d44286ac3e6c34afd81b69adfcbcab0c5c673",
+    "demo-dense.ini": "d0b043ea496c77ed29a67cb01c69ece581061d57d300dc9199cd4d5b8a4c9e4b",
+}
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(SWEEP))
 def test_sweep_digest(tmp_path, name, jobs):
     cfg = _config(name, **{"run.steps": 200, "run.n_seeds": 3})
     assert cli.dispatch("sweep", cfg, tmp_path, jobs=jobs) == 0
     assert _sha256(tmp_path / "sweep.csv") == SWEEP[name]
+    manifest = (tmp_path / "manifest.json").read_text(encoding="utf-8")
+    assert f'"numpy": "{np.__version__}"' in manifest
+    assert f'"dscsim": "{__version__}"' in manifest
+    masked = manifest.replace(f'"numpy": "{np.__version__}"', '"numpy": "NUMPY"')
+    assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == SWEEP_MANIFEST[name]
+    assert cli.dispatch("analyze", cfg, tmp_path, jobs=jobs) == 0
+    assert _sha256(tmp_path / "analysis.json") == ANALYSIS[name]
+
+
+MEANFIELD = {
+    "demo-sparse.ini": "b8e89268d7737e70a758d78d43280ad2ffa4a3b4f665f295d55cc695095d689d",
+    "demo-dense.ini": "6323a8d2bff7ed74c9a922a104f63013b709039d8449dd70edf9a0a2850c4a2e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEANFIELD))
+def test_meanfield_digest(tmp_path, name, capsys):
+    assert cli.dispatch("meanfield", _config(name), tmp_path) == 0
+    assert _sha256(tmp_path / "meanfield.json") == MEANFIELD[name]
 
 
 CSR = {
