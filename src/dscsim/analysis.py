@@ -2,18 +2,24 @@
 
 Plateau extraction from trajectories, back-out of the empirical contact
 rate, calibration of the order-unity factor g, power-law fitting of
-scaling relations, and a goodness-of-fit check for the environment
-sampler.
+scaling relations, a goodness-of-fit check for the environment sampler,
+and the sweep -> analyze experiment that ties them together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import environment
+from . import environment, meanfield, netsim, sensor
+from .config import ExperimentConfig, apply_override, sweep_points
 from .environment import ConcentrationModel
+
+# Columns of sweep.csv after "point" and the sweep axes.
+SWEEP_COLUMNS = (
+    "seed", "plateau_mean", "plateau_std", "p", "alpha_theory_g1", "n", "tau_star", "initial_active",
+)
 
 
 @dataclass(frozen=True)
@@ -120,3 +126,105 @@ def ks_distance(samples, model: ConcentrationModel) -> float:
     d_plus = float(np.max(grid - f_right))
     d_minus = float(np.max(f_left - (grid - 1.0 / m)))
     return max(d_plus, d_minus, 0.0)
+
+
+def sweep(config: ExperimentConfig, jobs: int = 1) -> list[list]:
+    """Rows of sweep.csv: [point, *axis values, *SWEEP_COLUMNS].
+
+    Every grid point runs run.n_seeds members at seeds network.seed + k
+    through netsim.run_members; each row holds one member's raw tail
+    statistics (dying runs included) and the point's p and alpha at g = 1.
+    Rows come in grid order, then seed order, whatever jobs is.
+    """
+    n_seeds, base_seed = config.run.n_seeds, config.network.seed
+    points = sweep_points(config)
+    configs = []
+    for point in points:
+        cfg = config
+        for path, value in point.items():
+            cfg = apply_override(cfg, path, value)
+        configs.append(cfg)
+    members = [
+        (replace(cfg.network, seed=base_seed + k), cfg.sensor, cfg.environment, cfg.run.steps)
+        for cfg in configs
+        for k in range(n_seeds)
+    ]
+    trajectories = iter(netsim.run_members(members, jobs))
+    rows = []
+    for index, (point, cfg) in enumerate(zip(points, configs)):
+        spec, net = cfg.sensor, cfg.network
+        p = sensor.detection_probability(spec, cfg.environment)
+        alpha_g1 = meanfield.alpha_theory(spec, net.area, p, 1.0)
+        for k in range(n_seeds):
+            mean, std = extract_plateau(
+                next(trajectories), cfg.run.tail_fraction, check_stationary=False
+            )
+            rows.append([index, *point.values(), base_seed + k, mean, std, p, alpha_g1,
+                         net.n, spec.tau_star, net.initial_active])
+    return rows
+
+
+def analyze_sweep(rows) -> dict:
+    """The analysis.json payload for sweep.csv records (column -> cell, as
+    csv.DictReader reads them; params keep the cells as given).
+
+    Per point: the ensemble plateau and its scatter, and alpha_s where the
+    plateau lies above the initial active fraction. Then g calibrated on
+    those points, each point's calibrated R0 and plateau, and the power-law
+    fit of alpha_s against p once three distinct p are supercritical.
+    """
+    if not rows:
+        raise ValueError("no sweep rows")
+    fixed = {"point", *SWEEP_COLUMNS}
+    axes = [c for c in rows[0] if c not in fixed]
+    grouped: dict[int, list] = {}
+    for row in rows:
+        grouped.setdefault(int(row["point"]), []).append(row)
+
+    per_point, sizes, pairs, power_xs = [], [], [], []
+    for point_idx, members in sorted(grouped.items()):
+        first = members[0]
+        plateaus = [float(r["plateau_mean"]) for r in members]
+        plateau_sim = float(np.mean(plateaus))
+        p = float(first["p"])
+        alpha_g1 = float(first["alpha_theory_g1"])
+        n = int(first["n"])
+        tau_star = float(first["tau_star"])
+        supercritical = int(first["initial_active"]) / n < plateau_sim < 1.0
+        alpha_s = alpha_from_sim(plateau_sim, tau_star, n) if supercritical else None
+        if supercritical:
+            pairs.append((alpha_s, alpha_g1))
+            power_xs.append(p)
+        per_point.append(
+            {
+                "point": point_idx,
+                "params": {a: first[a] for a in axes},
+                "p": p,
+                "plateau_sim": plateau_sim,
+                "plateau_scatter": float(np.std(plateaus)),
+                "alpha_s": alpha_s,
+                "alpha_theory_g1": alpha_g1,
+                "supercritical": supercritical,
+            }
+        )
+        sizes.append((tau_star, n))
+
+    g = calibrate_g(pairs) if pairs else None
+    if g is not None:
+        for entry, (tau_star, n) in zip(per_point, sizes):
+            r0_cal = g * entry["alpha_theory_g1"] * tau_star * n
+            entry["r0"] = r0_cal
+            entry["plateau_theory"] = 1.0 - 1.0 / r0_cal if r0_cal > 1.0 else 0.0
+    fit = None
+    if len(set(power_xs)) >= 3:
+        result = fit_power_law(power_xs, [alpha_s for alpha_s, _ in pairs])
+        fit = {"q": result.exponent, "intercept": result.intercept,
+               "r_squared": result.r_squared}
+    return {
+        "g": g,
+        "q": fit["q"] if fit else None,
+        "power_law": fit,
+        "supercritical_rule": "ensemble plateau above the initial active fraction",
+        "sweep_axes": axes,
+        "per_point": per_point,
+    }

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .environment import ConcentrationModel
 from .netsim import NetworkConfig
@@ -113,54 +113,12 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# section -> key -> (converter, required)
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "environment": {
-        "c0": (float, True),
-        "gamma": (float, False),
-        "omega": (float, False),
-    },
-    "sensor": {
-        "c_star": (float, True),
-        "tau_star": (int, True),
-        "r_star": (float, True),
-    },
-    "network": {
-        "n": (int, True),
-        "width": (float, True),
-        "height": (float, True),
-        "delta": (float, False),
-        "rotation_period": (int, False),
-        "initial_active": (int, False),
-        "seed": (int, False),
-        "failure_rate": (float, False),
-        "single_shot": (_parse_bool, False),
-        "refresh_on_detect": (_parse_bool, False),
-    },
-    "run": {
-        "steps": (int, False),
-        "n_seeds": (int, False),
-        "tail_fraction": (float, False),
-    },
-    "meanfield": {
-        "g": (float, False),
-        "t_detect": (float, False),
-        "v_star": (float, False),
-    },
-    "pde": {
-        "nx": (int, False),
-        "ny": (int, False),
-        "dx": (float, False),
-        "t_end": (float, False),
-        "dt": (float, False),
-        "diffusivity": (float, False),
-        "alpha": (float, False),
-        "seed_columns": (int, False),
-        "seed_level": (float, False),
-        "level": (float, False),
-        "record_every": (int, False),
-    },
-}
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
 
 _SECTION_TYPES = {
     "environment": ConcentrationModel,
@@ -169,6 +127,16 @@ _SECTION_TYPES = {
     "run": RunSettings,
     "meanfield": MeanFieldSettings,
     "pde": PdeSettings,
+}
+
+# Field annotation (a string under postponed evaluation) -> converter.
+_CONVERTERS = {"float": _finite_float, "int": int, "int | None": int, "bool": _parse_bool}
+
+# section -> key -> (converter, required), in field order; a field without
+# a default is a required key.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    section: {f.name: (_CONVERTERS[f.type], f.default is MISSING) for f in fields(cls)}
+    for section, cls in _SECTION_TYPES.items()
 }
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import environment
+from . import environment, sensor
+from .config import ExperimentConfig
 from .sensor import SensorSpec
 
 
@@ -398,6 +399,52 @@ def synchronization_check(alpha: float, tau_star: float, r_star: float, v_star: 
     if alpha < 0 or tau_star <= 0 or r_star <= 0 or v_star < 0:
         raise ValueError("inputs must be positive (v_star may be zero)")
     return alpha >= v_star ** 2 * tau_star / r_star ** 2
+
+
+def meanfield_report(config: ExperimentConfig) -> dict:
+    """Analytic summary of a config: the meanfield.json payload.
+
+    The information-gain conditions, delta_min and n_threshold need a
+    detection probability strictly inside (0, 1) and are None otherwise.
+    """
+    model, spec, net, mf = config.environment, config.sensor, config.network, config.meanfield
+    s = net.area
+    p = sensor.detection_probability(spec, model)
+    alpha = alpha_theory(spec, s, p, mf.g)
+    r0_value = r0(p, net.n, spec.r_star, s, mf.g)
+    supercritical = r0_value > 1.0
+    try:
+        c_star_opt = sensor.optimal_threshold(model)
+    except ValueError:
+        c_star_opt = None
+    gain = None
+    if 0.0 < p < 1.0:
+        gain = info_gain_conditions(
+            theta=1.0 / r0_value,
+            delta=net.delta,
+            p=p,
+            tau_star=spec.tau_star,
+            n=net.n,
+            t_detect=mf.t_detect,
+            s=s,
+            r_star=spec.r_star,
+        )
+    return {
+        "p": p,
+        "alpha": alpha,
+        "r0": r0_value,
+        "theta": 1.0 / r0_value if supercritical else None,
+        "relaxation_time": relaxation_time(r0_value, spec.tau_star) if supercritical else None,
+        "delta_min": gain.delta_min if gain else None,
+        "n_threshold": gain.n_threshold if gain else None,
+        "n_star": math.ceil(4.0 / math.pi * s / spec.r_star ** 2),
+        "c_star_opt": c_star_opt,
+        "synchronized": synchronization_check(alpha, spec.tau_star, spec.r_star, mf.v_star),
+        "conditions": {
+            key: getattr(gain, key)
+            for key in ("dsc_superior", "epidemic_within_t", "consistency", "event_gain")
+        } if gain else None,
+    }
 
 
 def alpha_field_from_mean_concentration(

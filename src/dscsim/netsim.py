@@ -75,8 +75,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("region dimensions must be > 0")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError("region dimensions must be finite and > 0")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
         if self.initial_active < 0:
@@ -316,6 +316,21 @@ def _member_run(args) -> np.ndarray:
     return active_fraction(run(config, spec, model, steps), config.n)
 
 
+def run_members(members, jobs: int = 1) -> list[np.ndarray]:
+    """Active-fraction trajectory of each (config, spec, model, steps) member.
+
+    Members are independent runs; with jobs > 1 they execute in separate
+    processes, and the trajectories always come back in input order, so
+    the result does not depend on scheduling.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        return [_member_run(m) for m in members]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_member_run, members, chunksize=1))
+
+
 def ensemble_run(
     config: NetworkConfig,
     spec: SensorSpec,
@@ -324,23 +339,11 @@ def ensemble_run(
     n_seeds: int,
     jobs: int = 1,
 ) -> EnsembleResult:
-    """Ensemble over seeds config.seed, config.seed + 1, ...
-
-    Member runs are independent; with jobs > 1 they execute in separate
-    processes but are always merged in seed order, so the result does not
-    depend on scheduling.
-    """
+    """Ensemble over seeds config.seed, config.seed + 1, ..., run by run_members."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [
+    members = [
         (replace(config, seed=config.seed + i), spec, model, steps) for i in range(n_seeds)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trajectories = list(pool.map(_member_run, tasks))
-    else:
-        trajectories = [_member_run(t) for t in tasks]
-    stack = np.vstack(trajectories)
+    stack = np.vstack(run_members(members, jobs))
     return EnsembleResult(mean=stack.mean(axis=0), std=stack.std(axis=0), n_seeds=n_seeds)

@@ -5,12 +5,16 @@ import pytest
 
 from dscsim import rng
 from dscsim.analysis import (
+    SWEEP_COLUMNS,
     alpha_from_sim,
+    analyze_sweep,
     calibrate_g,
     extract_plateau,
     fit_power_law,
     ks_distance,
+    sweep,
 )
+from dscsim.config import parse_config
 from dscsim.environment import ConcentrationModel, quantile, time_series
 from dscsim.meanfield import logistic_solution
 
@@ -155,3 +159,52 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_distance([], REFERENCE)
+
+
+SWEEP_CONFIG = """\
+[environment]
+c0 = 150.0
+
+[sensor]
+c_star = 154.5
+tau_star = 5
+r_star = 40.0
+
+[network]
+n = 100
+width = 500.0
+height = 500.0
+
+[run]
+steps = 40
+n_seeds = 3
+
+[sweep]
+sensor.r_star = 30, 90
+"""
+
+
+class TestSweepBridge:
+    def test_sweep_rows_do_not_depend_on_jobs(self):
+        cfg = parse_config(SWEEP_CONFIG)
+        rows = sweep(cfg, jobs=1)
+        assert sweep(cfg, jobs=2) == rows
+        assert [row[:2] for row in rows] == [[0, 30.0]] * 3 + [[1, 90.0]] * 3
+        assert [row[2] for row in rows] == [0, 1, 2, 0, 1, 2]  # seed column
+        assert all(len(row) == 2 + len(SWEEP_COLUMNS) for row in rows)
+
+    def test_analyze_sweep_groups_points(self):
+        header = ["point", "sensor.r_star", *SWEEP_COLUMNS]
+        rows = [dict(zip(header, row)) for row in sweep(parse_config(SWEEP_CONFIG))]
+        report = analyze_sweep(rows)
+        assert report["sweep_axes"] == ["sensor.r_star"]
+        assert [e["params"] for e in report["per_point"]] == [
+            {"sensor.r_star": 30.0}, {"sensor.r_star": 90.0}
+        ]
+        for entry, point in zip(report["per_point"], (rows[:3], rows[3:])):
+            plateaus = [r["plateau_mean"] for r in point]
+            assert entry["plateau_sim"] == float(np.mean(plateaus))
+
+    def test_analyze_sweep_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="no sweep rows"):
+            analyze_sweep([])

@@ -1,12 +1,17 @@
 """Config grammar, validation, round-trip, and the CLI pipeline."""
 
 import json
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dscsim import cli
 from dscsim.config import (
+    SweepAxis,
     apply_override,
     load_config,
     parse_config,
@@ -35,6 +40,24 @@ SMALL_RUN = MINIMAL + """
 steps = 60
 n_seeds = 3
 """
+
+
+# "section.key" -> annotation of every config key, from the section dataclasses.
+_BASE = parse_config(MINIMAL)
+KEY_TYPES = {
+    f"{section.name}.{f.name}": f.type
+    for section in fields(_BASE)
+    if section.name != "sweep"
+    for f in fields(getattr(_BASE, section.name))
+}
+FLOAT_KEYS = sorted(path for path, kind in KEY_TYPES.items() if kind == "float")
+
+
+def _with_value(path: str, raw: str) -> str:
+    """MINIMAL, fully serialized, with one key's value text replaced."""
+    section, key = path.split(".")
+    head, sep, tail = serialize_config(_BASE).partition(f"[{section}]\n")
+    return head + sep + re.sub(rf"^{key} = .*$", f"{key} = {raw}", tail, count=1, flags=re.M)
 
 
 class TestParsing:
@@ -80,6 +103,12 @@ class TestParsing:
         with pytest.raises(ValueError, match="tau_star"):
             parse_config(text)
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("path", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, path, raw):
+        with pytest.raises(ValueError, match=f"bad value for {path}: not a finite number"):
+            parse_config(_with_value(path, raw))
+
     def test_rotation_period_zero_disables(self):
         cfg = parse_config(MINIMAL + "\nrotation_period = 0\n")
         assert cfg.network.rotation_period == 0
@@ -113,6 +142,44 @@ network.delta = 0.0, 0.05
     def test_round_trip_preserves_float_precision(self):
         cfg = parse_config(MINIMAL.replace("c0 = 150.0", "c0 = 150.00000000000003"))
         assert parse_config(serialize_config(cfg)).environment.c0 == cfg.environment.c0
+
+
+_INTS = st.integers(-(2**63), 2**63)
+_VALUES = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "int": _INTS,
+    "int | None": st.none() | _INTS,
+    "bool": st.booleans(),
+}
+_SWEEPABLE = sorted(
+    path for path in KEY_TYPES
+    if path.split(".")[0] in ("environment", "sensor", "network", "run")
+    and path not in ("run.n_seeds", "network.seed")
+)
+
+
+@st.composite
+def _configs(draw):
+    """Valid configs with a few keys and sweep axes drawn from every key's type."""
+    cfg = _BASE
+    for path in draw(st.lists(st.sampled_from(sorted(KEY_TYPES)), max_size=6, unique=True)):
+        try:
+            cfg = apply_override(cfg, path, draw(_VALUES[KEY_TYPES[path]]))
+        except ValueError:
+            pass  # the value breaks an invariant of its section; keep the old one
+    axes = []
+    for path in draw(st.lists(st.sampled_from(_SWEEPABLE), max_size=2, unique=True)):
+        kind = KEY_TYPES[path].replace(" | None", "")
+        values = draw(st.lists(_VALUES[kind], min_size=1, max_size=3))
+        axes.append(SweepAxis(path=path, values=tuple(values)))
+    return replace(cfg, sweep=tuple(axes))
+
+
+class TestRoundTripProperty:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(cfg=_configs())
+    def test_parse_serialize_round_trip(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestSweep:
@@ -268,6 +335,15 @@ class TestCli:
         monkeypatch.setenv("DSCSIM_JOBS", "0")
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(tmp_path)]) == 1
         assert "jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["DSCSIM_JOBS", "DSCSIM_SEED"])
+    def test_env_var_not_an_integer_is_error_exit(self, tmp_path, config_file, capsys,
+                                                  monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        assert cli.main(["simulate", "--config", str(config_file), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"dscsim simulate: error: {name} must be an integer, got 'abc'\n"
+        assert not (tmp_path / "simulation.csv").exists()
 
     def test_env_var_seed_override(self, tmp_path, config_file, monkeypatch):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

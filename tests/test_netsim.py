@@ -20,6 +20,7 @@ from dscsim.netsim import (
     neighbors_within,
     place_sensors,
     run,
+    run_members,
 )
 from dscsim.sensor import SensorSpec
 
@@ -45,6 +46,13 @@ class TestConfigValidation:
     def test_failure_rate_range(self):
         with pytest.raises(ValueError, match="failure_rate"):
             NetworkConfig(n=10, width=10.0, height=10.0, failure_rate=2.0)
+
+    @pytest.mark.parametrize("width, height", [
+        (math.inf, 10.0), (10.0, math.inf), (math.nan, 10.0), (10.0, math.nan), (-math.inf, 10.0),
+    ])
+    def test_region_must_be_finite(self, width, height):
+        with pytest.raises(ValueError, match="finite"):
+            NetworkConfig(n=10, width=width, height=height)
 
     def test_permanent_count_ceil(self):
         cfg = NetworkConfig(n=10, width=10.0, height=10.0, delta=0.11, initial_active=0)
@@ -269,6 +277,22 @@ class TestDeterminism:
     def test_ensemble_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             ensemble_run(paper_config(n=10), SPEC40, REFERENCE, steps=5, n_seeds=2, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_members_keeps_input_order(self, jobs):
+        # Different step counts make every member's trajectory recognisable.
+        members = [(paper_config(seed=30 + k, n=60), SPEC40, REFERENCE, steps)
+                   for k, steps in enumerate([7, 3, 9, 5])]
+        got = run_members(members, jobs)
+        assert [t.size for t in got] == [7, 3, 9, 5]
+        for traj, (cfg, spec, model, steps) in zip(got, members):
+            expected = active_fraction(run(cfg, spec, model, steps), cfg.n)
+            assert traj.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_run_members_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_members([(paper_config(n=10), SPEC40, REFERENCE, 5)], jobs)
 
     def test_single_seed_ensemble_has_zero_std(self):
         cfg = paper_config(seed=24, n=100)
