@@ -45,24 +45,55 @@ def test_simulate_digest(tmp_path, name):
     assert _sha256(tmp_path / "simulation.csv") == SIMULATE[name]
 
 
-ALL_OPTIONS = "05777d9bf4c2bcf8cf04c3e5d97264a30fe1e631001f28a6e97a0374bbc0c8ca"
+# Sample streams are drawn in blocks of 128 steps, so only a run past step
+# 256 can wake a sensor for the first time in its third block. The 500-step
+# runs below reach the fourth block; the all-options run of demo-sparse
+# first wakes sensors in every block, by messages and by permanent-set
+# rotation.
+SIMULATE_500 = "156d5c758d6b93903a34ab51f70b4c51c2357d8446ec820582b10eba924846ad"
 
 
-def test_simulate_digest_all_protocol_options(tmp_path):
-    cfg = _config(
-        "demo-dense.ini",
+def test_simulate_digest_500_steps(tmp_path):
+    cfg = _config("demo-sparse.ini", **{"run.steps": 500})
+    assert cli.dispatch("simulate", cfg, tmp_path) == 0
+    assert _sha256(tmp_path / "simulation.csv") == SIMULATE_500
+
+
+def _all_options_config(name, steps, delta, failure_rate):
+    return _config(
+        name,
         **{
-            "run.steps": 200,
-            "network.delta": 0.05,
-            "network.failure_rate": 0.002,
+            "run.steps": steps,
+            "network.delta": delta,
+            "network.failure_rate": failure_rate,
             "network.rotation_period": 15,
             "network.single_shot": True,
             "network.refresh_on_detect": True,
             "network.seed": 7,
         },
     )
+
+
+ALL_OPTIONS = "05777d9bf4c2bcf8cf04c3e5d97264a30fe1e631001f28a6e97a0374bbc0c8ca"
+
+
+def test_simulate_digest_all_protocol_options(tmp_path):
+    cfg = _all_options_config("demo-dense.ini", 200, 0.05, 0.002)
     assert cli.dispatch("simulate", cfg, tmp_path) == 0
     assert _sha256(tmp_path / "simulation.csv") == ALL_OPTIONS
+
+
+ALL_OPTIONS_500 = {
+    ("demo-dense.ini", 0.05, 0.002): "8ebacc9fdee6a7b0aedba9a136f180f9c9d6eff2920219fe8591f9fe20357226",
+    ("demo-sparse.ini", 0.01, 0.0005): "ecbe1c10a5336636af7d3a80410c00534703caded4c5a50fc3a6ec21cc39e6fc",
+}
+
+
+@pytest.mark.parametrize("name, delta, failure_rate", sorted(ALL_OPTIONS_500))
+def test_simulate_digest_all_protocol_options_500_steps(tmp_path, name, delta, failure_rate):
+    cfg = _all_options_config(name, 500, delta, failure_rate)
+    assert cli.dispatch("simulate", cfg, tmp_path) == 0
+    assert _sha256(tmp_path / "simulation.csv") == ALL_OPTIONS_500[(name, delta, failure_rate)]
 
 
 SWEEP = {
