@@ -31,7 +31,6 @@ from .config import (
     ExperimentConfig,
     apply_override,
     load_config,
-    resolve_pde,
     serialize_config,
     sweep_points,
 )
@@ -116,26 +115,15 @@ def _cmd_meanfield(config: ExperimentConfig, out: Path, jobs: int) -> dict | Non
 
 
 def _cmd_pde(config: ExperimentConfig, out: Path, jobs: int) -> dict | None:
-    pde = resolve_pde(config)
-    active = np.zeros((pde.ny, pde.nx))
-    active[:, : pde.seed_columns] = pde.seed_level
-    passive = 1.0 - active
-    grid = meanfield.PdeGrid(
-        nx=pde.nx, ny=pde.ny, dx=pde.dx, d=pde.diffusivity,
-        field_active=active, field_passive=passive,
-    )
-    record_every = pde.record_every or max(1, round(1.0 / pde.dt))
-    traj = meanfield.integrate_pde(
-        grid, pde.alpha, config.sensor.tau_star, pde.t_end, pde.dt, record_every
-    )
-    positions = meanfield.front_positions(traj, pde.level)
+    traj, level = meanfield.run_pde(config)
+    positions = meanfield.front_positions(traj, level)
     _write_csv(
         out / "front.csv",
         ["time", "front_position"],
         zip((float(t) for t in traj.times), (float(x) for x in positions)),
     )
     try:
-        speed = meanfield.front_speed(traj, pde.level)
+        speed = meanfield.front_speed(traj, level)
         print(f"front speed: {_fmt(speed)} m/step")
     except ValueError as exc:
         print(f"front speed unavailable: {exc}", file=sys.stderr)

@@ -44,12 +44,12 @@ class MeanFieldSettings:
     v_star: float = 0.0
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError("g must be > 0")
-        if self.t_detect <= 0:
-            raise ValueError("t_detect must be > 0")
-        if self.v_star < 0:
-            raise ValueError("v_star must be >= 0")
+        if not 0 < self.g < math.inf:
+            raise ValueError("g must be finite and > 0")
+        if not 0 < self.t_detect < math.inf:
+            raise ValueError("t_detect must be finite and > 0")
+        if not 0 <= self.v_star < math.inf:
+            raise ValueError("v_star must be finite and >= 0")
 
 
 @dataclass(frozen=True)

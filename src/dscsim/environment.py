@@ -23,6 +23,7 @@ mean is exactly c0 for any gamma > 2 and any omega.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,9 @@ import numpy as np
 class ConcentrationModel:
     """Parameters of the intermittent concentration law.
 
-    c0: mean concentration (arbitrary units, > 0). Only ratios such as
-        threshold / c0 matter downstream.
-    gamma: tail exponent (> 2; 26/3 is the usual turbulence value).
+    c0: mean concentration (arbitrary units, finite, > 0). Only ratios such
+        as threshold / c0 matter downstream.
+    gamma: tail exponent (finite, > 2; 26/3 is the usual turbulence value).
     omega: intermittency factor in [0, 1]; 1 - omega is the probability of
         reading exactly zero. omega = 0 is the degenerate all-zero
         environment.
@@ -45,10 +46,10 @@ class ConcentrationModel:
     omega: float = 0.98
 
     def __post_init__(self):
-        if not self.c0 > 0:
-            raise ValueError(f"c0 must be > 0, got {self.c0}")
-        if not self.gamma > 2:
-            raise ValueError(f"gamma must be > 2, got {self.gamma}")
+        if not 0 < self.c0 < math.inf:
+            raise ValueError(f"c0 must be finite and > 0, got {self.c0}")
+        if not 2 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 2, got {self.gamma}")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import environment, sensor
-from .config import ExperimentConfig
+from .config import ExperimentConfig, resolve_pde
 from .sensor import SensorSpec
 
 
@@ -344,6 +344,27 @@ def integrate_pde(
             snaps_a.append(a.copy())
             snaps_p.append(p.copy())
     return PdeTrajectory(times=np.array(times), active=snaps_a, passive=snaps_p, dx=dx)
+
+
+def run_pde(config: ExperimentConfig) -> tuple[PdeTrajectory, float]:
+    """The config's spatial model from a front seeded at x = 0.
+
+    The first seed_columns columns start at active density seed_level and
+    the rest of the grid fully passive; snapshots default to about one per
+    time unit. Returns the trajectory and the resolved front level.
+    """
+    pde = resolve_pde(config)
+    active = np.zeros((pde.ny, pde.nx))
+    active[:, : pde.seed_columns] = pde.seed_level
+    grid = PdeGrid(
+        nx=pde.nx, ny=pde.ny, dx=pde.dx, d=pde.diffusivity,
+        field_active=active, field_passive=1.0 - active,
+    )
+    record_every = pde.record_every or max(1, round(1.0 / pde.dt))
+    trajectory = integrate_pde(
+        grid, pde.alpha, config.sensor.tau_star, pde.t_end, pde.dt, record_every
+    )
+    return trajectory, pde.level
 
 
 def _crossing_position(profile: np.ndarray, level: float, dx: float) -> float | None:

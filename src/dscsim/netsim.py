@@ -13,7 +13,10 @@ absorbing faulty state that neither senses nor relays.
 One simulation step, synchronously:
 
   1. every active non-faulty sensor draws a concentration sample from its
-     own substream and broadcasts if the reading is positive;
+     own substream and broadcasts if the reading is positive (the
+     substream is built when the sensor is first active at the start of a
+     step and skipped ahead, so its t-th reading is the substream's t-th
+     value however late it was built);
   2. active timers decrement; expired sensors go passive (permanent ones
      re-arm immediately);
   3. this step's messages activate recipients that are passive *after*
@@ -49,7 +52,10 @@ ACTIVE = 1
 FAULTY = 2
 
 # Steps of per-sensor samples drawn per refill; amortizes generator calls
-# without changing any drawn value (streams are consumed sequentially).
+# without changing any drawn value (streams are consumed sequentially). A
+# multiple of the 4 words of one Philox4x64 block, so a stream first built
+# at block start b reaches its b-th value by advancing its counter b // 4
+# blocks, without drawing the values before it.
 _SAMPLE_BLOCK = 128
 
 
@@ -192,25 +198,37 @@ class Simulation:
 
         self._fail_rng = rng.substream(config.seed, rng.FAILURE)
         self._rotate_rng = rng.substream(config.seed, rng.ROTATION)
-        self._sensor_gens = [rng.sensor_stream(config.seed, i) for i in range(n)]
-        self._sample_block: np.ndarray | None = None
-        self._block_pos = 0
+        # Streams of the sensors that have sensed, by sensor index. Columns
+        # of the sample block of sensors without a stream stay zero.
+        self._streams: dict[int, np.random.Generator] = {}
+        self._has_stream = np.zeros(n, dtype=bool)
+        self._sample_block = np.zeros((_SAMPLE_BLOCK, n))
 
         period = config.rotation_period
         self.rotation_period = 10 * spec.tau_star if period is None else period
         self.t = 0
 
-    def _next_samples(self) -> np.ndarray:
-        """Concentration at every sensor for the coming step."""
-        if self._sample_block is None or self._block_pos == _SAMPLE_BLOCK:
-            u = np.empty((_SAMPLE_BLOCK, self.config.n))
-            for i, gen in enumerate(self._sensor_gens):
-                u[:, i] = gen.random(_SAMPLE_BLOCK)
-            self._sample_block = np.asarray(environment.quantile(self.model, u))
-            self._block_pos = 0
-        row = self._sample_block[self._block_pos]
-        self._block_pos += 1
-        return row
+    def _next_samples(self, active: np.ndarray) -> np.ndarray:
+        """Concentration for the coming step at every sensor that has sensed.
+
+        A sensor active for the first time gets its stream here, advanced
+        to the start of the current block, and its column of the block at
+        once; at a block boundary only the existing streams are refilled.
+        """
+        pos = (self.t - 1) % _SAMPLE_BLOCK
+        new = (active > self._has_stream).nonzero()[0].tolist()
+        for i in new:
+            gen = rng.sensor_stream(self.config.seed, i)
+            gen.bit_generator.advance((self.t - 1 - pos) // 4)
+            self._streams[i] = gen
+            self._has_stream[i] = True
+        ids = list(self._streams) if pos == 0 else new
+        if ids:
+            u = np.empty((len(ids), _SAMPLE_BLOCK))
+            for i, row in zip(ids, u):
+                self._streams[i].random(out=row)
+            self._sample_block[:, ids] = environment.quantile(self.model, u).T
+        return self._sample_block[pos]
 
     def _deliver(self, broadcasters: np.ndarray) -> np.ndarray:
         """Boolean mask of sensors receiving at least one message."""
@@ -224,10 +242,10 @@ class Simulation:
     def step(self) -> SimRecord:
         cfg, spec = self.config, self.spec
         self.t += 1
-        samples = self._next_samples()
 
         # Phase 1: sense and broadcast.
         active = self.kind == ACTIVE
+        samples = self._next_samples(active)
         detecting = active & (samples >= spec.c_star)
         broadcasting = detecting
         if cfg.single_shot:

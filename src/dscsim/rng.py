@@ -4,7 +4,10 @@ All randomness in a run derives from a single 64-bit seed. Independent
 substreams are obtained from a counter-based generator (Philox) keyed by
 (seed, spawn path), so any substream can be reconstructed on its own:
 per-sensor streams do not depend on how many sensors exist or in which
-order they are visited.
+order they are visited. A stream can also be built late: netsim builds a
+sensor's stream when the sensor first senses and skips it ahead with
+`bit_generator.advance`, which gives the values that drawing it from its
+start would give.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import environment
@@ -12,9 +13,9 @@ from .environment import ConcentrationModel
 class SensorSpec:
     """Hardware parameters shared by every sensor in a network.
 
-    c_star: detection threshold (concentration units, >= 0)
+    c_star: detection threshold (concentration units, finite, >= 0)
     tau_star: active-period duration (time steps, >= 1)
-    r_star: communication range (meters, > 0)
+    r_star: communication range (meters, finite, > 0)
     """
 
     c_star: float
@@ -22,12 +23,12 @@ class SensorSpec:
     r_star: float
 
     def __post_init__(self):
-        if self.c_star < 0:
-            raise ValueError(f"c_star must be >= 0, got {self.c_star}")
+        if not 0 <= self.c_star < math.inf:
+            raise ValueError(f"c_star must be finite and >= 0, got {self.c_star}")
         if self.tau_star < 1:
             raise ValueError(f"tau_star must be >= 1, got {self.tau_star}")
-        if not self.r_star > 0:
-            raise ValueError(f"r_star must be > 0, got {self.r_star}")
+        if not 0 < self.r_star < math.inf:
+            raise ValueError(f"r_star must be finite and > 0, got {self.r_star}")
 
 
 def read(spec: SensorSpec, c: float) -> int:

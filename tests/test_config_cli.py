@@ -1,6 +1,7 @@
 """Config grammar, validation, round-trip, and the CLI pipeline."""
 
 import json
+import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from dscsim import cli
 from dscsim.config import (
+    MeanFieldSettings,
     SweepAxis,
     apply_override,
     load_config,
@@ -108,6 +110,12 @@ class TestParsing:
     def test_non_finite_float_rejected(self, path, raw):
         with pytest.raises(ValueError, match=f"bad value for {path}: not a finite number"):
             parse_config(_with_value(path, raw))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["g", "t_detect", "v_star"])
+    def test_meanfield_settings_reject_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MeanFieldSettings(**{name: value})
 
     def test_rotation_period_zero_disables(self):
         cfg = parse_config(MINIMAL + "\nrotation_period = 0\n")

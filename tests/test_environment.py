@@ -5,6 +5,8 @@ of the density (normalization, mean, cdf), finite differences (pdf vs
 cdf), and bisection inversion (quantile vs cdf).
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -35,6 +37,13 @@ class TestModelValidation:
     def test_rejects_gamma_at_or_below_two(self):
         with pytest.raises(ValueError, match="gamma"):
             ConcentrationModel(c0=1.0, gamma=2.0)
+
+    @pytest.mark.parametrize("field", ["c0", "gamma"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        params = {"c0": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ConcentrationModel(**params)
 
     @pytest.mark.parametrize("omega", [-0.1, 1.1])
     def test_rejects_omega_outside_unit_interval(self, omega):

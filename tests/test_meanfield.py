@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dscsim import meanfield
+from dscsim.config import parse_config
 from dscsim.meanfield import (
     PdeGrid,
     alpha_field_from_mean_concentration,
@@ -287,6 +288,53 @@ class TestIntegratePde:
                              record_every=300)
         final = traj.active[-1]
         assert final[:, 5:].mean() > final[:, :5].mean()
+
+
+class TestRunPde:
+    CONFIG = """\
+[environment]
+c0 = 150.0
+
+[sensor]
+c_star = 154.5
+tau_star = 5
+r_star = 40.0
+
+[network]
+n = 400
+width = 1000.0
+height = 1000.0
+
+[pde]
+nx = 40
+ny = 4
+dx = 10.0
+t_end = 6.0
+dt = 0.0625
+diffusivity = 320.0
+alpha = 0.4
+level = 0.25
+seed_columns = 3
+seed_level = 0.5
+"""
+
+    def test_seeded_front_with_one_snapshot_per_time_unit(self):
+        traj, level = meanfield.run_pde(parse_config(self.CONFIG))
+        assert level == 0.25
+        assert traj.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        start_a, start_p = traj.active[0], traj.passive[0]
+        assert start_a.shape == (4, 40)
+        assert np.all(start_a[:, :3] == 0.5) and np.all(start_a[:, 3:] == 0.0)
+        assert np.all(start_p == 1.0 - start_a)
+
+    def test_matches_integrate_pde_on_the_same_grid(self):
+        cfg = parse_config(self.CONFIG + "record_every = 32\n")
+        traj, _ = meanfield.run_pde(cfg)
+        grid = seeded_grid(nx=40, ny=4, dx=10.0, d=320.0, columns=3, level=0.5)
+        direct = integrate_pde(grid, 0.4, 5, t_end=6.0, dt=0.0625, record_every=32)
+        assert traj.times.tolist() == direct.times.tolist() == [0.0, 2.0, 4.0, 6.0]
+        for a, b in zip(traj.active + traj.passive, direct.active + direct.passive):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestFrontTracking:

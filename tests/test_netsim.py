@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dscsim import analysis, meanfield, rng, sensor
+from dscsim import analysis, environment, meanfield, rng, sensor
 from dscsim.environment import ConcentrationModel
 from dscsim.netsim import (
+    ACTIVE,
     NetworkConfig,
     Simulation,
     active_fraction,
@@ -298,6 +299,99 @@ class TestDeterminism:
         cfg = paper_config(seed=24, n=100)
         res = ensemble_run(cfg, SPEC40, REFERENCE, steps=40, n_seeds=1)
         assert np.all(res.std == 0.0)
+
+
+def _record_sensing(monkeypatch):
+    """Collect (step, active sensors, their samples) for every step run."""
+    seen = []
+    original = Simulation._next_samples
+
+    def recording(self, active):
+        samples = original(self, active)
+        idx = np.flatnonzero(active)
+        seen.append((self.t, idx, samples[idx].copy()))
+        return samples
+
+    monkeypatch.setattr(Simulation, "_next_samples", recording)
+    return seen
+
+
+def _first_active(seen):
+    first = {}
+    for t, idx, _ in seen:
+        for i in idx.tolist():
+            first.setdefault(i, t)
+    return first
+
+
+def _assert_eager_samples(seen, seed, model, steps):
+    """Every reading is the one a stream built at step 1 gives at step t."""
+    eager = {}
+    for t, idx, values in seen:
+        for i, value in zip(idx.tolist(), values.tolist()):
+            if i not in eager:
+                eager[i] = environment.quantile(model, rng.sensor_stream(seed, i).random(steps))
+            assert value == eager[i][t - 1], (t, i)
+
+
+class TestLazyStreams:
+    """A sensor's sample stream is built when it first senses, with the
+    values an eagerly built stream would give."""
+
+    def test_first_activation_at_block_boundaries(self, monkeypatch):
+        seen = _record_sensing(monkeypatch)
+        cfg = NetworkConfig(n=40, width=100.0, height=100.0, initial_active=0, seed=5)
+        spec = SensorSpec(c_star=100.0, tau_star=5, r_star=25.0)
+        sim = Simulation(cfg, spec, REFERENCE)
+        forced = {}
+        for step in range(1, 401):
+            # Step 129 starts the second 128-step block; step 300 lies
+            # inside the third, whose stream offset needs advance(64).
+            if step in (129, 300):
+                asleep = set(range(cfg.n)) - set(_first_active(seen))
+                forced[step] = min(asleep)
+                sim.kind[forced[step]] = ACTIVE
+                sim.remaining[forced[step]] = spec.tau_star
+            sim.step()
+        first = _first_active(seen)
+        assert min(first.values()) == 129
+        assert all(first[i] == step for step, i in forced.items())
+        # Neighbors woken by messages first sense mid-block.
+        assert any(t > 129 and (t - 1) % 128 for t in first.values())
+        _assert_eager_samples(seen, cfg.seed, REFERENCE, 400)
+
+    def test_sensor_woken_by_rotation(self, monkeypatch):
+        seen = _record_sensing(monkeypatch)
+        cfg = NetworkConfig(
+            n=50, width=1000.0, height=1000.0, delta=0.1, rotation_period=10,
+            initial_active=0, seed=6,
+        )
+        spec = SensorSpec(c_star=150.0, tau_star=5, r_star=1e-3)
+        sim = Simulation(cfg, spec, REFERENCE)
+        assert sim.indices.size == 0  # no messages: only rotation wakes sensors
+        for _ in range(400):
+            sim.step()
+        late = [t for t in _first_active(seen).values() if t > 1]
+        assert late and all(t % cfg.rotation_period == 1 for t in late)
+        assert any(t > 256 for t in late)
+        _assert_eager_samples(seen, cfg.seed, REFERENCE, 400)
+
+    def test_streams_built_once_and_only_for_sensors_that_sense(self, monkeypatch):
+        seen = _record_sensing(monkeypatch)
+        built = []
+        original = rng.sensor_stream
+
+        def counting(seed, sensor):
+            built.append(sensor)
+            return original(seed, sensor)
+
+        monkeypatch.setattr(rng, "sensor_stream", counting)
+        cfg = paper_config(seed=25, delta=0.01, rotation_period=15)
+        run(cfg, SPEC40, REFERENCE, 300)
+        ever_active = set(_first_active(seen))
+        assert len(built) == len(set(built))
+        assert set(built) == ever_active
+        assert 0 < len(ever_active) < cfg.n
 
 
 def _ensemble_plateaus(cfg, spec, steps, n_seeds):

@@ -1,5 +1,7 @@
 """Threshold sensor: readings, detection probability, optimal threshold."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,13 @@ class TestSpecValidation:
     def test_zero_range_rejected(self):
         with pytest.raises(ValueError, match="r_star"):
             SensorSpec(c_star=1.0, tau_star=5, r_star=0.0)
+
+    @pytest.mark.parametrize("field", ["c_star", "r_star"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        params = {"c_star": 1.0, "tau_star": 5, "r_star": 10.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SensorSpec(**params)
 
 
 class TestRead:
