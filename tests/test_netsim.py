@@ -381,9 +381,9 @@ class TestLazyStreams:
         built = []
         original = rng.sensor_stream
 
-        def counting(seed, sensor):
-            built.append(sensor)
-            return original(seed, sensor)
+        def counting(seed, index):
+            built.append(index)
+            return original(seed, index)
 
         monkeypatch.setattr(rng, "sensor_stream", counting)
         cfg = paper_config(seed=25, delta=0.01, rotation_period=15)
