@@ -5,17 +5,20 @@ how the random streams are consumed, or in which neighbor pairs the graph
 holds, would pass them unnoticed. These sha256 values pin the bytes of
 reduced-size outputs of the bundled configs, of one run with every
 protocol option switched on, of the sweep -> analyze bridge and the
-meanfield report, and of the neighbor CSR itself. A change that alters
-any of them changes the simulator's results.
+meanfield report, of the neighbor CSR itself, and of the theory layer's
+solvers (`pde`'s front.csv, integrate_pde's recorded fields and
+integrate_sis's trajectories). A change that alters any of them changes
+the simulator's results.
 """
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dscsim import __version__, cli, netsim, rng
+from dscsim import __version__, cli, meanfield, netsim, rng
 from dscsim.config import apply_override, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -157,3 +160,124 @@ def test_neighbor_csr_digest(n, r_star):
     indptr, indices = netsim.neighbor_csr(positions, r_star)
     digest = hashlib.sha256(indptr.tobytes() + indices.tobytes()).hexdigest()
     assert digest == CSR[(n, r_star)]
+
+
+# `dscsim pde` on both bundled configs with the grid shrunk to about a
+# second of work; demo-sparse's front dies out, demo-dense's advances.
+PDE_FRONT = {
+    "demo-sparse.ini": "20ac1b0cdc2eb6877371f3a3351f36376f8bebcb2623e75190a80946b822e166",
+    "demo-dense.ini": "b52d300cc4ad9b4377950886fba803014e7cf487e6905ca429d3d2deaa76b54b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PDE_FRONT))
+def test_pde_front_digest(tmp_path, name, capsys):
+    cfg = _config(name, **{"pde.nx": 120, "pde.ny": 8, "pde.t_end": 60.0})
+    assert cli.dispatch("pde", cfg, tmp_path) == 0
+    assert _sha256(tmp_path / "front.csv") == PDE_FRONT[name]
+
+
+def _seeded(nx, ny, dx, d, columns, level):
+    active = np.zeros((ny, nx))
+    active[:, :columns] = level
+    return meanfield.PdeGrid(nx=nx, ny=ny, dx=dx, d=d,
+                             field_active=active, field_passive=1.0 - active)
+
+
+def _random_grid(nx, ny, dx, d, seed):
+    gen = np.random.default_rng(seed)
+    return meanfield.PdeGrid(nx=nx, ny=ny, dx=dx, d=d,
+                             field_active=gen.uniform(0.0, 0.6, (ny, nx)),
+                             field_passive=gen.uniform(0.2, 1.0, (ny, nx)))
+
+
+def _alpha_ramp(nx, ny):
+    x = np.linspace(0.1, 0.9, nx)
+    y = np.linspace(0.8, 1.2, ny)
+    return np.outer(y, x)
+
+
+# (grid, alpha, tau_star, t_end, dt, record_every) per case. The clamp case
+# is seeded so densely that RK4 overshoots below zero in both fields within
+# its four steps (checked in test_pde_clamp_is_reached).
+PDE_CASES = {
+    "scalar-alpha": lambda: (_seeded(30, 8, 5.0, 10.0, 3, 0.5), 0.4, 5.0, 20.0, 0.5, 4),
+    "alpha-field": lambda: (_seeded(24, 6, 5.0, 10.0, 3, 0.5), _alpha_ramp(24, 6), 5.0,
+                            15.0, 0.25, 6),
+    "tau-inf": lambda: (_random_grid(16, 7, 2.0, 1.0, 11), 0.3, math.inf, 10.0, 0.5, 3),
+    "no-diffusion": lambda: (_random_grid(5, 3, 1.0, 0.0, 12), 0.4, 5.0, 10.0, 0.01, 100),
+    "clamp": lambda: (_seeded(12, 5, 2.0, 1.0, 3, 0.8), 20.0, 5.0, 1.0, 0.25, 1),
+}
+
+# sha256 of the times and then each record's active and passive bytes.
+PDE_DIGEST = {
+    "alpha-field": "6c2f28f85f77a65e929d8a7affe41a27a378de342332c2df295170a963f2fa7e",
+    "clamp": "479758f2cf8bbe4ff13b5e7e95cf566ed5065730a1770f0ede0893ea9f43320d",
+    "no-diffusion": "ae07a23a681ad9d146fe3f6628fc5c6f15043f8e6bc959d5aa49189f5b4d7693",
+    "scalar-alpha": "fed60ea10c15552c7ab025629536996a7b995aa02a09751d7c93c958d0d29d7b",
+    "tau-inf": "554408cccb52ee33514c97873d827be3d58e7982c9b4c9444120195cc4e0eeb5",
+}
+
+
+def _pde_digest(trajectory):
+    h = hashlib.sha256(trajectory.times.tobytes())
+    assert len(trajectory.active) == len(trajectory.passive) == trajectory.times.size
+    for a, p in zip(trajectory.active, trajectory.passive):
+        h.update(a.tobytes())
+        h.update(p.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PDE_CASES))
+def test_integrate_pde_digest(case):
+    grid, alpha, tau_star, t_end, dt, record_every = PDE_CASES[case]()
+    trajectory = meanfield.integrate_pde(grid, alpha, tau_star, t_end, dt, record_every)
+    assert _pde_digest(trajectory) == PDE_DIGEST[case]
+
+
+def _unclamped_rk4_step(a, p, alpha, decay, d, dx, dt):
+    """One RK4 step of the PDE without the non-negativity clamp."""
+    def lap(f):
+        padded = np.pad(f, 1, mode="edge")
+        return (padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2]
+                + padded[1:-1, 2:] - 4.0 * f) / (dx * dx)
+
+    def rhs(a, p):
+        react = alpha * a * p - decay * a
+        return d * lap(a) + react, d * lap(p) - react
+
+    ka1, kp1 = rhs(a, p)
+    ka2, kp2 = rhs(a + 0.5 * dt * ka1, p + 0.5 * dt * kp1)
+    ka3, kp3 = rhs(a + 0.5 * dt * ka2, p + 0.5 * dt * kp2)
+    ka4, kp4 = rhs(a + dt * ka3, p + dt * kp3)
+    return (a + (dt / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4),
+            p + (dt / 6.0) * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4))
+
+
+def test_pde_clamp_is_reached():
+    grid, alpha, tau_star, t_end, dt, record_every = PDE_CASES["clamp"]()
+    trajectory = meanfield.integrate_pde(grid, alpha, tau_star, t_end, dt, record_every)
+    assert trajectory.times.size == 5
+    clamped = {"active": 0, "passive": 0}
+    snaps = list(zip(trajectory.active, trajectory.passive))
+    for (a, p), (next_a, next_p) in zip(snaps, snaps[1:]):
+        raw_a, raw_p = _unclamped_rk4_step(a, p, alpha, 1.0 / tau_star, grid.d, grid.dx, dt)
+        for name, raw, kept in (("active", raw_a, next_a), ("passive", raw_p, next_p)):
+            if raw.min() < 0:
+                clamped[name] += 1
+                assert kept.min() == 0.0
+    assert clamped["active"] >= 1 and clamped["passive"] >= 1
+
+
+# integrate_sis at the benchmark's tolerance and three densities.
+SIS = {
+    0.5: "aaf79fc05a0d8d6b57c99a143cb73e1583c0d3f0222f7235d936332394c240c9",
+    0.7: "468298a97e7bc530a9aab4f9d61b0d4e20c5d8d5365c9a5b43490474ebe53624",
+    1.0: "82b175fda1c0a2db22d83fb11cb29987b7ec9fc3d09617bcebcce53df6ba2703",
+}
+
+
+@pytest.mark.parametrize("nu", sorted(SIS))
+def test_integrate_sis_digest(nu):
+    traj = meanfield.integrate_sis(1e-3, 5.0, 400, nu, 10.0, 120.0, 1.0, rel_tol=1e-12)
+    assert hashlib.sha256(traj.t.tobytes() + traj.y.tobytes()).hexdigest() == SIS[nu]
