@@ -72,7 +72,7 @@ class PdeSettings:
     seed_columns: int = 5
     seed_level: float = 0.5
     level: float = 0.0
-    record_every: int = 0  # 0 = about one snapshot per time unit
+    record_every: int = 0  # 0 = about one record per time unit
 
     def __post_init__(self):
         if self.nx < 3 or self.ny < 1:

@@ -169,17 +169,34 @@ class Trajectory:
     y: np.ndarray
 
 
-def _rk4_scalar(rhs, y0: float, times: np.ndarray, substeps: int) -> np.ndarray:
-    out = np.empty(times.size)
+# The most RK4 substeps integrate_sis spends on one call, summed over its
+# refinement passes. A 500-step grid that converges at 128 substeps per
+# step (the benchmark's) spends 127 500.
+_SIS_MAX_SUBSTEPS = 1 << 20
+
+
+def _sis_pass(alpha, tau_star, n, nu, y0, times: list, substeps: int) -> np.ndarray:
+    """One classic RK4 pass over the grid `times` with `substeps` equal
+    steps per interval. Each stage evaluates the right-hand side at the
+    iterate clamped to [0, n], which keeps solver excursions off-domain."""
+    out = np.empty(len(times))
     out[0] = y = float(y0)
-    for k in range(times.size - 1):
+    for k in range(len(times) - 1):
         h = (times[k + 1] - times[k]) / substeps
+        half, sixth = 0.5 * h, h / 6.0
         for _ in range(substeps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            c = 0.0 if y < 0.0 else (n if y > n else y)
+            k1 = alpha * c ** nu * (n - c) - c / tau_star
+            c = y + half * k1
+            c = 0.0 if c < 0.0 else (n if c > n else c)
+            k2 = alpha * c ** nu * (n - c) - c / tau_star
+            c = y + half * k2
+            c = 0.0 if c < 0.0 else (n if c > n else c)
+            k3 = alpha * c ** nu * (n - c) - c / tau_star
+            c = y + h * k3
+            c = 0.0 if c < 0.0 else (n if c > n else c)
+            k4 = alpha * c ** nu * (n - c) - c / tau_star
+            y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = y
     return out
 
@@ -199,31 +216,47 @@ def integrate_sis(
     Classic fourth-order Runge-Kutta on the grid 0, dt, ..., t_end, with
     internal step halving until two refinements agree to rel_tol
     (relative to the trajectory scale). nu = 1 recovers the closed-form
-    logistic case; nu < 1 damps growth in dense deployments.
+    logistic case; nu < 1 damps growth in dense deployments. Raises
+    ValueError when the refinements would need more than
+    _SIS_MAX_SUBSTEPS RK4 substeps in all to agree.
     """
+    for name, value in (("alpha", alpha), ("tau_star", tau_star), ("n", n),
+                        ("y0", y0), ("dt", dt), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not 0.0 <= y0 <= n:
         raise ValueError("y0 must be in [0, n]")
     if not 0.0 <= nu <= 1.0:
         raise ValueError("nu must be in [0, 1]")
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be > 0")
-
-    def rhs(y: float) -> float:
-        y = min(max(y, 0.0), n)  # clamp off-domain excursions of the solver
-        return alpha * y ** nu * (n - y) - y / tau_star
+    if dt <= 0 or t_end <= 0 or tau_star <= 0:
+        raise ValueError("dt, t_end and tau_star must be > 0")
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be > 0")
+    if 3.0 * (t_end / dt) > _SIS_MAX_SUBSTEPS:  # two passes are the least work
+        raise ValueError(
+            f"a grid of t_end / dt = {t_end / dt} steps needs more than "
+            f"{_SIS_MAX_SUBSTEPS} RK4 substeps"
+        )
 
     m = max(1, round(t_end / dt))
     times = np.arange(m + 1) * dt
-    substeps = 1
-    prev = _rk4_scalar(rhs, y0, times, substeps)
-    for _ in range(20):
-        substeps *= 2
-        cur = _rk4_scalar(rhs, y0, times, substeps)
-        scale = max(1.0, float(np.max(np.abs(cur))))
-        if float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
-            return Trajectory(t=times, y=cur)
+    grid = times.tolist()  # scalar arithmetic is faster on floats than on numpy scalars
+    substeps, spent, prev, diff, scale = 1, m, None, math.inf, 1.0
+    while spent <= _SIS_MAX_SUBSTEPS:
+        cur = _sis_pass(alpha, tau_star, n, nu, y0, grid, substeps)
+        if prev is not None:
+            scale = max(1.0, float(np.max(np.abs(cur))))
+            diff = float(np.max(np.abs(cur - prev)))
+            if diff <= rel_tol * scale:
+                return Trajectory(t=times, y=cur)
         prev = cur
-    return Trajectory(t=times, y=prev)
+        substeps *= 2
+        spent += m * substeps
+    raise ValueError(
+        f"integrate_sis did not converge to rel_tol = {rel_tol} within "
+        f"{_SIS_MAX_SUBSTEPS} RK4 substeps: the last two refinements differ "
+        f"by {diff:.3g} at trajectory scale {scale:.3g}"
+    )
 
 
 @dataclass
@@ -247,8 +280,11 @@ class PdeGrid:
         expected = (self.ny, self.nx)
         if self.field_active.shape != expected or self.field_passive.shape != expected:
             raise ValueError(f"fields must have shape {expected}")
-        if np.any(self.field_active < 0) or np.any(self.field_passive < 0):
-            raise ValueError("initial fields must be non-negative")
+        for f in (self.field_active, self.field_passive):
+            if not np.all((f >= 0) & np.isfinite(f)):
+                raise ValueError("initial fields must be finite and non-negative")
+        if not (math.isfinite(self.dx) and math.isfinite(self.d)):
+            raise ValueError("dx and d must be finite")
         if self.dx <= 0 or self.d < 0:
             raise ValueError("dx must be > 0 and d >= 0")
 
@@ -264,23 +300,73 @@ class PdeGrid:
         )
 
 
-def _laplacian_neumann(f: np.ndarray, dx: float) -> np.ndarray:
-    """5-point Laplacian with zero-flux (reflecting) boundaries."""
-    padded = np.pad(f, 1, mode="edge")
-    return (
-        padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:]
-        - 4.0 * f
-    ) / (dx * dx)
+def _pde_rhs(u: np.ndarray, alpha, decay: float, d: float, dx2: float,
+             out: np.ndarray, lap: np.ndarray, react: np.ndarray) -> None:
+    """Write the time derivative of the stacked fields u = (a, p) into out.
+
+    lap is a scratch buffer of u's shape, react one of a field's shape.
+    The arithmetic is, in this order and rounded at every step,
+
+        react = alpha * a * p - decay * a
+        lap(f) = (up + down + left + right - 4 f) / dx2
+        out = (d * lap(a) + react, d * lap(p) - react)   (d > 0)
+        out = (react, -react)                            (d = 0)
+
+    where a neighbor beyond the edge is the edge cell itself (zero flux).
+    """
+    a, p = u
+    np.multiply(a, alpha, out=react)
+    react *= p
+    np.multiply(a, decay, out=out[0])
+    react -= out[0]
+    if not d > 0:
+        out[0] = react
+        np.negative(react, out=out[1])
+        return
+    lap[:, 1:] = u[:, :-1]
+    lap[:, :1] = u[:, :1]
+    lap[:, :-1] += u[:, 1:]
+    lap[:, -1:] += u[:, -1:]
+    # Left, then right neighbors, each as one contiguous pass over the
+    # flattened stack. That pass gives the edge column the wrong
+    # neighbor, so the column is then recomputed from its saved sum.
+    flat, u_flat = lap.reshape(-1), u.reshape(-1)
+    edge = lap[:, :, 0].copy()
+    flat[1:] += u_flat[:-1]
+    np.add(edge, u[:, :, 0], out=lap[:, :, 0])
+    edge = lap[:, :, -1].copy()
+    flat[:-1] += u_flat[1:]
+    np.add(edge, u[:, :, -1], out=lap[:, :, -1])
+    np.multiply(u, 4.0, out=out)
+    lap -= out
+    lap /= dx2
+    lap *= d
+    np.add(lap[0], react, out=out[0])
+    np.subtract(lap[1], react, out=out[1])
 
 
 @dataclass(frozen=True)
 class PdeTrajectory:
-    """Recorded snapshots of the reaction-diffusion fields."""
+    """Recorded state of the reaction-diffusion fields.
+
+    profiles[k] is the y-averaged active density at times[k], the input of
+    the front tracking; it defaults to the mean over y of each active
+    field. active and passive hold the full fields at the same times, or
+    are empty when the run did not keep them.
+    """
 
     times: np.ndarray
     active: list[np.ndarray]
     passive: list[np.ndarray]
     dx: float
+    profiles: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.profiles is None:
+            profiles = np.array([snap.mean(axis=0) for snap in self.active])
+            object.__setattr__(self, "profiles", profiles)
+        if len(self.profiles) != self.times.size:
+            raise ValueError("need one profile per recorded time")
 
 
 def integrate_pde(
@@ -290,6 +376,7 @@ def integrate_pde(
     t_end: float,
     dt: float,
     record_every: int = 1,
+    keep_fields: bool = True,
 ) -> PdeTrajectory:
     """Integrate the spatial two-compartment model on the grid.
 
@@ -299,12 +386,21 @@ def integrate_pde(
     Explicit method of lines: 5-point Laplacian with zero-flux boundaries,
     classic Runge-Kutta in time, subject to the diffusive stability bound
     dt <= dx^2 / (4 d). With d = 0 every cell reduces to the well-mixed
-    contact model. alpha_field may be a scalar or a per-cell array (the
-    hook for spatially varying mean concentration). tau_star = inf turns
-    off deactivation. Snapshots are recorded every `record_every` steps.
+    contact model. alpha_field may be a scalar or a per-cell array that
+    broadcasts to the grid (the hook for spatially varying mean
+    concentration). tau_star = inf turns off deactivation. The state is
+    recorded every `record_every` steps and at the end: always the
+    y-averaged active profile, and the full fields unless keep_fields is
+    false.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be > 0")
+    if not (math.isfinite(dt) and math.isfinite(t_end)) or dt <= 0 or t_end <= 0:
+        raise ValueError("dt and t_end must be finite and > 0")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt = {t_end} / {dt} steps is not finite")
+    if not tau_star > 0:
+        raise ValueError("tau_star must be > 0 (inf turns off deactivation)")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     if grid.d > 0:
         limit = grid.dx ** 2 / (4.0 * grid.d)
         if dt > limit * (1.0 + 1e-12):
@@ -312,46 +408,69 @@ def integrate_pde(
                 f"stability violation: dt = {dt} exceeds dx^2/(4 d) = {limit}"
             )
     alpha = np.asarray(alpha_field, dtype=float)
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha_field must be finite")
+    shape = (grid.ny, grid.nx)
+    try:
+        fits = np.broadcast_shapes(alpha.shape, shape) == shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"alpha_field of shape {alpha.shape} does not fit the grid {shape}")
     decay = 0.0 if math.isinf(tau_star) else 1.0 / tau_star
-    d = grid.d
-    dx = grid.dx
+    rhs_args = (alpha, decay, grid.d, grid.dx * grid.dx)
 
-    def rhs(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        react = alpha * a * p - decay * a
-        if d > 0:
-            return d * _laplacian_neumann(a, dx) + react, d * _laplacian_neumann(p, dx) - react
-        return react, -react
-
-    a = grid.field_active.copy()
-    p = grid.field_passive.copy()
+    # u holds (a, p); each RK4 stage is computed in place as
+    #   k1 = rhs(u), k2 = rhs(u + (dt/2) k1), k3 = rhs(u + (dt/2) k2),
+    #   k4 = rhs(u + dt k3), u += (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
+    # with acc summing the k's in that order.
+    u = np.stack((grid.field_active, grid.field_passive))
+    stage, k, acc, lap = (np.empty_like(u) for _ in range(4))
+    react = np.empty_like(u[0])
+    half, sixth = 0.5 * dt, dt / 6.0
     n_steps = max(1, round(t_end / dt))
     times = [0.0]
-    snaps_a = [a.copy()]
-    snaps_p = [p.copy()]
+    profiles = [u[0].mean(axis=0)]
+    snaps_a = [u[0].copy()] if keep_fields else []
+    snaps_p = [u[1].copy()] if keep_fields else []
     for step in range(1, n_steps + 1):
-        ka1, kp1 = rhs(a, p)
-        ka2, kp2 = rhs(a + 0.5 * dt * ka1, p + 0.5 * dt * kp1)
-        ka3, kp3 = rhs(a + 0.5 * dt * ka2, p + 0.5 * dt * kp2)
-        ka4, kp4 = rhs(a + dt * ka3, p + dt * kp3)
-        a = a + (dt / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-        p = p + (dt / 6.0) * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
-        if a.min() < 0:
-            np.maximum(a, 0.0, out=a)
-        if p.min() < 0:
-            np.maximum(p, 0.0, out=p)
+        _pde_rhs(u, *rhs_args, acc, lap, react)
+        np.multiply(acc, half, out=stage)
+        stage += u
+        _pde_rhs(stage, *rhs_args, k, lap, react)
+        np.multiply(k, half, out=stage)
+        stage += u
+        k *= 2.0
+        acc += k
+        _pde_rhs(stage, *rhs_args, k, lap, react)
+        np.multiply(k, dt, out=stage)
+        stage += u
+        k *= 2.0
+        acc += k
+        _pde_rhs(stage, *rhs_args, k, lap, react)
+        acc += k
+        acc *= sixth
+        u += acc
+        for field in u:
+            if field.min() < 0:
+                np.maximum(field, 0.0, out=field)
         if step % record_every == 0 or step == n_steps:
             times.append(step * dt)
-            snaps_a.append(a.copy())
-            snaps_p.append(p.copy())
-    return PdeTrajectory(times=np.array(times), active=snaps_a, passive=snaps_p, dx=dx)
+            profiles.append(u[0].mean(axis=0))
+            if keep_fields:
+                snaps_a.append(u[0].copy())
+                snaps_p.append(u[1].copy())
+    return PdeTrajectory(times=np.array(times), active=snaps_a, passive=snaps_p,
+                         dx=grid.dx, profiles=np.array(profiles))
 
 
-def run_pde(config: ExperimentConfig) -> tuple[PdeTrajectory, float]:
+def run_pde(config: ExperimentConfig, keep_fields: bool = False) -> tuple[PdeTrajectory, float]:
     """The config's spatial model from a front seeded at x = 0.
 
     The first seed_columns columns start at active density seed_level and
-    the rest of the grid fully passive; snapshots default to about one per
-    time unit. Returns the trajectory and the resolved front level.
+    the rest of the grid fully passive; records default to about one per
+    time unit and hold only the front profiles unless keep_fields is true.
+    Returns the trajectory and the resolved front level.
     """
     pde = resolve_pde(config)
     active = np.zeros((pde.ny, pde.nx))
@@ -362,7 +481,8 @@ def run_pde(config: ExperimentConfig) -> tuple[PdeTrajectory, float]:
     )
     record_every = pde.record_every or max(1, round(1.0 / pde.dt))
     trajectory = integrate_pde(
-        grid, pde.alpha, config.sensor.tau_star, pde.t_end, pde.dt, record_every
+        grid, pde.alpha, config.sensor.tau_star, pde.t_end, pde.dt, record_every,
+        keep_fields=keep_fields,
     )
     return trajectory, pde.level
 
@@ -383,11 +503,11 @@ def _crossing_position(profile: np.ndarray, level: float, dx: float) -> float | 
 
 
 def front_positions(trajectory: PdeTrajectory, level: float) -> np.ndarray:
-    """Per-snapshot x of the front (level crossing of the y-averaged
+    """Per-record x of the front (level crossing of the y-averaged
     active profile); NaN where the profile never reaches the level."""
     out = np.empty(trajectory.times.size)
-    for k, snap in enumerate(trajectory.active):
-        pos = _crossing_position(snap.mean(axis=0), level, trajectory.dx)
+    for k, profile in enumerate(trajectory.profiles):
+        pos = _crossing_position(profile, level, trajectory.dx)
         out[k] = np.nan if pos is None else pos
     return out
 

@@ -3,6 +3,7 @@ reaction-diffusion extension, each checked against an independent oracle
 (hand arithmetic, a local RK4 integrator, constructed fields)."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -226,6 +227,61 @@ class TestIntegrateSis:
         with pytest.raises(ValueError):
             integrate_sis(1e-3, 5.0, 400.0, nu=1.0, y0=500.0, t_end=10.0, dt=0.1)
 
+    SIS_ARGS = {"alpha": 1e-3, "tau_star": 5.0, "n": 400.0, "nu": 1.0, "y0": 10.0,
+                "t_end": 10.0, "dt": 1.0}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "tau_star", "n", "y0", "dt", "t_end"])
+    def test_non_finite_input_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            integrate_sis(**dict(self.SIS_ARGS, **{name: value}))
+
+    @pytest.mark.parametrize("tau_star", [0.0, -5.0])
+    def test_nonpositive_tau_star_rejected(self, tau_star):
+        with pytest.raises(ValueError, match="tau_star must be > 0"):
+            integrate_sis(**dict(self.SIS_ARGS, tau_star=tau_star))
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-8, math.nan])
+    def test_nonpositive_rel_tol_rejected(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            integrate_sis(**self.SIS_ARGS, rel_tol=rel_tol)
+
+    def test_nan_alpha_fails_fast(self):
+        # used to refine for about 30 s and return NaN
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            integrate_sis(math.nan, 5.0, 400.0, 1.0, 10.0, t_end=2.0, dt=1.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_unreachable_tolerance_raises_within_the_substep_budget(self, monkeypatch):
+        # 1e-15 is below the round-off between refinements; this used to
+        # refine for more than a minute and silently return the last pass
+        calls = []
+        original = meanfield._sis_pass
+
+        def counted(*args):
+            calls.append(args[-1] * (len(args[-2]) - 1))
+            return original(*args)
+
+        monkeypatch.setattr(meanfield, "_sis_pass", counted)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"did not converge to rel_tol = 1e-15.*differ by"):
+            integrate_sis(1e-3, 5.0, 400.0, 0.7, 10.0, t_end=10.0, dt=1.0, rel_tol=1e-15)
+        assert sum(calls) <= meanfield._SIS_MAX_SUBSTEPS
+        assert time.perf_counter() - start < 20.0
+
+    def test_grid_longer_than_the_budget_rejected_before_work(self):
+        with pytest.raises(ValueError, match="substeps"):
+            integrate_sis(1e-3, 5.0, 400.0, 1.0, 10.0, t_end=1e7, dt=1.0)
+        with pytest.raises(ValueError, match="substeps"):
+            integrate_sis(1e-3, 5.0, 400.0, 1.0, 10.0, t_end=1e300, dt=1e-300)
+
+    def test_bench_tolerance_converges_within_budget(self):
+        # the benchmark's grid: 500 unit steps at rel_tol 1e-12
+        for nu in (0.5, 0.7, 1.0):
+            traj = integrate_sis(1e-3, 5.0, 400, nu, 10.0, 500.0, 1.0, rel_tol=1e-12)
+            assert np.all((traj.y >= 0.0) & (traj.y <= 400.0))
+
 
 def seeded_grid(nx=30, ny=8, dx=5.0, d=10.0, columns=3, level=0.5):
     active = np.zeros((ny, nx))
@@ -273,6 +329,63 @@ class TestIntegratePde:
         assert all(snap.min() >= 0.0 for snap in traj.active)
         assert all(snap.min() >= 0.0 for snap in traj.passive)
 
+    @pytest.mark.parametrize("t_end, dt", [(1.0, math.inf), (1.0, math.nan),
+                                           (math.inf, 0.25), (math.nan, 0.25)])
+    def test_non_finite_time_grid_rejected(self, t_end, dt):
+        grid = seeded_grid(d=0.0)  # no stability bound to catch dt = inf
+        with pytest.raises(ValueError, match="finite"):
+            integrate_pde(grid, 0.4, 5.0, t_end=t_end, dt=dt)
+
+    def test_step_count_overflow_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            integrate_pde(seeded_grid(d=0.0), 0.4, 5.0, t_end=1e300, dt=1e-300)
+
+    @pytest.mark.parametrize("tau_star", [0.0, -5.0, math.nan])
+    def test_nonpositive_tau_star_rejected(self, tau_star):
+        with pytest.raises(ValueError, match="tau_star"):
+            integrate_pde(seeded_grid(), 0.4, tau_star, t_end=1.0, dt=0.25)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        alpha = np.full((8, 30), 0.4)
+        alpha[3, 7] = bad
+        with pytest.raises(ValueError, match="alpha_field must be finite"):
+            integrate_pde(seeded_grid(), alpha, 5.0, t_end=1.0, dt=0.25)
+        with pytest.raises(ValueError, match="alpha_field must be finite"):
+            integrate_pde(seeded_grid(), bad, 5.0, t_end=1.0, dt=0.25)
+
+    @pytest.mark.parametrize("shape", [(2, 8, 30), (9, 30), (8, 29), (8,)])
+    def test_alpha_field_must_fit_the_grid(self, shape):
+        # a (2, ny, nx) alpha used to grow the fields to that shape
+        with pytest.raises(ValueError, match="does not fit the grid"):
+            integrate_pde(seeded_grid(), np.full(shape, 0.4), 5.0, t_end=1.0, dt=0.25)
+
+    @pytest.mark.parametrize("shape", [(), (1, 30), (30,), (8, 1)])
+    def test_broadcasting_alpha_matches_the_full_field(self, shape):
+        full = integrate_pde(seeded_grid(), np.full((8, 30), 0.4), 5.0, 2.0, 0.25)
+        traj = integrate_pde(seeded_grid(), np.full(shape, 0.4), 5.0, 2.0, 0.25)
+        for a, b in zip(traj.active + traj.passive, full.active + full.passive):
+            assert a.tobytes() == b.tobytes()
+
+    def test_record_every_below_one_rejected(self):
+        with pytest.raises(ValueError, match="record_every"):
+            integrate_pde(seeded_grid(), 0.4, 5.0, t_end=1.0, dt=0.25, record_every=0)
+
+    @pytest.mark.parametrize("dx, d", [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_grid_must_be_finite(self, dx, d):
+        with pytest.raises(ValueError, match="finite"):
+            seeded_grid(dx=dx, d=d)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize("field", ["field_active", "field_passive"])
+    def test_initial_fields_must_be_finite_and_non_negative(self, field, bad):
+        # one NaN cell used to spread over the whole grid within four steps
+        grid = PdeGrid.uniform(nx=5, ny=2, dx=1.0, d=0.1, active=0.2, passive=0.8)
+        fields = {"field_active": grid.field_active, "field_passive": grid.field_passive}
+        fields[field][1, 3] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            PdeGrid(nx=5, ny=2, dx=1.0, d=0.1, **fields)
+
     def test_alpha_field_hook_orders_growth(self):
         # richer mean concentration on the right half -> faster local growth
         spec = SensorSpec(c_star=150.0, tau_star=5, r_star=40.0)
@@ -319,7 +432,7 @@ seed_level = 0.5
 """
 
     def test_seeded_front_with_one_snapshot_per_time_unit(self):
-        traj, level = meanfield.run_pde(parse_config(self.CONFIG))
+        traj, level = meanfield.run_pde(parse_config(self.CONFIG), keep_fields=True)
         assert level == 0.25
         assert traj.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         start_a, start_p = traj.active[0], traj.passive[0]
@@ -329,12 +442,24 @@ seed_level = 0.5
 
     def test_matches_integrate_pde_on_the_same_grid(self):
         cfg = parse_config(self.CONFIG + "record_every = 32\n")
-        traj, _ = meanfield.run_pde(cfg)
+        traj, _ = meanfield.run_pde(cfg, keep_fields=True)
         grid = seeded_grid(nx=40, ny=4, dx=10.0, d=320.0, columns=3, level=0.5)
         direct = integrate_pde(grid, 0.4, 5, t_end=6.0, dt=0.0625, record_every=32)
         assert traj.times.tolist() == direct.times.tolist() == [0.0, 2.0, 4.0, 6.0]
+        assert len(traj.active) == len(direct.active) == 4
         for a, b in zip(traj.active + traj.passive, direct.active + direct.passive):
             assert a.tobytes() == b.tobytes()
+
+    def test_keeps_only_the_front_profiles_by_default(self):
+        cfg = parse_config(self.CONFIG + "record_every = 32\n")
+        lean, _ = meanfield.run_pde(cfg)
+        full, _ = meanfield.run_pde(cfg, keep_fields=True)
+        assert lean.active == [] and lean.passive == []
+        assert lean.times.tobytes() == full.times.tobytes()
+        assert lean.profiles.tobytes() == full.profiles.tobytes()
+        expected = np.array([snap.mean(axis=0) for snap in full.active])
+        assert full.profiles.tobytes() == expected.tobytes()
+        assert front_positions(lean, 0.25).tobytes() == front_positions(full, 0.25).tobytes()
 
 
 class TestFrontTracking:
