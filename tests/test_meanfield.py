@@ -277,7 +277,7 @@ class TestIntegrateSis:
             integrate_sis(1e-3, 5.0, 400.0, 1.0, 10.0, t_end=1e300, dt=1e-300)
 
     def test_bench_tolerance_converges_within_budget(self):
-        # the benchmark's grid: 500 unit steps at rel_tol 1e-12
+        # a grid as long as the benchmark's (500 unit steps) at its rel_tol
         for nu in (0.5, 0.7, 1.0):
             traj = integrate_sis(1e-3, 5.0, 400, nu, 10.0, 500.0, 1.0, rel_tol=1e-12)
             assert np.all((traj.y >= 0.0) & (traj.y <= 400.0))
