@@ -304,7 +304,7 @@ def _pde_rhs(u: np.ndarray, alpha, decay: float, d: float, dx2: float,
              out: np.ndarray, lap: np.ndarray, react: np.ndarray) -> None:
     """Write the time derivative of the stacked fields u = (a, p) into out.
 
-    lap is a scratch buffer of u's shape, react one of a field's shape.
+    lap is a work buffer of u's shape, react one of a field's shape.
     The arithmetic is, in this order and rounded at every step,
 
         react = alpha * a * p - decay * a
