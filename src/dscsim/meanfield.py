@@ -169,10 +169,10 @@ class Trajectory:
     y: np.ndarray
 
 
-# The most RK4 substeps integrate_sis spends on one call, summed over its
-# refinement passes. A 500-step grid that converges at 128 substeps per
-# step (the benchmark's) spends 127 500.
-_SIS_MAX_SUBSTEPS = 1 << 20
+# The most RK4 substeps integrate_sis spends on one grid interval. A grid
+# of m steps therefore costs at most m * (2 * _SIS_MAX_SUBSTEPS - 1)
+# substeps over all refinement passes; the benchmark's converge at 128.
+_SIS_MAX_SUBSTEPS = 1 << 12
 
 
 def _sis_pass(alpha, tau_star, n, nu, y0, times: list, substeps: int) -> np.ndarray:
@@ -217,8 +217,8 @@ def integrate_sis(
     internal step halving until two refinements agree to rel_tol
     (relative to the trajectory scale). nu = 1 recovers the closed-form
     logistic case; nu < 1 damps growth in dense deployments. Raises
-    ValueError when the refinements would need more than
-    _SIS_MAX_SUBSTEPS RK4 substeps in all to agree.
+    ValueError when the refinements have not agreed by _SIS_MAX_SUBSTEPS
+    substeps per grid step.
     """
     for name, value in (("alpha", alpha), ("tau_star", tau_star), ("n", n),
                         ("y0", y0), ("dt", dt), ("t_end", t_end)):
@@ -232,31 +232,28 @@ def integrate_sis(
         raise ValueError("dt, t_end and tau_star must be > 0")
     if not rel_tol > 0:
         raise ValueError("rel_tol must be > 0")
-    if 3.0 * (t_end / dt) > _SIS_MAX_SUBSTEPS:  # two passes are the least work
-        raise ValueError(
-            f"a grid of t_end / dt = {t_end / dt} steps needs more than "
-            f"{_SIS_MAX_SUBSTEPS} RK4 substeps"
-        )
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt = {t_end} / {dt} steps is not finite")
 
     m = max(1, round(t_end / dt))
     times = np.arange(m + 1) * dt
     grid = times.tolist()  # scalar arithmetic is faster on floats than on numpy scalars
-    substeps, spent, prev, diff, scale = 1, m, None, math.inf, 1.0
-    while spent <= _SIS_MAX_SUBSTEPS:
+    prev = _sis_pass(alpha, tau_star, n, nu, y0, grid, 1)
+    substeps = 2
+    while True:
         cur = _sis_pass(alpha, tau_star, n, nu, y0, grid, substeps)
-        if prev is not None:
-            scale = max(1.0, float(np.max(np.abs(cur))))
-            diff = float(np.max(np.abs(cur - prev)))
-            if diff <= rel_tol * scale:
-                return Trajectory(t=times, y=cur)
+        scale = max(1.0, float(np.max(np.abs(cur))))
+        diff = float(np.max(np.abs(cur - prev)))
+        if diff <= rel_tol * scale:
+            return Trajectory(t=times, y=cur)
+        if substeps >= _SIS_MAX_SUBSTEPS:
+            raise ValueError(
+                f"integrate_sis did not converge to rel_tol = {rel_tol} within "
+                f"{substeps} RK4 substeps per step: the last two refinements "
+                f"differ by {diff:.3g} at trajectory scale {scale:.3g}"
+            )
         prev = cur
         substeps *= 2
-        spent += m * substeps
-    raise ValueError(
-        f"integrate_sis did not converge to rel_tol = {rel_tol} within "
-        f"{_SIS_MAX_SUBSTEPS} RK4 substeps: the last two refinements differ "
-        f"by {diff:.3g} at trajectory scale {scale:.3g}"
-    )
 
 
 @dataclass
@@ -350,23 +347,15 @@ class PdeTrajectory:
     """Recorded state of the reaction-diffusion fields.
 
     profiles[k] is the y-averaged active density at times[k], the input of
-    the front tracking; it defaults to the mean over y of each active
-    field. active and passive hold the full fields at the same times, or
-    are empty when the run did not keep them.
+    the front tracking. active and passive hold the full fields at the
+    same times, or are empty when the run did not keep them.
     """
 
     times: np.ndarray
     active: list[np.ndarray]
     passive: list[np.ndarray]
     dx: float
-    profiles: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.profiles is None:
-            profiles = np.array([snap.mean(axis=0) for snap in self.active])
-            object.__setattr__(self, "profiles", profiles)
-        if len(self.profiles) != self.times.size:
-            raise ValueError("need one profile per recorded time")
+    profiles: np.ndarray
 
 
 def integrate_pde(
@@ -464,13 +453,13 @@ def integrate_pde(
                          dx=grid.dx, profiles=np.array(profiles))
 
 
-def run_pde(config: ExperimentConfig, keep_fields: bool = False) -> tuple[PdeTrajectory, float]:
+def run_pde(config: ExperimentConfig) -> tuple[PdeTrajectory, float]:
     """The config's spatial model from a front seeded at x = 0.
 
     The first seed_columns columns start at active density seed_level and
     the rest of the grid fully passive; records default to about one per
-    time unit and hold only the front profiles unless keep_fields is true.
-    Returns the trajectory and the resolved front level.
+    time unit and hold only the front profiles. Returns the trajectory and
+    the resolved front level.
     """
     pde = resolve_pde(config)
     active = np.zeros((pde.ny, pde.nx))
@@ -482,7 +471,7 @@ def run_pde(config: ExperimentConfig, keep_fields: bool = False) -> tuple[PdeTra
     record_every = pde.record_every or max(1, round(1.0 / pde.dt))
     trajectory = integrate_pde(
         grid, pde.alpha, config.sensor.tau_star, pde.t_end, pde.dt, record_every,
-        keep_fields=keep_fields,
+        keep_fields=False,
     )
     return trajectory, pde.level
 

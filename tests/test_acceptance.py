@@ -290,7 +290,7 @@ def test_criterion_09_pde_front():
     grid = meanfield.PdeGrid(nx=nx, ny=ny, dx=dx, d=d,
                              field_active=active, field_passive=1.0 - active)
     traj = meanfield.integrate_pde(grid, alpha, TAU, t_end=150.0, dt=0.0625,
-                                   record_every=16)
+                                   record_every=16, keep_fields=False)
     capacity = b / alpha
     speed = meanfield.front_speed(traj, capacity / 2.0)
     lo, hi = np.sqrt(b * d), 4.0 * np.sqrt(b * d)

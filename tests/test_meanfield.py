@@ -256,25 +256,30 @@ class TestIntegrateSis:
     def test_unreachable_tolerance_raises_within_the_substep_budget(self, monkeypatch):
         # 1e-15 is below the round-off between refinements; this used to
         # refine for more than a minute and silently return the last pass
-        calls = []
+        substeps = []
         original = meanfield._sis_pass
 
         def counted(*args):
-            calls.append(args[-1] * (len(args[-2]) - 1))
+            substeps.append(args[-1])
             return original(*args)
 
         monkeypatch.setattr(meanfield, "_sis_pass", counted)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"did not converge to rel_tol = 1e-15.*differ by"):
             integrate_sis(1e-3, 5.0, 400.0, 0.7, 10.0, t_end=10.0, dt=1.0, rel_tol=1e-15)
-        assert sum(calls) <= meanfield._SIS_MAX_SUBSTEPS
-        assert time.perf_counter() - start < 20.0
+        assert max(substeps) == meanfield._SIS_MAX_SUBSTEPS
+        assert time.perf_counter() - start < 5.0
 
-    def test_grid_longer_than_the_budget_rejected_before_work(self):
-        with pytest.raises(ValueError, match="substeps"):
-            integrate_sis(1e-3, 5.0, 400.0, 1.0, 10.0, t_end=1e7, dt=1.0)
-        with pytest.raises(ValueError, match="substeps"):
+    def test_overflowing_step_count_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
             integrate_sis(1e-3, 5.0, 400.0, 1.0, 10.0, t_end=1e300, dt=1e-300)
+
+    def test_long_grid_converges(self):
+        # the benchmark's call on a 5 000-step grid spends more than 2**20
+        # substeps in all (converging at 128 per step); R0 = 2 saturates
+        # at n / 2
+        traj = integrate_sis(1e-3, 5.0, 400, 1.0, 10.0, 5000.0, 1.0, rel_tol=1e-12)
+        assert traj.y[-1] == pytest.approx(200.0, rel=1e-9)
 
     def test_bench_tolerance_converges_within_budget(self):
         # a grid as long as the benchmark's (500 unit steps) at its rel_tol
@@ -432,41 +437,38 @@ seed_level = 0.5
 """
 
     def test_seeded_front_with_one_snapshot_per_time_unit(self):
-        traj, level = meanfield.run_pde(parse_config(self.CONFIG), keep_fields=True)
+        traj, level = meanfield.run_pde(parse_config(self.CONFIG))
         assert level == 0.25
         assert traj.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        start_a, start_p = traj.active[0], traj.passive[0]
-        assert start_a.shape == (4, 40)
-        assert np.all(start_a[:, :3] == 0.5) and np.all(start_a[:, 3:] == 0.0)
-        assert np.all(start_p == 1.0 - start_a)
+        assert traj.active == [] and traj.passive == []
+        start = traj.profiles[0]
+        assert start.shape == (40,)
+        assert np.all(start[:3] == 0.5) and np.all(start[3:] == 0.0)
 
     def test_matches_integrate_pde_on_the_same_grid(self):
         cfg = parse_config(self.CONFIG + "record_every = 32\n")
-        traj, _ = meanfield.run_pde(cfg, keep_fields=True)
+        traj, _ = meanfield.run_pde(cfg)
         grid = seeded_grid(nx=40, ny=4, dx=10.0, d=320.0, columns=3, level=0.5)
         direct = integrate_pde(grid, 0.4, 5, t_end=6.0, dt=0.0625, record_every=32)
         assert traj.times.tolist() == direct.times.tolist() == [0.0, 2.0, 4.0, 6.0]
-        assert len(traj.active) == len(direct.active) == 4
-        for a, b in zip(traj.active + traj.passive, direct.active + direct.passive):
-            assert a.tobytes() == b.tobytes()
+        assert traj.profiles.tobytes() == direct.profiles.tobytes()
+        expected = np.array([snap.mean(axis=0) for snap in direct.active])
+        assert direct.profiles.tobytes() == expected.tobytes()
+        assert front_positions(traj, 0.25).tobytes() == front_positions(direct, 0.25).tobytes()
 
-    def test_keeps_only_the_front_profiles_by_default(self):
-        cfg = parse_config(self.CONFIG + "record_every = 32\n")
-        lean, _ = meanfield.run_pde(cfg)
-        full, _ = meanfield.run_pde(cfg, keep_fields=True)
-        assert lean.active == [] and lean.passive == []
-        assert lean.times.tobytes() == full.times.tobytes()
-        assert lean.profiles.tobytes() == full.profiles.tobytes()
-        expected = np.array([snap.mean(axis=0) for snap in full.active])
-        assert full.profiles.tobytes() == expected.tobytes()
-        assert front_positions(lean, 0.25).tobytes() == front_positions(full, 0.25).tobytes()
+
+def front_trajectory(snaps, dx):
+    """A trajectory at times 0, 1, ... whose profiles are the y-means of
+    hand-made fields."""
+    profiles = np.array([f.mean(axis=0) for f in snaps])
+    return meanfield.PdeTrajectory(times=np.arange(float(len(snaps))), active=[],
+                                   passive=[], dx=dx, profiles=profiles)
 
 
 class TestFrontTracking:
     def test_stationary_front_speed_zero(self):
         snaps = [seeded_grid().field_active.copy() for _ in range(8)]
-        traj = meanfield.PdeTrajectory(times=np.arange(8.0), active=snaps,
-                                       passive=snaps, dx=5.0)
+        traj = front_trajectory(snaps, dx=5.0)
         assert front_speed(traj, 0.25) == pytest.approx(0.0, abs=1e-12)
 
     def test_synthetic_front_two_cells_per_step(self):
@@ -476,23 +478,20 @@ class TestFrontTracking:
             f = np.zeros((ny, nx))
             f[:, : 5 + 2 * k] = 1.0
             snaps.append(f)
-        traj = meanfield.PdeTrajectory(times=np.arange(10.0), active=snaps,
-                                       passive=snaps, dx=dx)
+        traj = front_trajectory(snaps, dx=dx)
         assert front_speed(traj, 0.5) == pytest.approx(2.0 * dx, rel=1e-12)
 
     def test_positions_nan_before_crossing(self):
         f0 = np.zeros((2, 10))
         f1 = np.zeros((2, 10))
         f1[:, :4] = 1.0
-        traj = meanfield.PdeTrajectory(times=np.array([0.0, 1.0]),
-                                       active=[f0, f1], passive=[f0, f1], dx=1.0)
+        traj = front_trajectory([f0, f1], dx=1.0)
         pos = front_positions(traj, 0.5)
         assert np.isnan(pos[0]) and not np.isnan(pos[1])
 
     def test_no_front_error_when_level_unreached(self):
         snaps = [np.zeros((2, 12)) for _ in range(8)]
-        traj = meanfield.PdeTrajectory(times=np.arange(8.0), active=snaps,
-                                       passive=snaps, dx=1.0)
+        traj = front_trajectory(snaps, dx=1.0)
         with pytest.raises(ValueError, match="no front"):
             front_speed(traj, 0.5)
 
@@ -502,8 +501,7 @@ class TestFrontTracking:
             f = np.zeros((2, 40))
             f[:, : 20 - 2 * k] = 1.0
             snaps.append(f)
-        traj = meanfield.PdeTrajectory(times=np.arange(8.0), active=snaps,
-                                       passive=snaps, dx=1.0)
+        traj = front_trajectory(snaps, dx=1.0)
         with pytest.raises(ValueError, match="monotone"):
             front_speed(traj, 0.5)
 
