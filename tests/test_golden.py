@@ -133,6 +133,23 @@ def test_sweep_digest(tmp_path, name, jobs):
     assert _sha256(tmp_path / "analysis.json") == ANALYSIS[name]
 
 
+# sweep.csv with every protocol option on, 3 seeds x 300 steps, so that the
+# members of each point cross the 128- and 256-step sample blocks with
+# failures, rotation, single-shot broadcasts and detection refresh active.
+SWEEP_ALL_OPTIONS = {
+    ("demo-dense.ini", 0.05, 0.002): "a90f677aefda2ddb541afd8eab52095a355a4a4adf14f774b861bebe60bf36c4",
+    ("demo-sparse.ini", 0.01, 0.0005): "acc7081c1b99eafd0469a336712a278ba77d77c28a71e120d242357281f7b6a3",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name, delta, failure_rate", sorted(SWEEP_ALL_OPTIONS))
+def test_sweep_digest_all_protocol_options(tmp_path, name, delta, failure_rate, jobs):
+    cfg = apply_override(_all_options_config(name, 300, delta, failure_rate), "run.n_seeds", 3)
+    assert cli.dispatch("sweep", cfg, tmp_path, jobs=jobs) == 0
+    assert _sha256(tmp_path / "sweep.csv") == SWEEP_ALL_OPTIONS[(name, delta, failure_rate)]
+
+
 MEANFIELD = {
     "demo-sparse.ini": "b8e89268d7737e70a758d78d43280ad2ffa4a3b4f665f295d55cc695095d689d",
     "demo-dense.ini": "6323a8d2bff7ed74c9a922a104f63013b709039d8449dd70edf9a0a2850c4a2e",
