@@ -586,8 +586,9 @@ def alpha_field_from_mean_concentration(
     is evaluated against a unit-mean law at the local threshold ratio.
     """
     c0_arr = np.asarray(c0_field, dtype=float)
-    if np.any(c0_arr <= 0):
-        raise ValueError("mean concentration must be > 0 everywhere")
+    if not np.all((c0_arr > 0) & (c0_arr < math.inf)):
+        raise ValueError("mean concentration must be finite and > 0 everywhere")
+    # The unit-mean law rejects a non-finite gamma or omega.
     unit = environment.ConcentrationModel(c0=1.0, gamma=gamma, omega=omega)
     p_cell = 1.0 - np.asarray(environment.cdf(unit, spec.c_star / c0_arr))
     return g * math.pi * spec.r_star ** 2 * p_cell / (spec.tau_star * s)

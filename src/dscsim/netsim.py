@@ -15,8 +15,8 @@ One simulation step, synchronously:
   1. every active non-faulty sensor draws a concentration sample from its
      own substream and broadcasts if the reading is positive (the
      substream is built when the sensor is first active at the start of a
-     step and skipped ahead, so its t-th reading is the substream's t-th
-     value however late it was built);
+     step, and its t-th reading is the substream's t-th value however
+     late it was built);
   2. active timers decrement; expired sensors go passive (permanent ones
      re-arm immediately);
   3. this step's messages activate recipients that are passive *after*
@@ -33,6 +33,19 @@ Runs are reproducible: placement, initial selection, per-sensor
 concentration series, failures and reshuffles all derive from the single
 config seed through independent substreams, so per-sensor sample series
 never depend on iteration order or sensor count.
+
+The members of an ensemble point (the same deployment, spec, model and
+step count at different seeds) run as one disjoint union: one Simulation
+holds every member's sensors side by side, with a block-diagonal neighbor
+CSR, and one step kernel advances all of them per tick, reducing the
+populations member by member. No drawn value changes: every member keeps
+its own placement, initial-state, failure and rotation streams and draws
+from them as a lone run does, and a sensor's concentration stream stays
+keyed by (member seed, sensor index) and is built lazily, as only its
+Philox key, when the sensor first senses. At every 128-step block the
+kernel draws each built stream's next 128 values from one shared Philox
+set to the stream's key and block counter, and keeps only whether each
+reading reaches c_star, the one thing the protocol reads.
 """
 
 from __future__ import annotations
@@ -40,6 +53,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -53,10 +67,16 @@ FAULTY = 2
 
 # Steps of per-sensor samples drawn per refill; amortizes generator calls
 # without changing any drawn value (streams are consumed sequentially). A
-# multiple of the 4 words of one Philox4x64 block, so a stream first built
-# at block start b reaches its b-th value by advancing its counter b // 4
-# blocks, without drawing the values before it.
+# multiple of the 4 words of one Philox4x64 block, so the block starting
+# after step b of a stream starts at its counter b // 4, whatever the
+# stream drew before.
 _SAMPLE_BLOCK = 128
+# Streams per environment.quantile call in a refill; bounds the float
+# temporaries whatever the number of streams.
+_QUANTILE_ROWS = 512
+# Sensors per union at most (at least one member), which bounds a chunk's
+# state and detection block at about 150 bytes per sensor.
+_UNION_SENSORS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,135 +193,193 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
 
 
 class Simulation:
-    """Mutable state of one run; step() advances it one synchronous tick."""
+    """Mutable state of one run, or of a union of runs that differ only by seed.
 
-    def __init__(self, config: NetworkConfig, spec: SensorSpec, model: ConcentrationModel):
+    Simulation(config, spec, model) is one run at config.seed; step()
+    advances it one synchronous tick and returns its record. With seeds
+    given, the object holds one member per seed (config.seed is then
+    unused) as a disjoint union: member k owns sensors k*n .. k*n + n - 1 of
+    every state array, the neighbor CSR is block-diagonal, and _advance()
+    steps all members at once. Each member keeps its own placement,
+    initial-state, failure, rotation and sensor streams, so a member's
+    trajectory is the one it gives alone.
+    """
+
+    def __init__(
+        self, config: NetworkConfig, spec: SensorSpec, model: ConcentrationModel, seeds=None
+    ):
         self.config = config
         self.spec = spec
         self.model = model
-        n = config.n
+        self.seeds = (config.seed,) if seeds is None else tuple(seeds)
+        n, m = config.n, len(self.seeds)
 
-        self.positions = place_sensors(config, rng.substream(config.seed, rng.PLACEMENT))
-        self.indptr, self.indices = neighbor_csr(self.positions, spec.r_star)
-
-        self.kind = np.full(n, PASSIVE, dtype=np.int8)
-        self.remaining = np.zeros(n, dtype=np.int64)
-        self.permanent = np.zeros(n, dtype=bool)
-        self._broadcast_used = np.zeros(n, dtype=bool)
-
-        order = rng.substream(config.seed, rng.INITIAL_STATE).permutation(n)
+        self.kind = np.full(m * n, PASSIVE, dtype=np.int8)
+        self.remaining = np.zeros(m * n, dtype=np.int64)
+        self.permanent = np.zeros(m * n, dtype=bool)
+        self._broadcast_used = np.zeros(m * n, dtype=bool)
+        kind, remaining, permanent = (a.reshape(m, n) for a in (self.kind, self.remaining,
+                                                                self.permanent))
         n_perm = config.permanent_count
-        self.permanent[order[:n_perm]] = True
-        starters = order[: n_perm + config.initial_active]
-        self.kind[starters] = ACTIVE
-        self.remaining[starters] = spec.tau_star
+        degrees, neighbors = [], []
+        self._fail_rngs, self._rotate_rngs = [], []
+        for k, seed in enumerate(self.seeds):
+            positions = place_sensors(config, rng.substream(seed, rng.PLACEMENT))
+            indptr, indices = neighbor_csr(positions, spec.r_star)
+            degrees.append(np.diff(indptr))
+            neighbors.append(indices + k * n)
+            order = rng.substream(seed, rng.INITIAL_STATE).permutation(n)
+            permanent[k, order[:n_perm]] = True
+            starters = order[: n_perm + config.initial_active]
+            kind[k, starters] = ACTIVE
+            remaining[k, starters] = spec.tau_star
+            self._fail_rngs.append(rng.substream(seed, rng.FAILURE))
+            self._rotate_rngs.append(rng.substream(seed, rng.ROTATION))
+        self.indptr = np.zeros(m * n + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(degrees), out=self.indptr[1:])
+        self.indices = np.concatenate(neighbors)
 
-        self._fail_rng = rng.substream(config.seed, rng.FAILURE)
-        self._rotate_rng = rng.substream(config.seed, rng.ROTATION)
-        # Streams of the sensors that have sensed, by sensor index. Columns
-        # of the sample block of sensors without a stream stay zero.
-        self._streams: dict[int, np.random.Generator] = {}
-        self._has_stream = np.zeros(n, dtype=bool)
-        self._sample_block = np.zeros((_SAMPLE_BLOCK, n))
+        # Sensor streams, in the order they were built: row r of _keys is a
+        # stream's Philox key and row r of _detect holds, for each step of
+        # the current sample block, whether its reading is >= c_star. _row
+        # maps a sensor to its stream's row (-1: the sensor has not sensed).
+        self._keys = np.empty((m * n, 2), dtype=np.uint64)
+        self._detect = np.empty((m * n, _SAMPLE_BLOCK), dtype=bool)
+        self._row = np.full(m * n, -1, dtype=np.int64)
+        self._streams = 0
+        self._draw = np.random.Generator(np.random.Philox(0))
 
         period = config.rotation_period
         self.rotation_period = 10 * spec.tau_star if period is None else period
         self.t = 0
 
-    def _next_samples(self, active: np.ndarray) -> np.ndarray:
-        """Concentration for the coming step at every sensor that has sensed.
+    def _fill(self, first: int, block_start: int) -> None:
+        """Detection bits of stream rows first .. _streams - 1 for the block
+        of steps block_start + 1 .. block_start + _SAMPLE_BLOCK.
 
-        A sensor active for the first time gets its stream here, advanced
-        to the start of the current block, and its column of the block at
-        once; at a block boundary only the existing streams are refilled.
+        Each row's uniforms are drawn from the shared Philox set to the
+        stream's key and to counter block_start // 4 with an empty buffer,
+        the state a fresh stream reaches by advance(block_start // 4) or by
+        drawing its first block_start values.
+        """
+        bit_generator = self._draw.bit_generator
+        state = bit_generator.state
+        state["state"]["counter"] = np.array([block_start // 4, 0, 0, 0], dtype=np.uint64)
+        state["buffer_pos"] = 4
+        for start in range(first, self._streams, _QUANTILE_ROWS):
+            stop = min(start + _QUANTILE_ROWS, self._streams)
+            u = np.empty((stop - start, _SAMPLE_BLOCK))
+            for key, row in zip(self._keys[start:stop], u):
+                state["state"]["key"] = key
+                bit_generator.state = state
+                self._draw.random(out=row)
+            self._detect[start:stop] = environment.quantile(self.model, u) >= self.spec.c_star
+
+    def _sense(self, sensing: np.ndarray) -> np.ndarray:
+        """Whether this step's reading is >= c_star at each sensing sensor.
+
+        A sensor sensing for the first time gets its stream key here and its
+        row of the current block at once; at a block boundary every stream's
+        row is refilled.
         """
         pos = (self.t - 1) % _SAMPLE_BLOCK
-        new = (active > self._has_stream).nonzero()[0].tolist()
-        for i in new:
-            gen = rng.sensor_stream(self.config.seed, i)
-            gen.bit_generator.advance((self.t - 1 - pos) // 4)
-            self._streams[i] = gen
-            self._has_stream[i] = True
-        ids = list(self._streams) if pos == 0 else new
-        if ids:
-            u = np.empty((len(ids), _SAMPLE_BLOCK))
-            for i, row in zip(ids, u):
-                self._streams[i].random(out=row)
-            self._sample_block[:, ids] = environment.quantile(self.model, u).T
-        return self._sample_block[pos]
+        new = sensing[self._row[sensing] < 0]
+        first = self._streams
+        if new.size:
+            n = self.config.n
+            self._row[new] = np.arange(first, first + new.size)
+            for row, i in enumerate(new.tolist(), first):
+                self._keys[row] = rng.sensor_key(self.seeds[i // n], i % n)
+            self._streams += new.size
+        if pos == 0 or new.size:
+            self._fill(0 if pos == 0 else first, self.t - 1 - pos)
+        return self._detect[self._row[sensing], pos]
 
     def _deliver(self, broadcasters: np.ndarray) -> np.ndarray:
         """Boolean mask of sensors receiving at least one message."""
-        received = np.zeros(self.config.n, dtype=bool)
-        if broadcasters.size:
-            starts = self.indptr[broadcasters]
-            counts = self.indptr[broadcasters + 1] - starts
-            received[self.indices[_ragged_arange(starts, counts)]] = True
+        received = np.zeros(self.kind.size, dtype=bool)
+        starts = self.indptr[broadcasters]
+        counts = self.indptr[broadcasters + 1] - starts
+        received[self.indices[_ragged_arange(starts, counts)]] = True
         return received
 
-    def step(self) -> SimRecord:
+    def _advance(self) -> tuple[np.ndarray, np.ndarray]:
+        """One synchronous tick of every member; returns the indices of this
+        tick's broadcasting and detecting sensors.
+
+        The phases act on index arrays of the sensors they touch, so that a
+        tick costs what its active sensors and messages cost.
+        """
         cfg, spec = self.config, self.spec
+        n, m = cfg.n, len(self.seeds)
+        kind, remaining, used = self.kind, self.remaining, self._broadcast_used
         self.t += 1
 
         # Phase 1: sense and broadcast.
-        active = self.kind == ACTIVE
-        samples = self._next_samples(active)
-        detecting = active & (samples >= spec.c_star)
+        sensing = np.flatnonzero(kind == ACTIVE)
+        detecting = sensing[self._sense(sensing)]
         broadcasting = detecting
         if cfg.single_shot:
-            broadcasting = detecting & ~self._broadcast_used
-            self._broadcast_used |= broadcasting
-        broadcasters = np.flatnonzero(broadcasting)
-        received = self._deliver(broadcasters)
+            broadcasting = detecting[~used[detecting]]
+            used[broadcasting] = True
+        received = self._deliver(broadcasting)
 
         # Phase 2: timers.
-        self.remaining[active] -= 1
-        expired = active & (self.remaining == 0)
-        rearm = expired & self.permanent
-        self.kind[expired & ~self.permanent] = PASSIVE
-        self.remaining[rearm] = spec.tau_star
-        self._broadcast_used[rearm] = False
+        remaining[sensing] -= 1
+        expired = sensing[remaining[sensing] == 0]
+        rearm = self.permanent[expired]
+        kind[expired[~rearm]] = PASSIVE
+        remaining[expired[rearm]] = spec.tau_star
+        used[expired[rearm]] = False
         if cfg.refresh_on_detect:
             # A detection re-arms the detector's own timer (including one
             # whose activation just ended this step).
-            self.kind[detecting] = ACTIVE
-            self.remaining[detecting] = spec.tau_star
+            kind[detecting] = ACTIVE
+            remaining[detecting] = spec.tau_star
 
         # Phase 3: wake-ups (messages from this step, passive after expiry).
-        wake = received & (self.kind == PASSIVE)
-        self.kind[wake] = ACTIVE
-        self.remaining[wake] = spec.tau_star
-        self._broadcast_used[wake] = False
+        wake = received & (kind == PASSIVE)
+        kind[wake] = ACTIVE
+        remaining[wake] = spec.tau_star
+        used[wake] = False
 
-        # Phase 4: failures (absorbing).
+        # Phase 4: failures (absorbing); each member draws n uniforms.
         if cfg.failure_rate > 0.0:
-            dying = (self._fail_rng.random(cfg.n) < cfg.failure_rate) & (self.kind != FAULTY)
-            self.kind[dying] = FAULTY
-            self.remaining[dying] = 0
+            draws = np.empty((m, n))
+            for gen, row in zip(self._fail_rngs, draws):
+                gen.random(out=row)
+            dying = (draws.ravel() < cfg.failure_rate) & (kind != FAULTY)
+            kind[dying] = FAULTY
+            remaining[dying] = 0
             self.permanent[dying] = False
 
-        # Phase 5: permanent-set reshuffle.
+        # Phase 5: permanent-set reshuffle, member by member.
         n_perm = cfg.permanent_count
         if n_perm and self.rotation_period and self.t % self.rotation_period == 0:
-            alive = np.flatnonzero(self.kind != FAULTY)
-            take = min(n_perm, alive.size)
-            chosen = self._rotate_rng.choice(alive, size=take, replace=False)
-            self.permanent[:] = False
-            self.permanent[chosen] = True
-            newly = self.permanent & (self.kind == PASSIVE)
-            self.kind[newly] = ACTIVE
-            self.remaining[newly] = spec.tau_star
-            self._broadcast_used[newly] = False
+            for gen, member_kind, permanent in zip(self._rotate_rngs, kind.reshape(m, n),
+                                                   self.permanent.reshape(m, n)):
+                alive = np.flatnonzero(member_kind != FAULTY)
+                chosen = gen.choice(alive, size=min(n_perm, alive.size), replace=False)
+                permanent[:] = False
+                permanent[chosen] = True
+            newly = self.permanent & (kind == PASSIVE)
+            kind[newly] = ACTIVE
+            remaining[newly] = spec.tau_star
+            used[newly] = False
+        return broadcasting, detecting
 
+    def step(self) -> SimRecord:
+        """Advance a one-run Simulation one tick; returns its record."""
+        broadcasting, detecting = self._advance()
         n_active = int(np.count_nonzero(self.kind == ACTIVE))
         n_faulty = int(np.count_nonzero(self.kind == FAULTY))
         return SimRecord(
             step=self.t,
             n_active=n_active,
-            n_passive=cfg.n - n_active - n_faulty,
+            n_passive=self.config.n - n_active - n_faulty,
             n_faulty=n_faulty,
-            messages_sent=int(broadcasters.size),
-            detections=int(np.count_nonzero(detecting)),
+            messages_sent=int(broadcasting.size),
+            detections=int(detecting.size),
         )
 
 
@@ -329,24 +407,49 @@ class EnsembleResult:
     n_seeds: int
 
 
-def _member_run(args) -> np.ndarray:
-    config, spec, model, steps = args
-    return active_fraction(run(config, spec, model, steps), config.n)
+def _union_key(member):
+    config, spec, model, steps = member
+    return replace(config, seed=0), spec, model, steps
+
+
+def _chunk_run(chunk) -> list[np.ndarray]:
+    """Active-fraction trajectories of one union's members, by seed order."""
+    config, spec, model, steps, seeds = chunk
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    sim = Simulation(config, spec, model, seeds)
+    counts = np.empty((len(seeds), steps))
+    for column in counts.T:
+        sim._advance()
+        column[:] = np.count_nonzero(sim.kind.reshape(len(seeds), config.n) == ACTIVE, axis=1)
+    return list(counts / config.n)
 
 
 def run_members(members, jobs: int = 1) -> list[np.ndarray]:
     """Active-fraction trajectory of each (config, spec, model, steps) member.
 
-    Members are independent runs; with jobs > 1 they execute in separate
-    processes, and the trajectories always come back in input order, so
-    the result does not depend on scheduling.
+    Consecutive members that differ only by config.seed run together as
+    Simulation unions: each such group is split into `jobs` contiguous
+    chunks of at most _UNION_SENSORS sensors (or of one member). With
+    jobs > 1 the chunks execute in separate processes. Every member's
+    trajectory is the one run() gives it alone, and the trajectories come
+    back in input order, so the result depends on neither jobs nor
+    scheduling.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    chunks = []
+    for (config, spec, model, steps), group in groupby(members, key=_union_key):
+        seeds = [member[0].seed for member in group]
+        size = max(1, min(math.ceil(len(seeds) / jobs), _UNION_SENSORS // config.n))
+        chunks += [(config, spec, model, steps, seeds[k:k + size])
+                   for k in range(0, len(seeds), size)]
     if jobs == 1:
-        return [_member_run(m) for m in members]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_member_run, members, chunksize=1))
+        results = map(_chunk_run, chunks)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_chunk_run, chunks, chunksize=1))
+    return [trajectory for chunk in results for trajectory in chunk]
 
 
 def ensemble_run(

@@ -4,10 +4,11 @@ All randomness in a run derives from a single 64-bit seed. Independent
 substreams are obtained from a counter-based generator (Philox) keyed by
 (seed, spawn path), so any substream can be reconstructed on its own:
 per-sensor streams do not depend on how many sensors exist or in which
-order they are visited. A stream can also be built late: netsim builds a
-sensor's stream when the sensor first senses and skips it ahead with
-`bit_generator.advance`, which gives the values that drawing it from its
-start would give.
+order they are visited. A sensor's stream is fully described by its
+2-word Philox key: netsim keeps only the key and draws any 128-value block
+of the stream by setting a shared Philox to that key and to the block's
+counter, which gives the values that drawing the stream from its start
+would give.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def sensor_key(seed: int, sensor: int) -> np.ndarray:
+    """Philox key (2 uint64 words) of one sensor's concentration stream.
+
+    It is the key that Philox(SeedSequence(seed, spawn_key=(ENVIRONMENT,
+    sensor))) sets, so the stream equals substream(seed, ENVIRONMENT, sensor).
+    """
+    ss = np.random.SeedSequence(seed, spawn_key=(ENVIRONMENT, sensor))
+    return ss.generate_state(2, np.uint64)
+
+
 def sensor_stream(seed: int, sensor: int) -> np.random.Generator:
-    """Concentration-sampling stream owned by one sensor."""
-    return substream(seed, ENVIRONMENT, sensor)
+    """Concentration-sampling stream owned by one sensor, from its first value."""
+    return np.random.Generator(np.random.Philox(key=sensor_key(seed, sensor)))

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from dscsim import analysis, meanfield, rng, sensor
+from dscsim import analysis, meanfield, netsim, rng, sensor
 from dscsim.environment import ConcentrationModel, time_series
-from dscsim.netsim import NetworkConfig, active_fraction, neighbors_within, run
+from dscsim.netsim import NetworkConfig, neighbors_within, run
 from dscsim.sensor import SensorSpec
 
 C0 = 150.0
@@ -45,10 +45,9 @@ def base_config(seed: int = 0) -> NetworkConfig:
 def ensemble_plateau(spec: SensorSpec, n_seeds: int = SEEDS, steps: int = STEPS) -> float:
     """Mean over seeds of the per-run tail-mean active fraction (identical
     to the tail mean of the ensemble-mean trajectory)."""
-    plateaus = []
-    for k in range(n_seeds):
-        traj = active_fraction(run(base_config(seed=k), spec, REFERENCE, steps), N)
-        plateaus.append(analysis.extract_plateau(traj, 0.25, check_stationary=False)[0])
+    members = [(base_config(seed=k), spec, REFERENCE, steps) for k in range(n_seeds)]
+    plateaus = [analysis.extract_plateau(traj, 0.25, check_stationary=False)[0]
+                for traj in netsim.run_members(members, jobs=1)]
     return float(np.mean(plateaus))
 
 

@@ -391,6 +391,17 @@ class TestIntegratePde:
         with pytest.raises(ValueError, match="finite and non-negative"):
             PdeGrid(nx=5, ny=2, dx=1.0, d=0.1, **fields)
 
+    @pytest.mark.parametrize("c0_cell, gamma, omega", [
+        (math.nan, 26.0 / 3.0, 0.98), (math.inf, 26.0 / 3.0, 0.98), (0.0, 26.0 / 3.0, 0.98),
+        (100.0, math.nan, 0.98), (100.0, math.inf, 0.98), (100.0, 26.0 / 3.0, math.nan),
+    ])
+    def test_alpha_field_rejects_non_finite_inputs(self, c0_cell, gamma, omega):
+        # a NaN cell used to come back as a NaN contact rate
+        spec = SensorSpec(c_star=150.0, tau_star=5, r_star=40.0)
+        with pytest.raises(ValueError):
+            alpha_field_from_mean_concentration([[100.0, c0_cell]], gamma=gamma, omega=omega,
+                                                spec=spec, s=1e4, g=1.0)
+
     def test_alpha_field_hook_orders_growth(self):
         # richer mean concentration on the right half -> faster local growth
         spec = SensorSpec(c_star=150.0, tau_star=5, r_star=40.0)

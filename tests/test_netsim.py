@@ -302,17 +302,16 @@ class TestDeterminism:
 
 
 def _record_sensing(monkeypatch):
-    """Collect (step, active sensors, their samples) for every step run."""
+    """Collect (step, sensing sensors, their detection bits) for every step run."""
     seen = []
-    original = Simulation._next_samples
+    original = Simulation._sense
 
-    def recording(self, active):
-        samples = original(self, active)
-        idx = np.flatnonzero(active)
-        seen.append((self.t, idx, samples[idx].copy()))
-        return samples
+    def recording(self, sensing):
+        bits = original(self, sensing)
+        seen.append((self.t, sensing.copy(), bits.copy()))
+        return bits
 
-    monkeypatch.setattr(Simulation, "_next_samples", recording)
+    monkeypatch.setattr(Simulation, "_sense", recording)
     return seen
 
 
@@ -324,19 +323,42 @@ def _first_active(seen):
     return first
 
 
-def _assert_eager_samples(seen, seed, model, steps):
-    """Every reading is the one a stream built at step 1 gives at step t."""
+def _assert_eager_readings(seen, sim, steps):
+    """Every detection bit is the one that the t-th value of the sensor's
+    stream, drawn from the stream's start, gives."""
+    n = sim.config.n
     eager = {}
-    for t, idx, values in seen:
-        for i, value in zip(idx.tolist(), values.tolist()):
+    for t, idx, bits in seen:
+        for i, bit in zip(idx.tolist(), bits.tolist()):
             if i not in eager:
-                eager[i] = environment.quantile(model, rng.sensor_stream(seed, i).random(steps))
-            assert value == eager[i][t - 1], (t, i)
+                stream = rng.sensor_stream(sim.seeds[i // n], i % n)
+                values = environment.quantile(sim.model, stream.random(steps))
+                eager[i] = values >= sim.spec.c_star
+            assert bit == eager[i][t - 1], (t, i)
+
+
+def _counting_keys(monkeypatch):
+    built = []
+    original = rng.sensor_key
+
+    def counting(seed, index):
+        built.append((seed, index))
+        return original(seed, index)
+
+    monkeypatch.setattr(rng, "sensor_key", counting)
+    return built
 
 
 class TestLazyStreams:
     """A sensor's sample stream is built when it first senses, with the
-    values an eagerly built stream would give."""
+    readings an eagerly built stream would give."""
+
+    @pytest.mark.parametrize("seed, sensor", [(0, 0), (5, 17), (2**40 + 3, 399)])
+    def test_sensor_stream_is_the_spawned_philox_stream(self, seed, sensor):
+        ss = np.random.SeedSequence(seed, spawn_key=(rng.ENVIRONMENT, sensor))
+        expected = np.random.Generator(np.random.Philox(ss)).random(300)
+        assert rng.sensor_stream(seed, sensor).random(300).tobytes() == expected.tobytes()
+        assert rng.ENVIRONMENT == 2
 
     def test_first_activation_at_block_boundaries(self, monkeypatch):
         seen = _record_sensing(monkeypatch)
@@ -346,7 +368,7 @@ class TestLazyStreams:
         forced = {}
         for step in range(1, 401):
             # Step 129 starts the second 128-step block; step 300 lies
-            # inside the third, whose stream offset needs advance(64).
+            # inside the third, whose stream offset is counter 64.
             if step in (129, 300):
                 asleep = set(range(cfg.n)) - set(_first_active(seen))
                 forced[step] = min(asleep)
@@ -358,7 +380,7 @@ class TestLazyStreams:
         assert all(first[i] == step for step, i in forced.items())
         # Neighbors woken by messages first sense mid-block.
         assert any(t > 129 and (t - 1) % 128 for t in first.values())
-        _assert_eager_samples(seen, cfg.seed, REFERENCE, 400)
+        _assert_eager_readings(seen, sim, 400)
 
     def test_sensor_woken_by_rotation(self, monkeypatch):
         seen = _record_sensing(monkeypatch)
@@ -374,24 +396,78 @@ class TestLazyStreams:
         late = [t for t in _first_active(seen).values() if t > 1]
         assert late and all(t % cfg.rotation_period == 1 for t in late)
         assert any(t > 256 for t in late)
-        _assert_eager_samples(seen, cfg.seed, REFERENCE, 400)
+        _assert_eager_readings(seen, sim, 400)
 
     def test_streams_built_once_and_only_for_sensors_that_sense(self, monkeypatch):
         seen = _record_sensing(monkeypatch)
-        built = []
-        original = rng.sensor_stream
-
-        def counting(seed, index):
-            built.append(index)
-            return original(seed, index)
-
-        monkeypatch.setattr(rng, "sensor_stream", counting)
+        built = _counting_keys(monkeypatch)
         cfg = paper_config(seed=25, delta=0.01, rotation_period=15)
         run(cfg, SPEC40, REFERENCE, 300)
-        ever_active = set(_first_active(seen))
+        ever_active = {(cfg.seed, i) for i in _first_active(seen)}
         assert len(built) == len(set(built))
         assert set(built) == ever_active
         assert 0 < len(ever_active) < cfg.n
+
+    def test_union_streams_built_once_and_only_for_sensors_that_sense(self, monkeypatch):
+        # Sensor k * n + i of the union is sensor i of the member at seeds[k].
+        seen = _record_sensing(monkeypatch)
+        built = _counting_keys(monkeypatch)
+        cfg = paper_config(delta=0.01, rotation_period=15)
+        sim = Simulation(cfg, SPEC40, REFERENCE, seeds=(25, 26, 9))
+        for _ in range(300):
+            sim._advance()
+        ever_active = {(sim.seeds[i // cfg.n], i % cfg.n) for i in _first_active(seen)}
+        assert len(built) == len(set(built))
+        assert set(built) == ever_active
+        for seed in sim.seeds:
+            assert 0 < sum(s == seed for s, _ in ever_active) < cfg.n
+        _assert_eager_readings(seen, sim, 300)
+
+
+_PROTOCOL_OPTIONS = st.fixed_dictionaries({
+    "delta": st.sampled_from([0.0, 0.05]),
+    "failure_rate": st.sampled_from([0.0, 0.004]),
+    "rotation_period": st.sampled_from([None, 0, 7]),
+    "single_shot": st.booleans(),
+    "refresh_on_detect": st.booleans(),
+})
+
+
+class TestUnion:
+    """run_members steps the members of a point as one union; each member's
+    trajectory is the one its lone run gives."""
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        options=_PROTOCOL_OPTIONS,
+        seeds=st.lists(st.integers(0, 2**40), min_size=1, max_size=5),
+        jobs=st.sampled_from([1, 2]),
+        r_star=st.sampled_from([30.0, 60.0]),
+    )
+    def test_members_match_lone_runs(self, options, seeds, jobs, r_star):
+        cfg = NetworkConfig(n=80, width=300.0, height=300.0, initial_active=4, **options)
+        spec = SensorSpec(c_star=150.0, tau_star=4, r_star=r_star)
+        members = [(replace(cfg, seed=s), spec, REFERENCE, 140) for s in seeds]  # two blocks
+        got = run_members(members, jobs)
+        assert len(got) == len(members)
+        for trajectory, member in zip(got, members):
+            expected = active_fraction(run(*member), cfg.n)
+            assert trajectory.tobytes() == expected.tobytes()
+
+    def test_union_state_is_the_members_side_by_side(self):
+        cfg = paper_config(n=50, delta=0.1, rotation_period=6, failure_rate=0.01)
+        union = Simulation(cfg, SPEC40, REFERENCE, seeds=(3, 4, 3))
+        lone = [Simulation(replace(cfg, seed=s), SPEC40, REFERENCE) for s in (3, 4, 3)]
+        for _ in range(20):
+            union._advance()
+            for sim in lone:
+                sim.step()
+        for name in ("kind", "remaining", "permanent"):
+            assert np.array_equal(getattr(union, name),
+                                  np.concatenate([getattr(sim, name) for sim in lone]))
+        offsets = [0, 50, 100]
+        assert np.array_equal(union.indices,
+                              np.concatenate([s.indices + o for s, o in zip(lone, offsets)]))
 
 
 def _ensemble_plateaus(cfg, spec, steps, n_seeds):
