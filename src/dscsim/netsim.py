@@ -74,8 +74,8 @@ _SAMPLE_BLOCK = 128
 # Streams per environment.quantile call in a refill; bounds the float
 # temporaries whatever the number of streams.
 _QUANTILE_ROWS = 512
-# Sensors per union at most (at least one member), which bounds a chunk's
-# state and detection block at about 150 bytes per sensor.
+# Sensors per union at most (at least one member). A union holds about
+# 170 bytes per sensor, most of it the detection block, plus 8 per edge.
 _UNION_SENSORS = 1 << 16
 
 
