@@ -212,6 +212,8 @@ class Simulation:
         self.spec = spec
         self.model = model
         self.seeds = (config.seed,) if seeds is None else tuple(seeds)
+        if not self.seeds:
+            raise ValueError("a Simulation needs at least one seed")
         n, m = config.n, len(self.seeds)
 
         self.kind = np.full(m * n, PASSIVE, dtype=np.int8)
@@ -370,6 +372,8 @@ class Simulation:
 
     def step(self) -> SimRecord:
         """Advance a one-run Simulation one tick; returns its record."""
+        if len(self.seeds) != 1:
+            raise ValueError("step() advances one run; a union has no single record")
         broadcasting, detecting = self._advance()
         n_active = int(np.count_nonzero(self.kind == ACTIVE))
         n_faulty = int(np.count_nonzero(self.kind == FAULTY))

@@ -469,6 +469,12 @@ class TestUnion:
         assert np.array_equal(union.indices,
                               np.concatenate([s.indices + o for s, o in zip(lone, offsets)]))
 
+    def test_union_needs_a_seed_and_has_no_single_record(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            Simulation(paper_config(n=10), SPEC40, REFERENCE, seeds=())
+        with pytest.raises(ValueError, match="single record"):
+            Simulation(paper_config(n=10), SPEC40, REFERENCE, seeds=(1, 2)).step()
+
 
 def _ensemble_plateaus(cfg, spec, steps, n_seeds):
     out = []
