@@ -355,10 +355,9 @@ class TestLazyStreams:
 
     @pytest.mark.parametrize("seed, sensor", [(0, 0), (5, 17), (2**40 + 3, 399)])
     def test_sensor_stream_is_the_spawned_philox_stream(self, seed, sensor):
-        ss = np.random.SeedSequence(seed, spawn_key=(rng.ENVIRONMENT, sensor))
+        ss = np.random.SeedSequence(seed, spawn_key=(2, sensor))  # 2: rng.ENVIRONMENT
         expected = np.random.Generator(np.random.Philox(ss)).random(300)
         assert rng.sensor_stream(seed, sensor).random(300).tobytes() == expected.tobytes()
-        assert rng.ENVIRONMENT == 2
 
     def test_first_activation_at_block_boundaries(self, monkeypatch):
         seen = _record_sensing(monkeypatch)
