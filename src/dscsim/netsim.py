@@ -309,8 +309,8 @@ class Simulation:
         """One synchronous tick of every member; returns the indices of this
         tick's broadcasting and detecting sensors.
 
-        The phases act on index arrays of the sensors they touch, so that a
-        tick costs what its active sensors and messages cost.
+        Sensing and timers act on the indices of the active sensors, which
+        are few in most ticks of a sparse network.
         """
         cfg, spec = self.config, self.spec
         n, m = cfg.n, len(self.seeds)
