@@ -175,6 +175,9 @@ def analyze_sweep(rows) -> dict:
     """
     if not rows:
         raise ValueError("no sweep rows")
+    missing = [c for c in ("point", *SWEEP_COLUMNS) if c not in rows[0]]
+    if missing:
+        raise ValueError(f"sweep rows lack the columns {', '.join(missing)}")
     fixed = {"point", *SWEEP_COLUMNS}
     axes = [c for c in rows[0] if c not in fixed]
     grouped: dict[int, list] = {}

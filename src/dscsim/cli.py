@@ -10,9 +10,10 @@ Subcommands:
 
 Every output is a pure function of (config file bytes, seed): repeated
 invocations produce byte-identical files. Flags: --config, --out, --seed
-(overrides the config seed), --jobs (parallel sweep/ensemble workers).
-Environment variables DSCSIM_CONFIG, DSCSIM_OUT, DSCSIM_SEED and
-DSCSIM_JOBS supply defaults for the corresponding flags.
+(overrides the config seed), and on sweep only --jobs (worker processes;
+any other subcommand rejects it). Environment variables DSCSIM_CONFIG,
+DSCSIM_OUT, DSCSIM_SEED and DSCSIM_JOBS supply defaults for the
+corresponding flags.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=os.environ.get("DSCSIM_CONFIG"))
         p.add_argument("--out", default=os.environ.get("DSCSIM_OUT", "."))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=None)
         if name == "analyze":
             p.add_argument("--input", default=None, help="sweep CSV (default: OUT/sweep.csv)")
     return parser
@@ -192,7 +194,9 @@ def main(argv=None) -> int:
         if not args.config:
             raise ValueError("--config is required (or set DSCSIM_CONFIG)")
         seed = args.seed if args.seed is not None else _env_int("DSCSIM_SEED")
-        jobs = args.jobs if args.jobs is not None else _env_int("DSCSIM_JOBS", 1)
+        jobs = getattr(args, "jobs", None)
+        if jobs is None:
+            jobs = _env_int("DSCSIM_JOBS", 1)
         config = load_config(args.config)
         if seed is not None:
             config = apply_override(config, "network.seed", seed)

@@ -34,18 +34,20 @@ concentration series, failures and reshuffles all derive from the single
 config seed through independent substreams, so per-sensor sample series
 never depend on iteration order or sensor count.
 
-The members of an ensemble point (the same deployment, spec, model and
-step count at different seeds) run as one disjoint union: one Simulation
-holds every member's sensors side by side, with a block-diagonal neighbor
-CSR, and one step kernel advances all of them per tick, reducing the
-populations member by member. No drawn value changes: every member keeps
-its own placement, initial-state, failure and rotation streams and draws
-from them as a lone run does, and a sensor's concentration stream stays
-keyed by (member seed, sensor index) and is built lazily, as only its
-Philox key, when the sensor first senses. At every 128-step block the
+Runs that share the deployment, tau_star, model and step count run as
+one disjoint union, whatever their seeds, r_star and c_star: one
+Simulation holds every member's sensors side by side, with a
+block-diagonal neighbor CSR built at each member's own r_star, and one
+step kernel advances all of them per tick, reducing the populations
+member by member. A sweep over r_star or c_star is thus one union (or one
+per worker), not one per grid point. No drawn value changes: every member
+keeps its own placement, initial-state, failure and rotation streams and
+draws from them as a lone run does, and a sensor's concentration stream
+stays keyed by (member seed, sensor index) and is built lazily, as only
+its Philox key, when the sensor first senses. At every 128-step block the
 kernel draws each built stream's next 128 values from one shared Philox
 set to the stream's key and block counter, and keeps only whether each
-reading reaches c_star, the one thing the protocol reads.
+reading reaches its member's c_star, the one thing the protocol reads.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -75,7 +76,8 @@ _SAMPLE_BLOCK = 128
 # temporaries whatever the number of streams.
 _QUANTILE_ROWS = 512
 # Sensors per union at most (at least one member). A union holds about
-# 170 bytes per sensor, most of it the detection block, plus 8 per edge.
+# 180 bytes per sensor: 128 of detection block, 24 of stream key and
+# c_star threshold, and the state arrays; plus 8 per edge.
 _UNION_SENSORS = 1 << 16
 
 
@@ -193,28 +195,35 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
 
 
 class Simulation:
-    """Mutable state of one run, or of a union of runs that differ only by seed.
+    """Mutable state of one run, or of a union of runs on one deployment.
 
     Simulation(config, spec, model) is one run at config.seed; step()
     advances it one synchronous tick and returns its record. With seeds
     given, the object holds one member per seed (config.seed is then
     unused) as a disjoint union: member k owns sensors k*n .. k*n + n - 1 of
     every state array, the neighbor CSR is block-diagonal, and _advance()
-    steps all members at once. Each member keeps its own placement,
-    initial-state, failure, rotation and sensor streams, so a member's
-    trajectory is the one it gives alone.
+    steps all members at once. spec is then one SensorSpec for every member
+    or a sequence of one per seed; the members may differ in r_star and
+    c_star but not in tau_star. Each member keeps its own placement,
+    initial-state, failure, rotation and sensor streams, its own range and
+    threshold, so a member's trajectory is the one it gives alone.
     """
 
     def __init__(
-        self, config: NetworkConfig, spec: SensorSpec, model: ConcentrationModel, seeds=None
+        self, config: NetworkConfig, spec, model: ConcentrationModel, seeds=None
     ):
         self.config = config
-        self.spec = spec
         self.model = model
         self.seeds = (config.seed,) if seeds is None else tuple(seeds)
         if not self.seeds:
             raise ValueError("a Simulation needs at least one seed")
         n, m = config.n, len(self.seeds)
+        self.specs = (spec,) * m if isinstance(spec, SensorSpec) else tuple(spec)
+        if len(self.specs) != m:
+            raise ValueError(f"a union of {m} seeds needs {m} SensorSpecs, got {len(self.specs)}")
+        self.tau_star = self.specs[0].tau_star
+        if any(s.tau_star != self.tau_star for s in self.specs):
+            raise ValueError("the members of a union must share tau_star")
 
         self.kind = np.full(m * n, PASSIVE, dtype=np.int8)
         self.remaining = np.zeros(m * n, dtype=np.int64)
@@ -225,7 +234,7 @@ class Simulation:
         n_perm = config.permanent_count
         degrees, neighbors = [], []
         self._fail_rngs, self._rotate_rngs = [], []
-        for k, seed in enumerate(self.seeds):
+        for k, (seed, spec) in enumerate(zip(self.seeds, self.specs)):
             positions = place_sensors(config, rng.substream(seed, rng.PLACEMENT))
             indptr, indices = neighbor_csr(positions, spec.r_star)
             degrees.append(np.diff(indptr))
@@ -234,7 +243,7 @@ class Simulation:
             permanent[k, order[:n_perm]] = True
             starters = order[: n_perm + config.initial_active]
             kind[k, starters] = ACTIVE
-            remaining[k, starters] = spec.tau_star
+            remaining[k, starters] = self.tau_star
             self._fail_rngs.append(rng.substream(seed, rng.FAILURE))
             self._rotate_rngs.append(rng.substream(seed, rng.ROTATION))
         self.indptr = np.zeros(m * n + 1, dtype=np.int64)
@@ -242,17 +251,20 @@ class Simulation:
         self.indices = np.concatenate(neighbors)
 
         # Sensor streams, in the order they were built: row r of _keys is a
-        # stream's Philox key and row r of _detect holds, for each step of
-        # the current sample block, whether its reading is >= c_star. _row
-        # maps a sensor to its stream's row (-1: the sensor has not sensed).
+        # stream's Philox key, row r of _threshold its member's c_star, and
+        # row r of _detect holds, for each step of the current sample block,
+        # whether its reading is >= that threshold. _row maps a sensor to its
+        # stream's row (-1: the sensor has not sensed).
+        self._c_star = np.array([s.c_star for s in self.specs])
         self._keys = np.empty((m * n, 2), dtype=np.uint64)
+        self._threshold = np.empty(m * n)
         self._detect = np.empty((m * n, _SAMPLE_BLOCK), dtype=bool)
         self._row = np.full(m * n, -1, dtype=np.int64)
         self._streams = 0
         self._draw = np.random.Generator(np.random.Philox(0))
 
         period = config.rotation_period
-        self.rotation_period = 10 * spec.tau_star if period is None else period
+        self.rotation_period = 10 * self.tau_star if period is None else period
         self.t = 0
 
     def _fill(self, first: int, block_start: int) -> None:
@@ -275,14 +287,16 @@ class Simulation:
                 state["state"]["key"] = key
                 bit_generator.state = state
                 self._draw.random(out=row)
-            self._detect[start:stop] = environment.quantile(self.model, u) >= self.spec.c_star
+            self._detect[start:stop] = (environment.quantile(self.model, u)
+                                        >= self._threshold[start:stop, None])
 
     def _sense(self, sensing: np.ndarray) -> np.ndarray:
-        """Whether this step's reading is >= c_star at each sensing sensor.
+        """Whether this step's reading is >= its member's c_star at each
+        sensing sensor.
 
-        A sensor sensing for the first time gets its stream key here and its
-        row of the current block at once; at a block boundary every stream's
-        row is refilled.
+        A sensor sensing for the first time gets its stream key and threshold
+        here and its row of the current block at once; at a block boundary
+        every stream's row is refilled.
         """
         pos = (self.t - 1) % _SAMPLE_BLOCK
         new = sensing[self._row[sensing] < 0]
@@ -290,6 +304,7 @@ class Simulation:
         if new.size:
             n = self.config.n
             self._row[new] = np.arange(first, first + new.size)
+            self._threshold[first:first + new.size] = self._c_star[new // n]
             for row, i in enumerate(new.tolist(), first):
                 self._keys[row] = rng.sensor_key(self.seeds[i // n], i % n)
             self._streams += new.size
@@ -312,7 +327,7 @@ class Simulation:
         Sensing and timers act on the indices of the active sensors, which
         are few in most ticks of a sparse network.
         """
-        cfg, spec = self.config, self.spec
+        cfg, tau_star = self.config, self.tau_star
         n, m = cfg.n, len(self.seeds)
         kind, remaining, used = self.kind, self.remaining, self._broadcast_used
         self.t += 1
@@ -331,18 +346,18 @@ class Simulation:
         expired = sensing[remaining[sensing] == 0]
         rearm = self.permanent[expired]
         kind[expired[~rearm]] = PASSIVE
-        remaining[expired[rearm]] = spec.tau_star
+        remaining[expired[rearm]] = tau_star
         used[expired[rearm]] = False
         if cfg.refresh_on_detect:
             # A detection re-arms the detector's own timer (including one
             # whose activation just ended this step).
             kind[detecting] = ACTIVE
-            remaining[detecting] = spec.tau_star
+            remaining[detecting] = tau_star
 
         # Phase 3: wake-ups (messages from this step, passive after expiry).
         wake = received & (kind == PASSIVE)
         kind[wake] = ACTIVE
-        remaining[wake] = spec.tau_star
+        remaining[wake] = tau_star
         used[wake] = False
 
         # Phase 4: failures (absorbing); each member draws n uniforms.
@@ -366,7 +381,7 @@ class Simulation:
                 permanent[chosen] = True
             newly = self.permanent & (kind == PASSIVE)
             kind[newly] = ACTIVE
-            remaining[newly] = spec.tau_star
+            remaining[newly] = tau_star
             used[newly] = False
         return broadcasting, detecting
 
@@ -412,16 +427,17 @@ class EnsembleResult:
 
 
 def _union_key(member):
+    """What the members of one union share: all but seed, r_star and c_star."""
     config, spec, model, steps = member
-    return replace(config, seed=0), spec, model, steps
+    return replace(config, seed=0), spec.tau_star, model, steps
 
 
 def _chunk_run(chunk) -> list[np.ndarray]:
-    """Active-fraction trajectories of one union's members, by seed order."""
-    config, spec, model, steps, seeds = chunk
+    """Active-fraction trajectories of one union's members, in member order."""
+    config, model, steps, seeds, specs = chunk
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    sim = Simulation(config, spec, model, seeds)
+    sim = Simulation(config, specs, model, seeds)
     counts = np.empty((len(seeds), steps))
     for column in counts.T:
         sim._advance()
@@ -432,28 +448,37 @@ def _chunk_run(chunk) -> list[np.ndarray]:
 def run_members(members, jobs: int = 1) -> list[np.ndarray]:
     """Active-fraction trajectory of each (config, spec, model, steps) member.
 
-    Consecutive members that differ only by config.seed run together as
-    Simulation unions: each such group is split into `jobs` contiguous
-    chunks of at most _UNION_SENSORS sensors (or of one member). With
-    jobs > 1 the chunks execute in separate processes. Every member's
-    trajectory is the one run() gives it alone, and the trajectories come
-    back in input order, so the result depends on neither jobs nor
-    scheduling.
+    Members that differ only in config.seed, spec.r_star and spec.c_star,
+    wherever they stand in the list, run together as Simulation unions: each
+    such group is dealt round-robin into as few chunks as hold at most
+    ceil(len / jobs) members and _UNION_SENSORS sensors (or one member), so
+    every chunk of a sweep gets its share of each grid point. With jobs > 1
+    the chunks execute in separate processes. Every member's trajectory is
+    the one run() gives it alone, and the trajectories come back in input
+    order, so the result depends on neither jobs nor scheduling.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    chunks = []
-    for (config, spec, model, steps), group in groupby(members, key=_union_key):
-        seeds = [member[0].seed for member in group]
-        size = max(1, min(math.ceil(len(seeds) / jobs), _UNION_SENSORS // config.n))
-        chunks += [(config, spec, model, steps, seeds[k:k + size])
-                   for k in range(0, len(seeds), size)]
+    groups: dict[tuple, list[int]] = {}
+    for index, member in enumerate(members):
+        groups.setdefault(_union_key(member), []).append(index)
+    chunks, order = [], []
+    for (config, _, model, steps), indices in groups.items():
+        size = max(1, min(math.ceil(len(indices) / jobs), _UNION_SENSORS // config.n))
+        count = math.ceil(len(indices) / size)
+        for part in (indices[k::count] for k in range(count)):
+            order += part
+            chunks.append((config, model, steps, [members[i][0].seed for i in part],
+                           [members[i][1] for i in part]))
     if jobs == 1:
         results = map(_chunk_run, chunks)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_chunk_run, chunks, chunksize=1))
-    return [trajectory for chunk in results for trajectory in chunk]
+    trajectories = [None] * len(order)
+    for index, trajectory in zip(order, (t for chunk in results for t in chunk)):
+        trajectories[index] = trajectory
+    return trajectories
 
 
 def ensemble_run(

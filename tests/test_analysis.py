@@ -208,3 +208,9 @@ class TestSweepBridge:
     def test_analyze_sweep_rejects_no_rows(self):
         with pytest.raises(ValueError, match="no sweep rows"):
             analyze_sweep([])
+
+    def test_analyze_sweep_names_missing_columns(self):
+        rows = [{"point": "0", "seed": "0", "plateau_mean": "0.1"}]
+        absent = "plateau_std, p, alpha_theory_g1, n, tau_star, initial_active"
+        with pytest.raises(ValueError, match=f"lack the columns {absent}$"):
+            analyze_sweep(rows)

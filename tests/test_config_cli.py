@@ -339,6 +339,15 @@ class TestCli:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("subcommand", ["sample", "simulate", "analyze", "meanfield", "pde"])
+    def test_jobs_rejected_where_unread(self, tmp_path, config_file, capsys, subcommand):
+        argv = [subcommand, "--config", str(config_file), "--out", str(tmp_path), "--jobs", "7"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 7" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_env_var_jobs_zero_is_error_exit(self, tmp_path, config_file, capsys, monkeypatch):
         monkeypatch.setenv("DSCSIM_JOBS", "0")
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(tmp_path)]) == 1

@@ -325,7 +325,7 @@ def _first_active(seen):
 
 def _assert_eager_readings(seen, sim, steps):
     """Every detection bit is the one that the t-th value of the sensor's
-    stream, drawn from the stream's start, gives."""
+    stream, drawn from the stream's start, gives at its member's c_star."""
     n = sim.config.n
     eager = {}
     for t, idx, bits in seen:
@@ -333,7 +333,7 @@ def _assert_eager_readings(seen, sim, steps):
             if i not in eager:
                 stream = rng.sensor_stream(sim.seeds[i // n], i % n)
                 values = environment.quantile(sim.model, stream.random(steps))
-                eager[i] = values >= sim.spec.c_star
+                eager[i] = values >= sim.specs[i // n].c_star
             assert bit == eager[i][t - 1], (t, i)
 
 
@@ -422,6 +422,17 @@ class TestLazyStreams:
             assert 0 < sum(s == seed for s, _ in ever_active) < cfg.n
         _assert_eager_readings(seen, sim, 300)
 
+    def test_union_members_read_at_their_own_threshold(self, monkeypatch):
+        seen = _record_sensing(monkeypatch)
+        cfg = paper_config(delta=0.05, rotation_period=15)
+        specs = [replace(SPEC40, c_star=c) for c in (150.0, 165.0, 135.0)]
+        sim = Simulation(cfg, specs, REFERENCE, seeds=(25, 26, 25))
+        for _ in range(300):
+            sim._advance()
+        # Members 0 and 2 share a seed, hence their streams, but not c_star.
+        assert {i // cfg.n for _, idx, _ in seen for i in idx.tolist()} == {0, 1, 2}
+        _assert_eager_readings(seen, sim, 300)
+
 
 _PROTOCOL_OPTIONS = st.fixed_dictionaries({
     "delta": st.sampled_from([0.0, 0.05]),
@@ -433,8 +444,9 @@ _PROTOCOL_OPTIONS = st.fixed_dictionaries({
 
 
 class TestUnion:
-    """run_members steps the members of a point as one union; each member's
-    trajectory is the one its lone run gives."""
+    """run_members steps the members that share a deployment, tau_star, model
+    and step count as one union, whatever their seeds, r_star and c_star;
+    each member's trajectory is the one its lone run gives."""
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(
@@ -447,6 +459,28 @@ class TestUnion:
         cfg = NetworkConfig(n=80, width=300.0, height=300.0, initial_active=4, **options)
         spec = SensorSpec(c_star=150.0, tau_star=4, r_star=r_star)
         members = [(replace(cfg, seed=s), spec, REFERENCE, 140) for s in seeds]  # two blocks
+        got = run_members(members, jobs)
+        assert len(got) == len(members)
+        for trajectory, member in zip(got, members):
+            expected = active_fraction(run(*member), cfg.n)
+            assert trajectory.tobytes() == expected.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        options=_PROTOCOL_OPTIONS,
+        picks=st.lists(st.tuples(st.integers(0, 2**40), st.sampled_from([30.0, 60.0]),
+                                 st.sampled_from([140.0, 150.0])), min_size=2, max_size=6),
+        jobs=st.sampled_from([1, 2]),
+    )
+    @example(options={"delta": 0.0, "failure_rate": 0.0, "rotation_period": None,
+                      "single_shot": False, "refresh_on_detect": False},
+             picks=[(1, 30.0, 140.0), (2, 60.0, 150.0), (1, 60.0, 140.0), (2, 30.0, 150.0),
+                    (3, 30.0, 150.0)],
+             jobs=2)
+    def test_mixed_range_and_threshold_members_match_lone_runs(self, options, picks, jobs):
+        cfg = NetworkConfig(n=80, width=300.0, height=300.0, initial_active=4, **options)
+        members = [(replace(cfg, seed=s), SensorSpec(c_star=c, tau_star=4, r_star=r),
+                    REFERENCE, 140) for s, r, c in picks]
         got = run_members(members, jobs)
         assert len(got) == len(members)
         for trajectory, member in zip(got, members):
@@ -473,6 +507,13 @@ class TestUnion:
             Simulation(paper_config(n=10), SPEC40, REFERENCE, seeds=())
         with pytest.raises(ValueError, match="single record"):
             Simulation(paper_config(n=10), SPEC40, REFERENCE, seeds=(1, 2)).step()
+
+    def test_union_members_must_share_tau_star(self):
+        specs = [SPEC40, replace(SPEC40, tau_star=6)]
+        with pytest.raises(ValueError, match="share tau_star"):
+            Simulation(paper_config(n=10), specs, REFERENCE, seeds=(1, 2))
+        with pytest.raises(ValueError, match="needs 2 SensorSpecs"):
+            Simulation(paper_config(n=10), specs[:1], REFERENCE, seeds=(1, 2))
 
 
 def _ensemble_plateaus(cfg, spec, steps, n_seeds):
