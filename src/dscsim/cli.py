@@ -10,8 +10,8 @@ Subcommands:
 
 Every output is a pure function of (config file bytes, seed): repeated
 invocations produce byte-identical files. Flags: --config, --out, --seed
-(overrides the config seed), and on sweep only --jobs (worker processes;
-any other subcommand rejects it). Environment variables DSCSIM_CONFIG,
+(overrides the config seed), --jobs (sweep worker processes; sample,
+simulate and meanfield reject it). Environment variables DSCSIM_CONFIG,
 DSCSIM_OUT, DSCSIM_SEED and DSCSIM_JOBS supply defaults for the
 corresponding flags.
 """
@@ -37,6 +37,10 @@ from .config import (
 )
 
 SUBCOMMANDS = ("sample", "simulate", "sweep", "analyze", "meanfield", "pde")
+# Subcommands that accept --jobs. Only sweep reads it; analyze and pde still
+# accept it, without effect, because bench/test_bench.py passes it to every
+# command of a workload (ROADMAP item 5 drops that, then these two reject it).
+_JOBS_SUBCOMMANDS = ("sweep", "analyze", "pde")
 
 
 def _fmt(value) -> str:
@@ -173,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=os.environ.get("DSCSIM_CONFIG"))
         p.add_argument("--out", default=os.environ.get("DSCSIM_OUT", "."))
         p.add_argument("--seed", type=int, default=None)
-        if name == "sweep":
+        if name in _JOBS_SUBCOMMANDS:
             p.add_argument("--jobs", type=int, default=None)
         if name == "analyze":
             p.add_argument("--input", default=None, help="sweep CSV (default: OUT/sweep.csv)")

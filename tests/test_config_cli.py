@@ -339,7 +339,7 @@ class TestCli:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("subcommand", ["sample", "simulate", "analyze", "meanfield", "pde"])
+    @pytest.mark.parametrize("subcommand", ["sample", "simulate", "meanfield"])
     def test_jobs_rejected_where_unread(self, tmp_path, config_file, capsys, subcommand):
         argv = [subcommand, "--config", str(config_file), "--out", str(tmp_path), "--jobs", "7"]
         with pytest.raises(SystemExit) as exc:
