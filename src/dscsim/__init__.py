@@ -22,7 +22,6 @@ from .environment import (
     cdf,
     pdf_continuous,
     quantile,
-    sample,
     time_series,
 )
 from .meanfield import (
@@ -52,7 +51,6 @@ from .netsim import (
     active_fraction,
     ensemble_run,
     neighbor_csr,
-    neighbors_within,
     place_sensors,
     run,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "ks_distance",
     "logistic_solution",
     "neighbor_csr",
-    "neighbors_within",
     "optimal_threshold",
     "pdf_continuous",
     "place_sensors",
@@ -100,7 +97,6 @@ __all__ = [
     "read",
     "relaxation_time",
     "run",
-    "sample",
     "steady_state",
     "synchronization_check",
     "time_series",

@@ -13,7 +13,7 @@ invocations produce byte-identical files. Flags: --config, --out, --seed
 (overrides the config seed), --jobs (sweep worker processes; sample,
 simulate and meanfield reject it). Environment variables DSCSIM_CONFIG,
 DSCSIM_OUT, DSCSIM_SEED and DSCSIM_JOBS supply defaults for the
-corresponding flags.
+corresponding flags, so DSCSIM_JOBS is read only where --jobs is.
 """
 
 from __future__ import annotations
@@ -198,9 +198,9 @@ def main(argv=None) -> int:
         if not args.config:
             raise ValueError("--config is required (or set DSCSIM_CONFIG)")
         seed = args.seed if args.seed is not None else _env_int("DSCSIM_SEED")
-        jobs = getattr(args, "jobs", None)
-        if jobs is None:
-            jobs = _env_int("DSCSIM_JOBS", 1)
+        jobs = 1
+        if args.subcommand in _JOBS_SUBCOMMANDS:
+            jobs = args.jobs if args.jobs is not None else _env_int("DSCSIM_JOBS", 1)
         config = load_config(args.config)
         if seed is not None:
             config = apply_override(config, "network.seed", seed)

@@ -109,9 +109,26 @@ def quantile(model: ConcentrationModel, u):
     return out if u_arr.ndim else float(out)
 
 
-def sample(model: ConcentrationModel, rng: np.random.Generator) -> float:
-    """One concentration draw via inverse-transform sampling."""
-    return float(quantile(model, rng.random()))
+_LATTICE = 2**53  # Generator.random() draws k / 2**53, k in [0, 2**53)
+
+
+def uniform_threshold(model: ConcentrationModel, c_star) -> np.ndarray:
+    """u* for each c_star: the smallest u = k / 2**53 with quantile(model, u)
+    >= c_star, or 1.0 if no u in [0, 1) reaches it, so that a uniform drawn
+    by Generator.random() reads >= c_star iff it is >= u*. Bisects over k on
+    arrays only (numpy's scalar pow may differ from its array pow in the last
+    bit); raises if the readings on the 256 lattice points each side of a u*
+    are not a step, i.e. the float quantile is not monotone there.
+    """
+    target = np.asarray(c_star, dtype=float).reshape(-1, 1)
+    below = np.full(target.shape, -1)  # the largest k known to read below c_star
+    for step in 2 ** np.arange(53, -1, -1):
+        k = np.minimum(below + step, _LATTICE - 1)
+        below = np.where(quantile(model, k / _LATTICE) < target, k, below)
+    k = np.clip(below + np.arange(-255, 257), 0, _LATTICE - 1)
+    if np.any((quantile(model, k / _LATTICE) >= target) != (k > below)):
+        raise ArithmeticError("quantile is not monotone near a threshold on the 2**-53 lattice")
+    return (below[:, 0] + 1) / _LATTICE
 
 
 def time_series(model: ConcentrationModel, steps: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,11 +12,11 @@ absorbing faulty state that neither senses nor relays.
 
 One simulation step, synchronously:
 
-  1. every active non-faulty sensor draws a concentration sample from its
-     own substream and broadcasts if the reading is positive (the
-     substream is built when the sensor is first active at the start of a
-     step, and its t-th reading is the substream's t-th value however
-     late it was built);
+  1. every active non-faulty sensor draws a uniform u from its own
+     substream and broadcasts if u >= u*, i.e. if its reading reaches
+     c_star (environment.uniform_threshold); the substream is built when
+     the sensor is first active at the start of a step, and its t-th
+     reading is the substream's t-th value however late it was built;
   2. active timers decrement; expired sensors go passive (permanent ones
      re-arm immediately);
   3. this step's messages activate recipients that are passive *after*
@@ -45,9 +45,9 @@ keeps its own placement, initial-state, failure and rotation streams and
 draws from them as a lone run does, and a sensor's concentration stream
 stays keyed by (member seed, sensor index) and is built lazily, as only
 its Philox key, when the sensor first senses. At every 128-step block the
-kernel draws each built stream's next 128 values from one shared Philox
-set to the stream's key and block counter, and keeps only whether each
-reading reaches its member's c_star, the one thing the protocol reads.
+kernel draws each built stream's next 128 uniforms from one shared Philox
+set to the stream's key and block counter, and keeps only whether each is
+>= its member's u*, the one thing the protocol reads.
 """
 
 from __future__ import annotations
@@ -72,12 +72,9 @@ FAULTY = 2
 # after step b of a stream starts at its counter b // 4, whatever the
 # stream drew before.
 _SAMPLE_BLOCK = 128
-# Streams per environment.quantile call in a refill; bounds the float
-# temporaries whatever the number of streams.
-_QUANTILE_ROWS = 512
 # Sensors per union at most (at least one member). A union holds about
 # 180 bytes per sensor: 128 of detection block, 24 of stream key and
-# c_star threshold, and the state arrays; plus 8 per edge.
+# uniform threshold, and the state arrays; plus 8 per edge.
 _UNION_SENSORS = 1 << 16
 
 
@@ -143,12 +140,6 @@ class SimRecord:
 def place_sensors(config: NetworkConfig, gen: np.random.Generator) -> np.ndarray:
     """n i.i.d. uniform positions in [0, width] x [0, height], shape (n, 2)."""
     return gen.random((config.n, 2)) * np.array([config.width, config.height])
-
-
-def neighbors_within(positions: np.ndarray, index: int, r_star: float) -> np.ndarray:
-    """All sensor indices within r_star of the given sensor (inclusive)."""
-    indptr, indices = neighbor_csr(positions, r_star)
-    return indices[indptr[index]:indptr[index + 1]]
 
 
 def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -251,11 +242,11 @@ class Simulation:
         self.indices = np.concatenate(neighbors)
 
         # Sensor streams, in the order they were built: row r of _keys is a
-        # stream's Philox key, row r of _threshold its member's c_star, and
-        # row r of _detect holds, for each step of the current sample block,
-        # whether its reading is >= that threshold. _row maps a sensor to its
+        # stream's Philox key, row r of _threshold its member's u*, and row r
+        # of _detect holds, for each step of the current sample block,
+        # whether its uniform is >= that threshold. _row maps a sensor to its
         # stream's row (-1: the sensor has not sensed).
-        self._c_star = np.array([s.c_star for s in self.specs])
+        self._u_star = environment.uniform_threshold(model, [s.c_star for s in self.specs])
         self._keys = np.empty((m * n, 2), dtype=np.uint64)
         self._threshold = np.empty(m * n)
         self._detect = np.empty((m * n, _SAMPLE_BLOCK), dtype=bool)
@@ -280,18 +271,13 @@ class Simulation:
         state = bit_generator.state
         state["state"]["counter"] = np.array([block_start // 4, 0, 0, 0], dtype=np.uint64)
         state["buffer_pos"] = 4
-        for start in range(first, self._streams, _QUANTILE_ROWS):
-            stop = min(start + _QUANTILE_ROWS, self._streams)
-            u = np.empty((stop - start, _SAMPLE_BLOCK))
-            for key, row in zip(self._keys[start:stop], u):
-                state["state"]["key"] = key
-                bit_generator.state = state
-                self._draw.random(out=row)
-            self._detect[start:stop] = (environment.quantile(self.model, u)
-                                        >= self._threshold[start:stop, None])
+        for row in range(first, self._streams):
+            state["state"]["key"] = self._keys[row]
+            bit_generator.state = state
+            self._detect[row] = self._draw.random(_SAMPLE_BLOCK) >= self._threshold[row]
 
     def _sense(self, sensing: np.ndarray) -> np.ndarray:
-        """Whether this step's reading is >= its member's c_star at each
+        """Whether this step's reading reaches its member's c_star at each
         sensing sensor.
 
         A sensor sensing for the first time gets its stream key and threshold
@@ -304,7 +290,7 @@ class Simulation:
         if new.size:
             n = self.config.n
             self._row[new] = np.arange(first, first + new.size)
-            self._threshold[first:first + new.size] = self._c_star[new // n]
+            self._threshold[first:first + new.size] = self._u_star[new // n]
             for row, i in enumerate(new.tolist(), first):
                 self._keys[row] = rng.sensor_key(self.seeds[i // n], i % n)
             self._streams += new.size

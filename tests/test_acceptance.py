@@ -16,7 +16,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from dscsim import analysis, meanfield, netsim, rng, sensor
 from dscsim.environment import ConcentrationModel, time_series
-from dscsim.netsim import NetworkConfig, neighbors_within, run
+from dscsim.netsim import NetworkConfig, neighbor_csr, run
 from dscsim.sensor import SensorSpec
 
 C0 = 150.0
@@ -343,7 +343,8 @@ def test_criterion_10_conservation_determinism_neighbors():
         i = int(gen.integers(n))
         d2 = ((pos - pos[i]) ** 2).sum(axis=1)
         brute = np.flatnonzero((d2 <= radius * radius) & (np.arange(n) != i))
-        if not np.array_equal(neighbors_within(pos, i, radius), brute):
+        indptr, indices = neighbor_csr(pos, radius)
+        if not np.array_equal(indices[indptr[i]:indptr[i + 1]], brute):
             oracle_ok = False
             break
     ok = conserved and identical and oracle_ok

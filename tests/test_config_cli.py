@@ -353,14 +353,25 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(tmp_path)]) == 1
         assert "jobs must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["DSCSIM_JOBS", "DSCSIM_SEED"])
+    @pytest.mark.parametrize("name, command, output", [
+        pytest.param("DSCSIM_JOBS", "sweep", "sweep.csv", id="DSCSIM_JOBS"),
+        pytest.param("DSCSIM_SEED", "simulate", "simulation.csv", id="DSCSIM_SEED"),
+    ])
     def test_env_var_not_an_integer_is_error_exit(self, tmp_path, config_file, capsys,
-                                                  monkeypatch, name):
+                                                  monkeypatch, name, command, output):
         monkeypatch.setenv(name, "abc")
-        assert cli.main(["simulate", "--config", str(config_file), "--out", str(tmp_path)]) == 1
+        assert cli.main([command, "--config", str(config_file), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err == f"dscsim simulate: error: {name} must be an integer, got 'abc'\n"
-        assert not (tmp_path / "simulation.csv").exists()
+        assert err == f"dscsim {command}: error: {name} must be an integer, got 'abc'\n"
+        assert not (tmp_path / output).exists()
+
+    def test_env_var_jobs_unread_where_jobs_is_rejected(self, tmp_path, config_file,
+                                                       monkeypatch):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        cli.main(["simulate", "--config", str(config_file), "--out", str(out_a)])
+        monkeypatch.setenv("DSCSIM_JOBS", "abc")
+        assert cli.main(["simulate", "--config", str(config_file), "--out", str(out_b)]) == 0
+        assert (out_a / "simulation.csv").read_bytes() == (out_b / "simulation.csv").read_bytes()
 
     def test_env_var_seed_override(self, tmp_path, config_file, monkeypatch):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

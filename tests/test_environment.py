@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dscsim import analysis, environment, rng
@@ -18,9 +20,10 @@ from dscsim.environment import (
     cdf,
     pdf_continuous,
     quantile,
-    sample,
     time_series,
+    uniform_threshold,
 )
+from dscsim.sensor import SensorSpec, detection_probability
 
 REFERENCE = ConcentrationModel(c0=150.0, gamma=26.0 / 3.0, omega=0.98)
 
@@ -174,9 +177,10 @@ class TestSampler:
         assert np.all(series == 0.0)
 
     def test_single_sample_is_deterministic(self):
-        a = sample(REFERENCE, rng.sensor_stream(5, 3))
-        b = sample(REFERENCE, rng.sensor_stream(5, 3))
-        assert a == b
+        a = time_series(REFERENCE, 1, rng.sensor_stream(5, 3))
+        b = time_series(REFERENCE, 1, rng.sensor_stream(5, 3))
+        assert a.tobytes() == b.tobytes()
+        assert a[0] == quantile(REFERENCE, rng.sensor_stream(5, 3).random(1))[0]
 
     def test_large_sample_statistics(self):
         series = time_series(REFERENCE, 10**6, rng.sensor_stream(42, 0))
@@ -200,8 +204,62 @@ class TestSampler:
         assert not np.array_equal(a, b)
 
 
-def test_public_sample_matches_quantile_of_uniform():
-    gen_a = rng.substream(123, 9)
-    gen_b = rng.substream(123, 9)
-    drawn = sample(REFERENCE, gen_a)
-    assert drawn == environment.quantile(REFERENCE, gen_b.random())
+_LATTICE = 2**53  # Generator.random() draws k * 2**-53, k in [0, 2**53)
+_MODELS = st.builds(
+    ConcentrationModel,
+    c0=st.floats(1e-3, 1e3),
+    gamma=st.floats(2.01, 50.0),
+    omega=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+)
+
+
+class TestUniformThreshold:
+    """u* turns a reading quantile(u) >= c_star into u >= u* on the lattice
+    of uniforms that Generator.random() draws."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(model=_MODELS, ratio=st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+    @example(model=ConcentrationModel(c0=150.0, omega=0.0), ratio=1.03)
+    @example(model=ConcentrationModel(c0=150.0, omega=1.0), ratio=1e-300)
+    @example(model=REFERENCE, ratio=1.03)
+    def test_readings_are_a_step_at_u_star(self, model, ratio):
+        c_star = ratio * model.c0
+        (u_star,) = uniform_threshold(model, [c_star])
+        k_star = u_star * _LATTICE
+        assert k_star == int(k_star) and 0 <= k_star <= _LATTICE
+        # Evaluated as arrays, as the kernel's readings were.
+        k = np.clip(int(k_star) + np.arange(-1024, 1024), 0, _LATTICE - 1)
+        u = k / _LATTICE
+        assert np.array_equal(quantile(model, u) >= c_star, u >= u_star)
+        if c_star == 0.0:
+            assert u_star == 0.0
+        else:
+            # Above the 2**-53 spacing of the lattice and of cdf near 1.
+            p = detection_probability(SensorSpec(c_star=c_star, tau_star=1, r_star=1.0), model)
+            assert abs((1.0 - u_star) - p) <= 1e-12 * p + 2.0**-53
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(model=_MODELS)
+    def test_threshold_above_the_top_reading_is_never_reached(self, model):
+        top = quantile(model, np.array([1.0 - 2.0**-53]))[0]
+        unreachable, reached = uniform_threshold(model, [np.nextafter(top, math.inf), top])
+        assert unreachable == 1.0 and reached <= 1.0 - 2.0**-53
+
+    def test_one_threshold_per_entry(self):
+        c_star = [0.0, 150.0, 154.5, 1e9]
+        got = uniform_threshold(REFERENCE, c_star)
+        assert got.tolist() == [uniform_threshold(REFERENCE, [c])[0] for c in c_star]
+        assert got[0] == 0.0 and got[-1] == 1.0
+        assert uniform_threshold(REFERENCE, []).shape == (0,)
+
+    def test_non_monotone_quantile_is_an_error(self, monkeypatch):
+        (u_star,) = uniform_threshold(REFERENCE, [154.5])
+        original = environment.quantile
+
+        def dipping(model, u):
+            # One reading just above u* falls back below c_star.
+            return np.where(np.asarray(u) == u_star + 3 * 2.0**-53, 0.0, original(model, u))
+
+        monkeypatch.setattr(environment, "quantile", dipping)
+        with pytest.raises(ArithmeticError, match="not monotone"):
+            uniform_threshold(REFERENCE, [154.5])

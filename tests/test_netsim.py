@@ -18,7 +18,6 @@ from dscsim.netsim import (
     active_fraction,
     ensemble_run,
     neighbor_csr,
-    neighbors_within,
     place_sensors,
     run,
     run_members,
@@ -109,17 +108,23 @@ def _placements(draw):
     return [base[k] for k in picks]
 
 
+def _csr_row(pos, i, r_star):
+    """Neighbors of sensor i: row i of the CSR."""
+    indptr, indices = neighbor_csr(pos, r_star)
+    return indices[indptr[i]:indptr[i + 1]]
+
+
 class TestNeighborSearch:
     def test_inclusive_boundary_at_exact_range(self):
         pos = np.array([[0.0, 0.0], [40.0, 0.0], [40.0001, 40.0]])
-        assert neighbors_within(pos, 0, 40.0).tolist() == [1]
+        assert _csr_row(pos, 0, 40.0).tolist() == [1]
 
     def test_full_range_covers_everyone(self):
         gen = np.random.default_rng(1)
         pos = gen.random((30, 2)) * [100.0, 50.0]
         diag = math.hypot(100.0, 50.0)
         for i in range(30):
-            assert neighbors_within(pos, i, diag).tolist() == [
+            assert _csr_row(pos, i, diag).tolist() == [
                 j for j in range(30) if j != i
             ]
 
@@ -132,7 +137,7 @@ class TestNeighborSearch:
         i = int(gen.integers(n))
         d2 = ((pos - pos[i]) ** 2).sum(axis=1)
         expected = np.flatnonzero((d2 <= r * r) & (np.arange(n) != i))
-        assert np.array_equal(neighbors_within(pos, i, r), expected)
+        assert np.array_equal(_csr_row(pos, i, r), expected)
 
     def test_csr_consistent_with_queries(self):
         gen = np.random.default_rng(5)
@@ -423,15 +428,25 @@ class TestLazyStreams:
         _assert_eager_readings(seen, sim, 300)
 
     def test_union_members_read_at_their_own_threshold(self, monkeypatch):
-        seen = _record_sensing(monkeypatch)
         cfg = paper_config(delta=0.05, rotation_period=15)
-        specs = [replace(SPEC40, c_star=c) for c in (150.0, 165.0, 135.0)]
-        sim = Simulation(cfg, specs, REFERENCE, seeds=(25, 26, 25))
-        for _ in range(300):
+        # c_star = 0 detects at every reading; 1e9 lies above every reading.
+        specs = [replace(SPEC40, c_star=c) for c in (150.0, 165.0, 135.0, 0.0, 1e9)]
+        seeds = (25, 26, 25, 26, 25)
+        lone = [active_fraction(run(replace(cfg, seed=s), spec, REFERENCE, 300), cfg.n)
+                for s, spec in zip(seeds, specs)]
+        seen = _record_sensing(monkeypatch)
+        sim = Simulation(cfg, specs, REFERENCE, seeds=seeds)
+        got = np.empty((300, len(seeds)))
+        for row in got:
             sim._advance()
-        # Members 0 and 2 share a seed, hence their streams, but not c_star.
-        assert {i // cfg.n for _, idx, _ in seen for i in idx.tolist()} == {0, 1, 2}
+            row[:] = np.count_nonzero(sim.kind.reshape(len(seeds), cfg.n) == ACTIVE, axis=1)
+        # Members 0, 2 and 4 share a seed, hence their streams, but not c_star.
+        assert {i // cfg.n for _, idx, _ in seen for i in idx.tolist()} == set(range(len(seeds)))
         _assert_eager_readings(seen, sim, 300)
+        for k, expected in enumerate(lone):
+            assert (got[:, k] / cfg.n).tobytes() == expected.tobytes()
+        detected = {i // cfg.n for _, idx, bits in seen for i in idx[bits].tolist()}
+        assert 3 in detected and 4 not in detected
 
 
 _PROTOCOL_OPTIONS = st.fixed_dictionaries({
@@ -486,6 +501,25 @@ class TestUnion:
         for trajectory, member in zip(got, members):
             expected = active_fraction(run(*member), cfg.n)
             assert trajectory.tobytes() == expected.tobytes()
+
+    def test_quantile_calls_do_not_grow_with_steps(self, monkeypatch):
+        # Only the u* bisection at set-up calls quantile; the kernel compares uniforms.
+        calls = []
+        original = environment.quantile
+
+        def counting(model, u):
+            calls.append(1)
+            return original(model, u)
+
+        monkeypatch.setattr(environment, "quantile", counting)
+        cfg = paper_config(delta=0.05, rotation_period=15)
+        counts = []
+        for steps in (140, 500):
+            calls.clear()
+            run_members([(replace(cfg, seed=s), replace(SPEC40, c_star=c), REFERENCE, steps)
+                         for s, c in ((1, 150.0), (2, 135.0), (3, 0.0))])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_union_state_is_the_members_side_by_side(self):
         cfg = paper_config(n=50, delta=0.1, rotation_period=6, failure_rate=0.01)
