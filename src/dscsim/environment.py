@@ -101,10 +101,12 @@ def quantile(model: ConcentrationModel, u):
         return out if u_arr.ndim else 0.0
     g = model.gamma
     span = model.c0 * (g - 2.0) / model.omega
-    # For u below the atom the bracket is negative; np.where discards it.
+    # For u below the atom the bracket is negative (or, for a subnormal
+    # omega, (1 - u) / omega overflows to inf); np.where discards it.
     # The outer clamp removes rounding dust (~1e-16 relative) right at the
     # branch boundary when 1 - omega is not exactly representable.
-    branch = span * (((1.0 - u_arr) / model.omega) ** (-1.0 / (g - 1.0)) - 1.0)
+    with np.errstate(over="ignore"):
+        branch = span * (((1.0 - u_arr) / model.omega) ** (-1.0 / (g - 1.0)) - 1.0)
     out = np.where(u_arr < 1.0 - model.omega, 0.0, np.maximum(branch, 0.0))
     return out if u_arr.ndim else float(out)
 

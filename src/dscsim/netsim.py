@@ -14,9 +14,11 @@ One simulation step, synchronously:
 
   1. every active non-faulty sensor draws a uniform u from its own
      substream and broadcasts if u >= u*, i.e. if its reading reaches
-     c_star (environment.uniform_threshold); the substream is built when
-     the sensor is first active at the start of a step, and its t-th
-     reading is the substream's t-th value however late it was built;
+     c_star (environment.uniform_threshold); the substream's key is
+     derived in the step the sensor is first active at its start, its
+     values are drawn per 128-step block when the sensor first senses in
+     that block, and its t-th reading is the substream's t-th value
+     however late the key was derived or the block drawn;
   2. active timers decrement; expired sensors go passive (permanent ones
      re-arm immediately);
   3. this step's messages activate recipients that are passive *after*
@@ -43,11 +45,15 @@ member by member. A sweep over r_star or c_star is thus one union (or one
 per worker), not one per grid point. No drawn value changes: every member
 keeps its own placement, initial-state, failure and rotation streams and
 draws from them as a lone run does, and a sensor's concentration stream
-stays keyed by (member seed, sensor index) and is built lazily, as only
-its Philox key, when the sensor first senses. At every 128-step block the
-kernel draws each built stream's next 128 uniforms from one shared Philox
-set to the stream's key and block counter, and keeps only whether each is
->= its member's u*, the one thing the protocol reads.
+stays keyed by (member seed, sensor index). The kernel pays for streams
+only where sensors sense: a stream is kept as its Philox key alone,
+derived (with every key new in that tick, in one rng.sensor_keys call) in
+the tick its sensor first senses, and its row of a 128-step block is
+filled the first time its sensor senses in that block, from one shared
+Philox set to the stream's key and block counter. A row keeps only whether
+each uniform is >= its member's u*, the one thing the protocol reads.
+Phases 1-3 act on index arrays: the sensing sensors, and the recipients
+of this step's messages, from which the wake-ups are taken.
 """
 
 from __future__ import annotations
@@ -73,9 +79,14 @@ FAULTY = 2
 # stream drew before.
 _SAMPLE_BLOCK = 128
 # Sensors per union at most (at least one member). A union holds about
-# 180 bytes per sensor: 128 of detection block, 24 of stream key and
-# uniform threshold, and the state arrays; plus 8 per edge.
+# 190 bytes per sensor: 128 of detection block, 32 of stream key, uniform
+# threshold and filled block, and the state arrays; plus 8 per edge.
 _UNION_SENSORS = 1 << 16
+# Stream rows whose uniforms a fill holds at once (64 KiB of floats). One
+# buffer for every stale row would outgrow the detection block at a block
+# boundary of a large union where most sensors sense, and buffers of 256
+# rows or more raised a sweep worker's peak RSS by 0.4 MB.
+_FILL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -243,13 +254,14 @@ class Simulation:
 
         # Sensor streams, in the order they were built: row r of _keys is a
         # stream's Philox key, row r of _threshold its member's u*, and row r
-        # of _detect holds, for each step of the current sample block,
-        # whether its uniform is >= that threshold. _row maps a sensor to its
+        # of _detect holds, for each step of sample block _block[r], whether
+        # its uniform is >= that threshold. _row maps a sensor to its
         # stream's row (-1: the sensor has not sensed).
         self._u_star = environment.uniform_threshold(model, [s.c_star for s in self.specs])
         self._keys = np.empty((m * n, 2), dtype=np.uint64)
         self._threshold = np.empty(m * n)
         self._detect = np.empty((m * n, _SAMPLE_BLOCK), dtype=bool)
+        self._block = np.empty(m * n, dtype=np.int64)
         self._row = np.full(m * n, -1, dtype=np.int64)
         self._streams = 0
         self._draw = np.random.Generator(np.random.Philox(0))
@@ -258,60 +270,72 @@ class Simulation:
         self.rotation_period = 10 * self.tau_star if period is None else period
         self.t = 0
 
-    def _fill(self, first: int, block_start: int) -> None:
-        """Detection bits of stream rows first .. _streams - 1 for the block
-        of steps block_start + 1 .. block_start + _SAMPLE_BLOCK.
+    def _fill(self, rows: np.ndarray, block: int) -> None:
+        """Detection bits of the given stream rows for sample block `block`,
+        steps block * _SAMPLE_BLOCK + 1 .. (block + 1) * _SAMPLE_BLOCK.
 
         Each row's uniforms are drawn from the shared Philox set to the
-        stream's key and to counter block_start // 4 with an empty buffer,
-        the state a fresh stream reaches by advance(block_start // 4) or by
-        drawing its first block_start values.
+        stream's key and to counter block * _SAMPLE_BLOCK // 4 with an empty
+        buffer, the state a fresh stream reaches by drawing its first
+        block * _SAMPLE_BLOCK values. At most _FILL_ROWS rows of uniforms are
+        held at once.
         """
         bit_generator = self._draw.bit_generator
         state = bit_generator.state
-        state["state"]["counter"] = np.array([block_start // 4, 0, 0, 0], dtype=np.uint64)
+        state["state"]["counter"] = np.array([block * _SAMPLE_BLOCK // 4, 0, 0, 0],
+                                             dtype=np.uint64)
         state["buffer_pos"] = 4
-        for row in range(first, self._streams):
-            state["state"]["key"] = self._keys[row]
-            bit_generator.state = state
-            self._detect[row] = self._draw.random(_SAMPLE_BLOCK) >= self._threshold[row]
+        for start in range(0, rows.size, _FILL_ROWS):
+            part = rows[start:start + _FILL_ROWS]
+            uniforms = np.empty((part.size, _SAMPLE_BLOCK))
+            for key, out in zip(self._keys[part], uniforms):
+                state["state"]["key"] = key
+                bit_generator.state = state
+                self._draw.random(out=out)
+            self._detect[part] = uniforms >= self._threshold[part, None]
+        self._block[rows] = block
 
     def _sense(self, sensing: np.ndarray) -> np.ndarray:
         """Whether this step's reading reaches its member's c_star at each
         sensing sensor.
 
-        A sensor sensing for the first time gets its stream key and threshold
-        here and its row of the current block at once; at a block boundary
-        every stream's row is refilled.
+        A sensor sensing for the first time gets its stream key (all of this
+        tick's new keys in one rng.sensor_keys call) and threshold here, and
+        a stream's row is filled for a sample block the first time its
+        sensor senses in that block.
         """
-        pos = (self.t - 1) % _SAMPLE_BLOCK
-        new = sensing[self._row[sensing] < 0]
-        first = self._streams
+        block, pos = divmod(self.t - 1, _SAMPLE_BLOCK)
+        rows = self._row[sensing]
+        new = np.flatnonzero(rows < 0)
         if new.size:
-            n = self.config.n
-            self._row[new] = np.arange(first, first + new.size)
-            self._threshold[first:first + new.size] = self._u_star[new // n]
-            for row, i in enumerate(new.tolist(), first):
-                self._keys[row] = rng.sensor_key(self.seeds[i // n], i % n)
+            n, first = self.config.n, self._streams
+            fresh = sensing[new]
+            member = fresh // n
             self._streams += new.size
-        if pos == 0 or new.size:
-            self._fill(0 if pos == 0 else first, self.t - 1 - pos)
-        return self._detect[self._row[sensing], pos]
+            rows[new] = self._row[fresh] = np.arange(first, self._streams)
+            self._keys[first:self._streams] = rng.sensor_keys(
+                [self.seeds[k] for k in member.tolist()], fresh % n)
+            self._threshold[first:self._streams] = self._u_star[member]
+            self._block[first:self._streams] = -1
+        stale = rows[self._block[rows] != block]
+        if stale.size:
+            self._fill(stale, block)
+        return self._detect[rows, pos]
 
     def _deliver(self, broadcasters: np.ndarray) -> np.ndarray:
-        """Boolean mask of sensors receiving at least one message."""
-        received = np.zeros(self.kind.size, dtype=bool)
+        """Indices of the recipients of the broadcasters' messages; a sensor
+        that hears several broadcasters appears once per message."""
         starts = self.indptr[broadcasters]
         counts = self.indptr[broadcasters + 1] - starts
-        received[self.indices[_ragged_arange(starts, counts)]] = True
-        return received
+        return self.indices[_ragged_arange(starts, counts)]
 
     def _advance(self) -> tuple[np.ndarray, np.ndarray]:
         """One synchronous tick of every member; returns the indices of this
         tick's broadcasting and detecting sensors.
 
-        Sensing and timers act on the indices of the active sensors, which
-        are few in most ticks of a sparse network.
+        Sensing, timers and wake-ups act on index arrays, of the active
+        sensors and of this tick's message recipients, which are few in most
+        ticks of a sparse network.
         """
         cfg, tau_star = self.config, self.tau_star
         n, m = cfg.n, len(self.seeds)
@@ -341,7 +365,7 @@ class Simulation:
             remaining[detecting] = tau_star
 
         # Phase 3: wake-ups (messages from this step, passive after expiry).
-        wake = received & (kind == PASSIVE)
+        wake = received[kind[received] == PASSIVE]  # repeats write the same values
         kind[wake] = ACTIVE
         remaining[wake] = tau_star
         used[wake] = False
@@ -427,7 +451,8 @@ def _chunk_run(chunk) -> list[np.ndarray]:
     counts = np.empty((len(seeds), steps))
     for column in counts.T:
         sim._advance()
-        column[:] = np.count_nonzero(sim.kind.reshape(len(seeds), config.n) == ACTIVE, axis=1)
+        column[:] = np.bincount(np.flatnonzero(sim.kind == ACTIVE) // config.n,
+                                minlength=len(seeds))
     return list(counts / config.n)
 
 

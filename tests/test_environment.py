@@ -6,6 +6,7 @@ cdf), and bisection inversion (quantile vs cdf).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,13 @@ class TestQuantile:
         u = np.linspace(1.0 - REFERENCE.omega, 0.999999, 400)
         q = quantile(REFERENCE, u)
         assert np.all(np.diff(q) > 0)
+
+    def test_subnormal_omega_reads_zero_without_warning(self):
+        # (1 - u) / omega overflows on the discarded branch.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = quantile(ConcentrationModel(1.0, omega=5e-324), np.array([0.5]))
+        assert out.tolist() == [0.0]
 
 
 class TestSampler:

@@ -343,15 +343,49 @@ def _assert_eager_readings(seen, sim, steps):
 
 
 def _counting_keys(monkeypatch):
+    """Collect every (seed, sensor) pair whose stream key is derived."""
     built = []
-    original = rng.sensor_key
+    original = rng.sensor_keys
 
-    def counting(seed, index):
-        built.append((seed, index))
-        return original(seed, index)
+    def counting(seeds, sensors):
+        seeds = list(seeds)
+        built.extend(zip(seeds, np.asarray(sensors).tolist()))
+        return original(seeds, sensors)
 
-    monkeypatch.setattr(rng, "sensor_key", counting)
+    monkeypatch.setattr(rng, "sensor_keys", counting)
     return built
+
+
+# Seeds whose 32-bit word count changes, or that fill or overflow the
+# 4-word SeedSequence pool.
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**128, 2**128 + 1, 2**200]
+
+
+class TestSensorKeys:
+    """rng.sensor_keys is numpy's SeedSequence hash, vectorized over sensors."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(pairs=st.lists(
+        st.tuples(st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**200)),
+                  st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))),
+        min_size=1, max_size=12))
+    @example(pairs=[(s, i) for s in _EDGE_SEEDS for i in (0, 2**32 - 1)])
+    def test_keys_are_the_spawned_seed_sequence_state(self, pairs):
+        seeds, sensors = zip(*pairs)
+        keys = rng.sensor_keys(seeds, np.array(sensors, dtype=np.int64))
+        assert keys.dtype == np.uint64 and keys.shape == (len(pairs), 2)
+        for (seed, i), key in zip(pairs, keys):
+            ss = np.random.SeedSequence(seed, spawn_key=(2, i))  # 2: rng.ENVIRONMENT
+            assert key.tolist() == ss.generate_state(2, np.uint64).tolist(), (seed, i)
+
+    @pytest.mark.parametrize("sensor", [-1, 2**32, 2**63 - 1, 2**64, -2**64])
+    def test_index_outside_one_word_rejected(self, sensor):
+        # numpy would encode such an index in more than one word, or not at all.
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            rng.sensor_keys([0, 1], [3, sensor])
+
+    def test_no_sensors_give_no_keys(self):
+        assert rng.sensor_keys([], []).shape == (0, 2)
 
 
 class TestLazyStreams:
@@ -426,6 +460,34 @@ class TestLazyStreams:
         for seed in sim.seeds:
             assert 0 < sum(s == seed for s, _ in ever_active) < cfg.n
         _assert_eager_readings(seen, sim, 300)
+
+    def test_rows_filled_once_per_block_and_only_when_read(self, monkeypatch):
+        seen = _record_sensing(monkeypatch)
+        fills = []
+        original = Simulation._fill
+
+        def recording(self, rows, block):
+            fills.append((self.t, rows.copy(), block))
+            return original(self, rows, block)
+
+        monkeypatch.setattr(Simulation, "_fill", recording)
+        cfg = paper_config(delta=0.01, rotation_period=15)
+        sim = Simulation(cfg, SPEC40, REFERENCE, seeds=(25, 26, 9))
+        for _ in range(400):  # four sample blocks
+            sim._advance()
+        sensing_at = {t: set(idx.tolist()) for t, idx, _ in seen}
+        built = np.flatnonzero(sim._row >= 0)
+        sensor_of = np.empty(sim._streams, dtype=np.int64)
+        sensor_of[sim._row[built]] = built
+        filled = [(row, block) for _, rows, block in fills for row in rows.tolist()]
+        assert len(filled) == len(set(filled))
+        for t, rows, block in fills:
+            assert block == (t - 1) // 128
+            assert set(sensor_of[rows].tolist()) <= sensing_at[t], t
+        read = {(int(sim._row[i]), (t - 1) // 128) for t, idx in sensing_at.items() for i in idx}
+        assert set(filled) == read
+        assert len({block for _, block in filled}) == 4
+        _assert_eager_readings(seen, sim, 400)
 
     def test_union_members_read_at_their_own_threshold(self, monkeypatch):
         cfg = paper_config(delta=0.05, rotation_period=15)
