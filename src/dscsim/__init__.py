@@ -26,12 +26,10 @@ from .environment import (
 )
 from .meanfield import (
     InfoGainReport,
-    MeanFieldParams,
     PdeGrid,
     PdeTrajectory,
     Trajectory,
     alpha_theory,
-    derive_params,
     front_positions,
     front_speed,
     info_gain_conditions,
@@ -61,7 +59,6 @@ __all__ = [
     "EnsembleResult",
     "FitResult",
     "InfoGainReport",
-    "MeanFieldParams",
     "NetworkConfig",
     "PdeGrid",
     "PdeTrajectory",
@@ -76,7 +73,6 @@ __all__ = [
     "atom_weight",
     "calibrate_g",
     "cdf",
-    "derive_params",
     "detection_probability",
     "ensemble_run",
     "extract_plateau",

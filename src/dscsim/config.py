@@ -56,10 +56,11 @@ class MeanFieldSettings:
 class PdeSettings:
     """Grid and run parameters for the spatial-model subcommand.
 
-    Zero values for dt, diffusivity, alpha and level mean "derive from the
-    rest of the config": diffusivity r_star^2 / tau_star, alpha R0 / tau_star
-    per unit cell density, dt at half the stability bound, level at half
-    the carrying capacity.
+    Zero values for dt, diffusivity, alpha, level and record_every mean
+    "derive from the rest of the config", and resolve_pde fills them in:
+    diffusivity r_star^2 / tau_star, alpha R0 / tau_star per unit cell
+    density, dt at half the stability bound, level at half the carrying
+    capacity, record_every about one record per time unit.
     """
 
     nx: int = 200
@@ -72,7 +73,7 @@ class PdeSettings:
     seed_columns: int = 5
     seed_level: float = 0.5
     level: float = 0.0
-    record_every: int = 0  # 0 = about one record per time unit
+    record_every: int = 0
 
     def __post_init__(self):
         if self.nx < 3 or self.ny < 1:
@@ -83,8 +84,11 @@ class PdeSettings:
             raise ValueError("seed_columns must be in [1, nx]")
         if not 0.0 < self.seed_level <= 1.0:
             raise ValueError("seed_level must be in (0, 1]")
-        if self.record_every < 0:
-            raise ValueError("record_every must be >= 0")
+        for key in ("dt", "diffusivity", "alpha", "record_every"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0 (0 = derive)")
+        if not 0.0 <= self.level <= 1.0:
+            raise ValueError("level must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -274,4 +278,6 @@ def resolve_pde(config: ExperimentConfig) -> PdeSettings:
     level = pde.level or (capacity / 2.0 if capacity > 0 else pde.seed_level / 2.0)
     if not math.isfinite(dt) or dt <= 0:
         raise ValueError("could not derive a positive dt for the spatial model")
-    return replace(pde, diffusivity=d, alpha=alpha, dt=dt, level=level)
+    record_every = pde.record_every or max(1, round(1.0 / dt))
+    return replace(pde, diffusivity=d, alpha=alpha, dt=dt, level=level,
+                   record_every=record_every)

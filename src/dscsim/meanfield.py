@@ -28,20 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import environment, sensor
+from . import sensor
 from .config import ExperimentConfig, resolve_pde
 from .sensor import SensorSpec
-
-
-@dataclass(frozen=True)
-class MeanFieldParams:
-    """Derived mean-field quantities for one network configuration."""
-
-    alpha: float
-    g: float
-    r0: float
-    b: float
-    theta: float | None  # None when subcritical (no nonzero steady state)
 
 
 def alpha_theory(spec: SensorSpec, s: float, p: float, g: float) -> float:
@@ -64,15 +53,6 @@ def r0(p: float, n: int, r_star: float, s: float, g: float = 1.0) -> float:
     if not s > 0:
         raise ValueError("area must be > 0")
     return g * p * n * math.pi * r_star ** 2 / s
-
-
-def derive_params(p: float, n: int, spec: SensorSpec, s: float, g: float) -> MeanFieldParams:
-    """Bundle alpha, R0, b and theta for a configuration."""
-    a = alpha_theory(spec, s, p, g)
-    r = a * spec.tau_star * n
-    b = (r - 1.0) / spec.tau_star
-    theta = 1.0 / r if r > 1.0 else None
-    return MeanFieldParams(alpha=a, g=g, r0=r, b=b, theta=theta)
 
 
 def logistic_solution(z0: float, b: float, t):
@@ -285,17 +265,6 @@ class PdeGrid:
         if self.dx <= 0 or self.d < 0:
             raise ValueError("dx must be > 0 and d >= 0")
 
-    @classmethod
-    def uniform(cls, nx: int, ny: int, dx: float, d: float, active: float, passive: float):
-        return cls(
-            nx=nx,
-            ny=ny,
-            dx=dx,
-            d=d,
-            field_active=np.full((ny, nx), float(active)),
-            field_passive=np.full((ny, nx), float(passive)),
-        )
-
 
 def _pde_rhs(u: np.ndarray, alpha, decay: float, d: float, dx2: float,
              out: np.ndarray, lap: np.ndarray, react: np.ndarray) -> None:
@@ -375,12 +344,11 @@ def integrate_pde(
     Explicit method of lines: 5-point Laplacian with zero-flux boundaries,
     classic Runge-Kutta in time, subject to the diffusive stability bound
     dt <= dx^2 / (4 d). With d = 0 every cell reduces to the well-mixed
-    contact model. alpha_field may be a scalar or a per-cell array that
-    broadcasts to the grid (the hook for spatially varying mean
-    concentration). tau_star = inf turns off deactivation. The state is
-    recorded every `record_every` steps and at the end: always the
-    y-averaged active profile, and the full fields unless keep_fields is
-    false.
+    contact model. alpha_field is the contact rate: a scalar, or a per-cell
+    array that broadcasts to the grid for a spatially varying rate.
+    tau_star = inf turns off deactivation. The state is recorded every
+    `record_every` steps and at the end: always the y-averaged active
+    profile, and the full fields unless keep_fields is false.
     """
     if not (math.isfinite(dt) and math.isfinite(t_end)) or dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be finite and > 0")
@@ -457,9 +425,9 @@ def run_pde(config: ExperimentConfig) -> tuple[PdeTrajectory, float]:
     """The config's spatial model from a front seeded at x = 0.
 
     The first seed_columns columns start at active density seed_level and
-    the rest of the grid fully passive; records default to about one per
-    time unit and hold only the front profiles. Returns the trajectory and
-    the resolved front level.
+    the rest of the grid fully passive; records are taken every resolved
+    record_every steps and hold only the front profiles. Returns the
+    trajectory and the resolved front level.
     """
     pde = resolve_pde(config)
     active = np.zeros((pde.ny, pde.nx))
@@ -468,9 +436,8 @@ def run_pde(config: ExperimentConfig) -> tuple[PdeTrajectory, float]:
         nx=pde.nx, ny=pde.ny, dx=pde.dx, d=pde.diffusivity,
         field_active=active, field_passive=1.0 - active,
     )
-    record_every = pde.record_every or max(1, round(1.0 / pde.dt))
     trajectory = integrate_pde(
-        grid, pde.alpha, config.sensor.tau_star, pde.t_end, pde.dt, record_every,
+        grid, pde.alpha, config.sensor.tau_star, pde.t_end, pde.dt, pde.record_every,
         keep_fields=False,
     )
     return trajectory, pde.level
@@ -575,20 +542,3 @@ def meanfield_report(config: ExperimentConfig) -> dict:
             for key in ("dsc_superior", "epidemic_within_t", "consistency", "event_gain")
         } if gain else None,
     }
-
-
-def alpha_field_from_mean_concentration(
-    c0_field, gamma: float, omega: float, spec: SensorSpec, s: float, g: float
-) -> np.ndarray:
-    """Per-cell contact rate from a spatially varying mean concentration.
-
-    Detection probability depends on c_star / c0 only, so the per-cell p
-    is evaluated against a unit-mean law at the local threshold ratio.
-    """
-    c0_arr = np.asarray(c0_field, dtype=float)
-    if not np.all((c0_arr > 0) & (c0_arr < math.inf)):
-        raise ValueError("mean concentration must be finite and > 0 everywhere")
-    # The unit-mean law rejects a non-finite gamma or omega.
-    unit = environment.ConcentrationModel(c0=1.0, gamma=gamma, omega=omega)
-    p_cell = 1.0 - np.asarray(environment.cdf(unit, spec.c_star / c0_arr))
-    return g * math.pi * spec.r_star ** 2 * p_cell / (spec.tau_star * s)

@@ -126,6 +126,8 @@ class NetworkConfig:
             raise ValueError(f"failure_rate must be in [0, 1], got {self.failure_rate}")
         if self.rotation_period is not None and self.rotation_period < 0:
             raise ValueError("rotation_period must be >= 0 or None")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def area(self) -> float:

@@ -117,6 +117,19 @@ class TestParsing:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             MeanFieldSettings(**{name: value})
 
+    def test_negative_seed_rejected(self):
+        # numpy used to reject it late (simulate) or not at all (meanfield)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            parse_config(MINIMAL + "seed = -1\n")
+
+    @pytest.mark.parametrize("line, key", [
+        ("dt = -0.05", "dt"), ("diffusivity = -320.0", "diffusivity"),
+        ("alpha = -0.4", "alpha"), ("level = -1", "level"), ("level = 1.5", "level"),
+    ])
+    def test_pde_values_out_of_range_rejected(self, line, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            parse_config(MINIMAL + f"\n[pde]\n{line}\n")
+
     def test_rotation_period_zero_disables(self):
         cfg = parse_config(MINIMAL + "\nrotation_period = 0\n")
         assert cfg.network.rotation_period == 0
@@ -230,9 +243,19 @@ class TestResolvePde:
         assert pde.alpha > 0
 
     def test_explicit_values_win(self):
-        cfg = parse_config(MINIMAL + "\n[pde]\ndiffusivity = 320.0\ndt = 0.05\nalpha = 0.4\nlevel = 0.25\n")
+        cfg = parse_config(MINIMAL + "\n[pde]\ndiffusivity = 320.0\ndt = 0.05\nalpha = 0.4\n"
+                           "level = 0.25\nrecord_every = 3\n")
         pde = resolve_pde(cfg)
-        assert (pde.diffusivity, pde.dt, pde.alpha, pde.level) == (320.0, 0.05, 0.4, 0.25)
+        assert (pde.diffusivity, pde.dt, pde.alpha, pde.level, pde.record_every) == (
+            320.0, 0.05, 0.4, 0.25, 3)
+
+    def test_one_record_per_time_unit_by_default(self):
+        cfg = parse_config(MINIMAL + "\n[pde]\ndiffusivity = 320.0\ndt = 0.0625\n")
+        assert resolve_pde(cfg).record_every == 16
+
+    @pytest.mark.parametrize("level", [0.0, 1.0])
+    def test_level_bounds_accepted(self, level):
+        assert parse_config(MINIMAL + f"\n[pde]\nlevel = {level}\n").pde.level == level
 
 
 @pytest.fixture()
@@ -346,6 +369,14 @@ class TestCli:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 7" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("subcommand", ["meanfield", "pde", "simulate"])
+    def test_negative_seed_is_error_exit(self, tmp_path, config_file, capsys, subcommand):
+        argv = [subcommand, "--config", str(config_file), "--out", str(tmp_path), "--seed=-1"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"dscsim {subcommand}: error: seed must be >= 0, got -1\n")
         assert not (tmp_path / "manifest.json").exists()
 
     def test_env_var_jobs_zero_is_error_exit(self, tmp_path, config_file, capsys, monkeypatch):

@@ -12,9 +12,7 @@ from dscsim import meanfield
 from dscsim.config import parse_config
 from dscsim.meanfield import (
     PdeGrid,
-    alpha_field_from_mean_concentration,
     alpha_theory,
-    derive_params,
     front_positions,
     front_speed,
     info_gain_conditions,
@@ -77,13 +75,6 @@ class TestClosedForms:
         spec = SensorSpec(c_star=1.0, tau_star=17, r_star=40.0)
         a = alpha_theory(spec, 1e6, 0.5, 1.0)
         assert a * spec.tau_star * 400 == pytest.approx(r0(0.5, 400, 40.0, 1e6), rel=1e-12)
-
-    def test_derive_params_bundles(self):
-        spec = SensorSpec(c_star=1.0, tau_star=5, r_star=70.0)
-        params = derive_params(p=0.4, n=400, spec=spec, s=1e6, g=1.0)
-        assert params.r0 == pytest.approx(params.alpha * 5 * 400, rel=1e-12)
-        assert params.b == pytest.approx((params.r0 - 1.0) / 5, rel=1e-12)
-        assert params.theta == pytest.approx(1.0 / params.r0, rel=1e-12)
 
     def test_steady_state_symmetric_point(self):
         assert steady_state(2.0) == (0.5, 0.5)
@@ -312,7 +303,8 @@ class TestIntegratePde:
                 assert np.max(np.abs(cells - ode.y)) < 1e-6
 
     def test_uniform_fields_stay_uniform(self):
-        grid = PdeGrid.uniform(nx=12, ny=9, dx=2.0, d=1.0, active=0.3, passive=0.7)
+        grid = PdeGrid(nx=12, ny=9, dx=2.0, d=1.0,
+                       field_active=np.full((9, 12), 0.3), field_passive=np.full((9, 12), 0.7))
         traj = integrate_pde(grid, 0.5, 5.0, t_end=4.0, dt=0.25, record_every=4)
         for snap in traj.active:
             assert np.ptp(snap) < 1e-12
@@ -385,36 +377,18 @@ class TestIntegratePde:
     @pytest.mark.parametrize("field", ["field_active", "field_passive"])
     def test_initial_fields_must_be_finite_and_non_negative(self, field, bad):
         # one NaN cell used to spread over the whole grid within four steps
-        grid = PdeGrid.uniform(nx=5, ny=2, dx=1.0, d=0.1, active=0.2, passive=0.8)
-        fields = {"field_active": grid.field_active, "field_passive": grid.field_passive}
+        fields = {"field_active": np.full((2, 5), 0.2), "field_passive": np.full((2, 5), 0.8)}
         fields[field][1, 3] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
             PdeGrid(nx=5, ny=2, dx=1.0, d=0.1, **fields)
 
-    @pytest.mark.parametrize("c0_cell, gamma, omega", [
-        (math.nan, 26.0 / 3.0, 0.98), (math.inf, 26.0 / 3.0, 0.98), (0.0, 26.0 / 3.0, 0.98),
-        (100.0, math.nan, 0.98), (100.0, math.inf, 0.98), (100.0, 26.0 / 3.0, math.nan),
-    ])
-    def test_alpha_field_rejects_non_finite_inputs(self, c0_cell, gamma, omega):
-        # a NaN cell used to come back as a NaN contact rate
-        spec = SensorSpec(c_star=150.0, tau_star=5, r_star=40.0)
-        with pytest.raises(ValueError):
-            alpha_field_from_mean_concentration([[100.0, c0_cell]], gamma=gamma, omega=omega,
-                                                spec=spec, s=1e4, g=1.0)
-
     def test_alpha_field_hook_orders_growth(self):
-        # richer mean concentration on the right half -> faster local growth
-        spec = SensorSpec(c_star=150.0, tau_star=5, r_star=40.0)
-        c0_grid = np.full((4, 10), 100.0)
-        c0_grid[:, 5:] = 300.0
-        alpha = alpha_field_from_mean_concentration(
-            c0_grid, gamma=26.0 / 3.0, omega=0.98, spec=spec, s=1e4, g=1.0
-        )
-        assert np.all(alpha[:, 5:] > alpha[:, :5])
-        scale = 1.0 / alpha.max()
-        grid = PdeGrid.uniform(nx=10, ny=4, dx=2.0, d=0.0, active=0.05, passive=0.95)
-        traj = integrate_pde(grid, alpha * scale * 0.5, 5.0, t_end=30.0, dt=0.1,
-                             record_every=300)
+        # a larger contact rate on the right half -> faster local growth
+        alpha = np.full((4, 10), 0.25)
+        alpha[:, 5:] = 0.5
+        grid = PdeGrid(nx=10, ny=4, dx=2.0, d=0.0,
+                       field_active=np.full((4, 10), 0.05), field_passive=np.full((4, 10), 0.95))
+        traj = integrate_pde(grid, alpha, 5.0, t_end=30.0, dt=0.1, record_every=300)
         final = traj.active[-1]
         assert final[:, 5:].mean() > final[:, :5].mean()
 
