@@ -26,7 +26,6 @@ from .environment import (
 )
 from .meanfield import (
     InfoGainReport,
-    PdeGrid,
     PdeTrajectory,
     Trajectory,
     alpha_theory,
@@ -60,7 +59,6 @@ __all__ = [
     "FitResult",
     "InfoGainReport",
     "NetworkConfig",
-    "PdeGrid",
     "PdeTrajectory",
     "SensorSpec",
     "SimRecord",

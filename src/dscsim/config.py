@@ -276,8 +276,8 @@ def resolve_pde(config: ExperimentConfig) -> PdeSettings:
     growth = alpha - 1.0 / spec.tau_star
     capacity = growth / alpha if alpha > 0 and growth > 0 else 0.0
     level = pde.level or (capacity / 2.0 if capacity > 0 else pde.seed_level / 2.0)
-    if not math.isfinite(dt) or dt <= 0:
-        raise ValueError("could not derive a positive dt for the spatial model")
+    if not (0 < dt < math.inf and math.isfinite(1.0 / dt) and math.isfinite(pde.t_end / dt)):
+        raise ValueError(f"dt = {dt} must be finite and > 0, with finite 1 / dt and t_end / dt")
     record_every = pde.record_every or max(1, round(1.0 / dt))
     return replace(pde, diffusivity=d, alpha=alpha, dt=dt, level=level,
                    record_every=record_every)

@@ -236,36 +236,6 @@ def integrate_sis(
         substeps *= 2
 
 
-@dataclass
-class PdeGrid:
-    """Rectangular grid of active/passive densities for the spatial model.
-
-    Fields are (ny, nx) arrays; x is the second axis. d is the diffusivity
-    in m^2/step (of order r_star**2 / tau_star for a sensor network).
-    """
-
-    nx: int
-    ny: int
-    dx: float
-    d: float
-    field_active: np.ndarray
-    field_passive: np.ndarray
-
-    def __post_init__(self):
-        self.field_active = np.asarray(self.field_active, dtype=float)
-        self.field_passive = np.asarray(self.field_passive, dtype=float)
-        expected = (self.ny, self.nx)
-        if self.field_active.shape != expected or self.field_passive.shape != expected:
-            raise ValueError(f"fields must have shape {expected}")
-        for f in (self.field_active, self.field_passive):
-            if not np.all((f >= 0) & np.isfinite(f)):
-                raise ValueError("initial fields must be finite and non-negative")
-        if not (math.isfinite(self.dx) and math.isfinite(self.d)):
-            raise ValueError("dx and d must be finite")
-        if self.dx <= 0 or self.d < 0:
-            raise ValueError("dx must be > 0 and d >= 0")
-
-
 def _pde_rhs(u: np.ndarray, alpha, decay: float, d: float, dx2: float,
              out: np.ndarray, lap: np.ndarray, react: np.ndarray) -> None:
     """Write the time derivative of the stacked fields u = (a, p) into out.
@@ -275,8 +245,7 @@ def _pde_rhs(u: np.ndarray, alpha, decay: float, d: float, dx2: float,
 
         react = alpha * a * p - decay * a
         lap(f) = (up + down + left + right - 4 f) / dx2
-        out = (d * lap(a) + react, d * lap(p) - react)   (d > 0)
-        out = (react, -react)                            (d = 0)
+        out = (d * lap(a) + react, d * lap(p) - react)
 
     where a neighbor beyond the edge is the edge cell itself (zero flux).
     """
@@ -285,10 +254,6 @@ def _pde_rhs(u: np.ndarray, alpha, decay: float, d: float, dx2: float,
     react *= p
     np.multiply(a, decay, out=out[0])
     react -= out[0]
-    if not d > 0:
-        out[0] = react
-        np.negative(react, out=out[1])
-        return
     lap[:, 1:] = u[:, :-1]
     lap[:, :1] = u[:, :1]
     lap[:, :-1] += u[:, 1:]
@@ -328,28 +293,43 @@ class PdeTrajectory:
 
 
 def integrate_pde(
-    grid: PdeGrid,
+    fields,
     alpha_field,
     tau_star: float,
     t_end: float,
     dt: float,
+    dx: float,
+    d: float,
     record_every: int = 1,
     keep_fields: bool = True,
 ) -> PdeTrajectory:
-    """Integrate the spatial two-compartment model on the grid.
+    """Integrate the spatial two-compartment model from fields = (a, p).
 
         da/dt = d * lap(a) + alpha(r) * a * p - a / tau_star
         dp/dt = d * lap(p) - alpha(r) * a * p + a / tau_star
 
-    Explicit method of lines: 5-point Laplacian with zero-flux boundaries,
-    classic Runge-Kutta in time, subject to the diffusive stability bound
-    dt <= dx^2 / (4 d). With d = 0 every cell reduces to the well-mixed
-    contact model. alpha_field is the contact rate: a scalar, or a per-cell
-    array that broadcasts to the grid for a spatially varying rate.
-    tau_star = inf turns off deactivation. The state is recorded every
-    `record_every` steps and at the end: always the y-averaged active
-    profile, and the full fields unless keep_fields is false.
+    a and p are (ny, nx) arrays of one shape, x along the second axis, on
+    square cells of side dx; d is the diffusivity in m^2/step (of order
+    r_star**2 / tau_star for a sensor network). Explicit method of lines:
+    5-point Laplacian with zero-flux boundaries, classic Runge-Kutta in
+    time, subject to the diffusive stability bound dt <= dx^2 / (4 d).
+    With d = 0 every cell reduces to the well-mixed contact model.
+    alpha_field is the contact rate: a scalar, or a per-cell array that
+    broadcasts to the grid for a spatially varying rate. tau_star = inf
+    turns off deactivation. The state is recorded every `record_every`
+    steps and at the end: always the y-averaged active profile, and the
+    full fields unless keep_fields is false.
     """
+    a0, p0 = (np.asarray(f, dtype=float) for f in fields)
+    if a0.ndim != 2 or a0.shape != p0.shape:
+        raise ValueError(f"fields must be 2-D arrays of one shape, got {a0.shape} and {p0.shape}")
+    for f in (a0, p0):
+        if not np.all((f >= 0) & np.isfinite(f)):
+            raise ValueError("initial fields must be finite and non-negative")
+    if not (math.isfinite(dx) and math.isfinite(d)):
+        raise ValueError("dx and d must be finite")
+    if dx <= 0 or d < 0:
+        raise ValueError("dx must be > 0 and d >= 0")
     if not (math.isfinite(dt) and math.isfinite(t_end)) or dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be finite and > 0")
     if not math.isfinite(t_end / dt):
@@ -358,8 +338,8 @@ def integrate_pde(
         raise ValueError("tau_star must be > 0 (inf turns off deactivation)")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    if grid.d > 0:
-        limit = grid.dx ** 2 / (4.0 * grid.d)
+    if d > 0:
+        limit = dx ** 2 / (4.0 * d)
         if dt > limit * (1.0 + 1e-12):
             raise ValueError(
                 f"stability violation: dt = {dt} exceeds dx^2/(4 d) = {limit}"
@@ -367,7 +347,7 @@ def integrate_pde(
     alpha = np.asarray(alpha_field, dtype=float)
     if not np.all(np.isfinite(alpha)):
         raise ValueError("alpha_field must be finite")
-    shape = (grid.ny, grid.nx)
+    shape = a0.shape
     try:
         fits = np.broadcast_shapes(alpha.shape, shape) == shape
     except ValueError:
@@ -375,13 +355,15 @@ def integrate_pde(
     if not fits:
         raise ValueError(f"alpha_field of shape {alpha.shape} does not fit the grid {shape}")
     decay = 0.0 if math.isinf(tau_star) else 1.0 / tau_star
-    rhs_args = (alpha, decay, grid.d, grid.dx * grid.dx)
+    # d * lap is zero at d = 0 for any finite lap; a unit dx2 there keeps
+    # lap finite when dx * dx would underflow.
+    rhs_args = (alpha, decay, d, dx * dx if d > 0 else 1.0)
 
     # u holds (a, p); each RK4 stage is computed in place as
     #   k1 = rhs(u), k2 = rhs(u + (dt/2) k1), k3 = rhs(u + (dt/2) k2),
     #   k4 = rhs(u + dt k3), u += (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
     # with acc summing the k's in that order.
-    u = np.stack((grid.field_active, grid.field_passive))
+    u = np.stack((a0, p0))
     stage, k, acc, lap = (np.empty_like(u) for _ in range(4))
     react = np.empty_like(u[0])
     half, sixth = 0.5 * dt, dt / 6.0
@@ -418,7 +400,7 @@ def integrate_pde(
                 snaps_a.append(u[0].copy())
                 snaps_p.append(u[1].copy())
     return PdeTrajectory(times=np.array(times), active=snaps_a, passive=snaps_p,
-                         dx=grid.dx, profiles=np.array(profiles))
+                         dx=dx, profiles=np.array(profiles))
 
 
 def run_pde(config: ExperimentConfig) -> tuple[PdeTrajectory, float]:
@@ -432,13 +414,9 @@ def run_pde(config: ExperimentConfig) -> tuple[PdeTrajectory, float]:
     pde = resolve_pde(config)
     active = np.zeros((pde.ny, pde.nx))
     active[:, : pde.seed_columns] = pde.seed_level
-    grid = PdeGrid(
-        nx=pde.nx, ny=pde.ny, dx=pde.dx, d=pde.diffusivity,
-        field_active=active, field_passive=1.0 - active,
-    )
     trajectory = integrate_pde(
-        grid, pde.alpha, config.sensor.tau_star, pde.t_end, pde.dt, pde.record_every,
-        keep_fields=False,
+        (active, 1.0 - active), pde.alpha, config.sensor.tau_star, pde.t_end, pde.dt,
+        pde.dx, pde.diffusivity, pde.record_every, keep_fields=False,
     )
     return trajectory, pde.level
 

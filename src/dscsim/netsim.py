@@ -453,8 +453,7 @@ def _chunk_run(chunk) -> list[np.ndarray]:
     counts = np.empty((len(seeds), steps))
     for column in counts.T:
         sim._advance()
-        column[:] = np.bincount(np.flatnonzero(sim.kind == ACTIVE) // config.n,
-                                minlength=len(seeds))
+        column[:] = np.count_nonzero(sim.kind.reshape(-1, config.n) == ACTIVE, axis=1)
     return list(counts / config.n)
 
 

@@ -286,20 +286,16 @@ def test_criterion_09_pde_front():
     ny, nx, dx = 100, 400, 10.0
     active = np.zeros((ny, nx))
     active[:, :5] = 0.5
-    grid = meanfield.PdeGrid(nx=nx, ny=ny, dx=dx, d=d,
-                             field_active=active, field_passive=1.0 - active)
-    traj = meanfield.integrate_pde(grid, alpha, TAU, t_end=150.0, dt=0.0625,
-                                   record_every=16, keep_fields=False)
+    traj = meanfield.integrate_pde((active, 1.0 - active), alpha, TAU, t_end=150.0,
+                                   dt=0.0625, dx=dx, d=d, record_every=16, keep_fields=False)
     capacity = b / alpha
     speed = meanfield.front_speed(traj, capacity / 2.0)
     lo, hi = np.sqrt(b * d), 4.0 * np.sqrt(b * d)
 
     # degenerate d = 0 check against the well-mixed integrator
     starts = np.array([[0.1, 0.3], [0.6, 0.05]])
-    small = meanfield.PdeGrid(nx=2, ny=2, dx=1.0, d=0.0,
-                              field_active=starts, field_passive=1.0 - starts)
-    degenerate = meanfield.integrate_pde(small, alpha, TAU, t_end=10.0, dt=0.01,
-                                         record_every=100)
+    degenerate = meanfield.integrate_pde((starts, 1.0 - starts), alpha, TAU, t_end=10.0,
+                                         dt=0.01, dx=1.0, d=0.0, record_every=100)
     worst = 0.0
     for iy in range(2):
         for ix in range(2):

@@ -1,0 +1,63 @@
+"""The benchmark's tracer (bench/layers.py) wraps dscsim's module attributes
+and reads some call arguments by position. These tests load it read-only
+and check that everything it relies on still exists, so a change that
+would break a traced benchmark run fails here first."""
+
+import importlib.util
+import inspect
+from dataclasses import fields
+from pathlib import Path
+
+from dscsim import meanfield
+from dscsim.config import parse_config
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+CONFIG = """\
+[environment]
+c0 = 150.0
+
+[sensor]
+c_star = 154.5
+tau_star = 5
+r_star = 40.0
+
+[network]
+n = 400
+width = 1000.0
+height = 1000.0
+
+[pde]
+nx = 12
+ny = 2
+t_end = 3.0
+dt = 0.0625
+"""
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_tracer_wraps_every_hook_and_restores_it():
+    with _tracer() as tracer:
+        hooks = list(tracer._undo)
+        assert hooks
+        for owner, attr, original in hooks:
+            assert getattr(owner, attr) is not original, attr
+    for owner, attr, original in hooks:
+        assert getattr(owner, attr) is original, attr
+
+
+def test_tracer_reads_the_pde_step_count_and_fields():
+    # _on_pde reads t_end and dt as positional arguments 3 and 4, and the
+    # snapshots from the trajectory's active and passive lists.
+    assert list(inspect.signature(meanfield.integrate_pde).parameters)[3:5] == ["t_end", "dt"]
+    assert {"active", "passive"} <= {f.name for f in fields(meanfield.PdeTrajectory)}
+    with _tracer() as tracer:
+        meanfield.run_pde(parse_config(CONFIG))
+    assert tracer.spans["meanfield.integrate_pde"].calls == 1
+    assert tracer.counts["meanfield.integrate_pde.steps"] == 48

@@ -234,6 +234,11 @@ class TestSweep:
             apply_override(cfg, "network.frequency", 1.0)
 
 
+# [pde] settings whose dt is finite and > 0 but whose 1 / dt is infinite:
+# given explicitly, and derived as dx^2 / (8 d) = 1.25e-321.
+SUBNORMAL_DT = ["dt = 5e-324\n", "dx = 1e-160\ndiffusivity = 1.0\n"]
+
+
 class TestResolvePde:
     def test_derived_fields_filled(self):
         pde = resolve_pde(parse_config(MINIMAL))
@@ -252,6 +257,11 @@ class TestResolvePde:
     def test_one_record_per_time_unit_by_default(self):
         cfg = parse_config(MINIMAL + "\n[pde]\ndiffusivity = 320.0\ndt = 0.0625\n")
         assert resolve_pde(cfg).record_every == 16
+
+    @pytest.mark.parametrize("pde", SUBNORMAL_DT, ids=["explicit", "derived"])
+    def test_dt_too_small_to_count_steps_rejected(self, pde):
+        with pytest.raises(ValueError, match=r"dt = .* 1 / dt and t_end / dt"):
+            resolve_pde(parse_config(MINIMAL + "\n[pde]\n" + pde))
 
     @pytest.mark.parametrize("level", [0.0, 1.0])
     def test_level_bounds_accepted(self, level):
@@ -342,6 +352,14 @@ class TestCli:
         lines = (tmp_path / "front.csv").read_text().splitlines()
         assert lines[0] == "time,front_position"
         assert len(lines) > 10
+
+    @pytest.mark.parametrize("pde", SUBNORMAL_DT, ids=["explicit", "derived"])
+    def test_pde_dt_too_small_is_error_exit_naming_dt(self, tmp_path, capsys, pde):
+        path = tmp_path / "pde.ini"
+        path.write_text(MINIMAL + "\n[pde]\n" + pde, encoding="utf-8")
+        assert cli.main(["pde", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^dscsim pde: error: dt = ", err, re.MULTILINE), err
 
     def test_missing_config_is_error_exit(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.ini"),

@@ -197,15 +197,12 @@ def test_pde_front_digest(tmp_path, name, capsys):
 def _seeded(nx, ny, dx, d, columns, level):
     active = np.zeros((ny, nx))
     active[:, :columns] = level
-    return meanfield.PdeGrid(nx=nx, ny=ny, dx=dx, d=d,
-                             field_active=active, field_passive=1.0 - active)
+    return (active, 1.0 - active), dx, d
 
 
 def _random_grid(nx, ny, dx, d, seed):
     gen = np.random.default_rng(seed)
-    return meanfield.PdeGrid(nx=nx, ny=ny, dx=dx, d=d,
-                             field_active=gen.uniform(0.0, 0.6, (ny, nx)),
-                             field_passive=gen.uniform(0.2, 1.0, (ny, nx)))
+    return (gen.uniform(0.0, 0.6, (ny, nx)), gen.uniform(0.2, 1.0, (ny, nx))), dx, d
 
 
 def _alpha_ramp(nx, ny):
@@ -214,7 +211,7 @@ def _alpha_ramp(nx, ny):
     return np.outer(y, x)
 
 
-# (grid, alpha, tau_star, t_end, dt, record_every) per case. The clamp case
+# ((fields, dx, d), alpha, tau_star, t_end, dt, record_every) per case. The clamp case
 # is seeded so densely that RK4 overshoots below zero in both fields within
 # its four steps (checked in test_pde_clamp_is_reached).
 PDE_CASES = {
@@ -247,8 +244,8 @@ def _pde_digest(trajectory):
 
 @pytest.mark.parametrize("case", sorted(PDE_CASES))
 def test_integrate_pde_digest(case):
-    grid, alpha, tau_star, t_end, dt, record_every = PDE_CASES[case]()
-    trajectory = meanfield.integrate_pde(grid, alpha, tau_star, t_end, dt, record_every)
+    (fields, dx, d), alpha, tau_star, t_end, dt, record_every = PDE_CASES[case]()
+    trajectory = meanfield.integrate_pde(fields, alpha, tau_star, t_end, dt, dx, d, record_every)
     assert _pde_digest(trajectory) == PDE_DIGEST[case]
 
 
@@ -272,13 +269,13 @@ def _unclamped_rk4_step(a, p, alpha, decay, d, dx, dt):
 
 
 def test_pde_clamp_is_reached():
-    grid, alpha, tau_star, t_end, dt, record_every = PDE_CASES["clamp"]()
-    trajectory = meanfield.integrate_pde(grid, alpha, tau_star, t_end, dt, record_every)
+    (fields, dx, d), alpha, tau_star, t_end, dt, record_every = PDE_CASES["clamp"]()
+    trajectory = meanfield.integrate_pde(fields, alpha, tau_star, t_end, dt, dx, d, record_every)
     assert trajectory.times.size == 5
     clamped = {"active": 0, "passive": 0}
     snaps = list(zip(trajectory.active, trajectory.passive))
     for (a, p), (next_a, next_p) in zip(snaps, snaps[1:]):
-        raw_a, raw_p = _unclamped_rk4_step(a, p, alpha, 1.0 / tau_star, grid.d, grid.dx, dt)
+        raw_a, raw_p = _unclamped_rk4_step(a, p, alpha, 1.0 / tau_star, d, dx, dt)
         for name, raw, kept in (("active", raw_a, next_a), ("passive", raw_p, next_p)):
             if raw.min() < 0:
                 clamped[name] += 1

@@ -11,7 +11,6 @@ import pytest
 from dscsim import meanfield
 from dscsim.config import parse_config
 from dscsim.meanfield import (
-    PdeGrid,
     alpha_theory,
     front_positions,
     front_speed,
@@ -279,23 +278,26 @@ class TestIntegrateSis:
             assert np.all((traj.y >= 0.0) & (traj.y <= 400.0))
 
 
-def seeded_grid(nx=30, ny=8, dx=5.0, d=10.0, columns=3, level=0.5):
+def seeded_fields(nx=30, ny=8, columns=3, level=0.5):
     active = np.zeros((ny, nx))
     active[:, :columns] = level
-    return PdeGrid(nx=nx, ny=ny, dx=dx, d=d, field_active=active, field_passive=1.0 - active)
+    return active, 1.0 - active
+
+
+# dx and d of the seeded grid, unless a test says otherwise
+DX, D = 5.0, 10.0
 
 
 class TestIntegratePde:
     def test_cfl_violation_rejected(self):
-        grid = seeded_grid(d=10.0, dx=5.0)  # bound: 25/40 = 0.625
+        # bound: 25/40 = 0.625
         with pytest.raises(ValueError, match="stability"):
-            integrate_pde(grid, 0.4, 5.0, t_end=1.0, dt=1.0)
+            integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=1.0, dx=5.0, d=10.0)
 
     def test_zero_diffusion_reduces_to_percell_ode(self):
         starts = np.array([[0.1, 0.2, 0.3, 0.0], [0.05, 0.5, 0.9, 0.01]])
-        grid = PdeGrid(nx=4, ny=2, dx=1.0, d=0.0,
-                       field_active=starts, field_passive=1.0 - starts)
-        traj = integrate_pde(grid, 0.4, 5.0, t_end=10.0, dt=0.01, record_every=1000)
+        traj = integrate_pde((starts, 1.0 - starts), 0.4, 5.0, t_end=10.0, dt=0.01,
+                             dx=1.0, d=0.0, record_every=1000)
         for iy in range(2):
             for ix in range(4):
                 ode = integrate_sis(0.4, 5.0, 1.0, 1.0, starts[iy, ix], 10.0, 10.0)
@@ -303,9 +305,9 @@ class TestIntegratePde:
                 assert np.max(np.abs(cells - ode.y)) < 1e-6
 
     def test_uniform_fields_stay_uniform(self):
-        grid = PdeGrid(nx=12, ny=9, dx=2.0, d=1.0,
-                       field_active=np.full((9, 12), 0.3), field_passive=np.full((9, 12), 0.7))
-        traj = integrate_pde(grid, 0.5, 5.0, t_end=4.0, dt=0.25, record_every=4)
+        fields = (np.full((9, 12), 0.3), np.full((9, 12), 0.7))
+        traj = integrate_pde(fields, 0.5, 5.0, t_end=4.0, dt=0.25, dx=2.0, d=1.0,
+                             record_every=4)
         for snap in traj.active:
             assert np.ptp(snap) < 1e-12
 
@@ -313,65 +315,72 @@ class TestIntegratePde:
         gen = np.random.default_rng(3)
         active = gen.uniform(0.1, 1.0, (10, 20))
         passive = gen.uniform(0.1, 1.0, (10, 20))
-        grid = PdeGrid(nx=20, ny=10, dx=2.0, d=1.0,
-                       field_active=active, field_passive=passive)
-        traj = integrate_pde(grid, 0.0, math.inf, t_end=20.0, dt=1.0, record_every=1)
+        traj = integrate_pde((active, passive), 0.0, math.inf, t_end=20.0, dt=1.0,
+                             dx=2.0, d=1.0, record_every=1)
         for snaps, start in ((traj.active, active), (traj.passive, passive)):
             totals = np.array([s.sum() for s in snaps])
             assert np.max(np.abs(np.diff(totals))) < 1e-8
             assert totals[-1] == pytest.approx(start.sum(), abs=1e-8)
 
     def test_fields_stay_nonnegative(self):
-        traj = integrate_pde(seeded_grid(), 0.4, 5.0, t_end=30.0, dt=0.25, record_every=8)
+        traj = integrate_pde(seeded_fields(), 0.4, 5.0, t_end=30.0, dt=0.25, dx=DX, d=D,
+                             record_every=8)
         assert all(snap.min() >= 0.0 for snap in traj.active)
         assert all(snap.min() >= 0.0 for snap in traj.passive)
 
     @pytest.mark.parametrize("t_end, dt", [(1.0, math.inf), (1.0, math.nan),
                                            (math.inf, 0.25), (math.nan, 0.25)])
     def test_non_finite_time_grid_rejected(self, t_end, dt):
-        grid = seeded_grid(d=0.0)  # no stability bound to catch dt = inf
+        # d = 0: no stability bound to catch dt = inf
         with pytest.raises(ValueError, match="finite"):
-            integrate_pde(grid, 0.4, 5.0, t_end=t_end, dt=dt)
+            integrate_pde(seeded_fields(), 0.4, 5.0, t_end=t_end, dt=dt, dx=DX, d=0.0)
 
     def test_step_count_overflow_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
-            integrate_pde(seeded_grid(d=0.0), 0.4, 5.0, t_end=1e300, dt=1e-300)
+            integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1e300, dt=1e-300, dx=DX, d=0.0)
 
     @pytest.mark.parametrize("tau_star", [0.0, -5.0, math.nan])
     def test_nonpositive_tau_star_rejected(self, tau_star):
         with pytest.raises(ValueError, match="tau_star"):
-            integrate_pde(seeded_grid(), 0.4, tau_star, t_end=1.0, dt=0.25)
+            integrate_pde(seeded_fields(), 0.4, tau_star, t_end=1.0, dt=0.25, dx=DX, d=D)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha_rejected(self, bad):
         alpha = np.full((8, 30), 0.4)
         alpha[3, 7] = bad
         with pytest.raises(ValueError, match="alpha_field must be finite"):
-            integrate_pde(seeded_grid(), alpha, 5.0, t_end=1.0, dt=0.25)
+            integrate_pde(seeded_fields(), alpha, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
         with pytest.raises(ValueError, match="alpha_field must be finite"):
-            integrate_pde(seeded_grid(), bad, 5.0, t_end=1.0, dt=0.25)
+            integrate_pde(seeded_fields(), bad, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
 
     @pytest.mark.parametrize("shape", [(2, 8, 30), (9, 30), (8, 29), (8,)])
     def test_alpha_field_must_fit_the_grid(self, shape):
         # a (2, ny, nx) alpha used to grow the fields to that shape
         with pytest.raises(ValueError, match="does not fit the grid"):
-            integrate_pde(seeded_grid(), np.full(shape, 0.4), 5.0, t_end=1.0, dt=0.25)
+            integrate_pde(seeded_fields(), np.full(shape, 0.4), 5.0, t_end=1.0, dt=0.25,
+                          dx=DX, d=D)
 
     @pytest.mark.parametrize("shape", [(), (1, 30), (30,), (8, 1)])
     def test_broadcasting_alpha_matches_the_full_field(self, shape):
-        full = integrate_pde(seeded_grid(), np.full((8, 30), 0.4), 5.0, 2.0, 0.25)
-        traj = integrate_pde(seeded_grid(), np.full(shape, 0.4), 5.0, 2.0, 0.25)
+        full = integrate_pde(seeded_fields(), np.full((8, 30), 0.4), 5.0, 2.0, 0.25, DX, D)
+        traj = integrate_pde(seeded_fields(), np.full(shape, 0.4), 5.0, 2.0, 0.25, DX, D)
         for a, b in zip(traj.active + traj.passive, full.active + full.passive):
             assert a.tobytes() == b.tobytes()
 
     def test_record_every_below_one_rejected(self):
         with pytest.raises(ValueError, match="record_every"):
-            integrate_pde(seeded_grid(), 0.4, 5.0, t_end=1.0, dt=0.25, record_every=0)
+            integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D,
+                          record_every=0)
 
     @pytest.mark.parametrize("dx, d", [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
     def test_grid_must_be_finite(self, dx, d):
         with pytest.raises(ValueError, match="finite"):
-            seeded_grid(dx=dx, d=d)
+            integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=0.25, dx=dx, d=d)
+
+    @pytest.mark.parametrize("dx, d", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5)])
+    def test_grid_spacing_positive_and_diffusivity_non_negative(self, dx, d):
+        with pytest.raises(ValueError, match="dx must be > 0 and d >= 0"):
+            integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=0.25, dx=dx, d=d)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
     @pytest.mark.parametrize("field", ["field_active", "field_passive"])
@@ -380,15 +389,32 @@ class TestIntegratePde:
         fields = {"field_active": np.full((2, 5), 0.2), "field_passive": np.full((2, 5), 0.8)}
         fields[field][1, 3] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
-            PdeGrid(nx=5, ny=2, dx=1.0, d=0.1, **fields)
+            integrate_pde((fields["field_active"], fields["field_passive"]), 0.4, 5.0,
+                          t_end=1.0, dt=0.25, dx=1.0, d=0.1)
+
+    @pytest.mark.parametrize("passive_shape", [(2, 6), (3, 5), (10,), (1, 2, 5)])
+    def test_fields_must_be_2d_of_one_shape(self, passive_shape):
+        active, passive = np.full((2, 5), 0.2), np.full(passive_shape, 0.8)
+        with pytest.raises(ValueError, match="2-D arrays of one shape"):
+            integrate_pde((active, passive), 0.4, 5.0, t_end=1.0, dt=0.25, dx=1.0, d=0.1)
+        with pytest.raises(ValueError, match="2-D arrays of one shape"):
+            integrate_pde((np.full(10, 0.2), np.full(10, 0.8)), 0.4, 5.0, 1.0, 0.25, 1.0, 0.1)
+
+    def test_zero_diffusion_ignores_dx(self):
+        # d * lap is zero at d = 0, also where dx * dx underflows
+        starts = np.array([[0.1, 0.2, 0.3], [0.05, 0.5, 0.9]])
+        unit, tiny = (integrate_pde((starts, 1.0 - starts), 0.4, 5.0, 2.0, 0.25, dx, 0.0)
+                      for dx in (1.0, 1e-160))
+        for a, b in zip(unit.active + unit.passive, tiny.active + tiny.passive):
+            assert a.tobytes() == b.tobytes()
 
     def test_alpha_field_hook_orders_growth(self):
         # a larger contact rate on the right half -> faster local growth
         alpha = np.full((4, 10), 0.25)
         alpha[:, 5:] = 0.5
-        grid = PdeGrid(nx=10, ny=4, dx=2.0, d=0.0,
-                       field_active=np.full((4, 10), 0.05), field_passive=np.full((4, 10), 0.95))
-        traj = integrate_pde(grid, alpha, 5.0, t_end=30.0, dt=0.1, record_every=300)
+        fields = (np.full((4, 10), 0.05), np.full((4, 10), 0.95))
+        traj = integrate_pde(fields, alpha, 5.0, t_end=30.0, dt=0.1, dx=2.0, d=0.0,
+                             record_every=300)
         final = traj.active[-1]
         assert final[:, 5:].mean() > final[:, :5].mean()
 
@@ -433,8 +459,9 @@ seed_level = 0.5
     def test_matches_integrate_pde_on_the_same_grid(self):
         cfg = parse_config(self.CONFIG + "record_every = 32\n")
         traj, _ = meanfield.run_pde(cfg)
-        grid = seeded_grid(nx=40, ny=4, dx=10.0, d=320.0, columns=3, level=0.5)
-        direct = integrate_pde(grid, 0.4, 5, t_end=6.0, dt=0.0625, record_every=32)
+        fields = seeded_fields(nx=40, ny=4, columns=3, level=0.5)
+        direct = integrate_pde(fields, 0.4, 5, t_end=6.0, dt=0.0625, dx=10.0, d=320.0,
+                               record_every=32)
         assert traj.times.tolist() == direct.times.tolist() == [0.0, 2.0, 4.0, 6.0]
         assert traj.profiles.tobytes() == direct.profiles.tobytes()
         expected = np.array([snap.mean(axis=0) for snap in direct.active])
@@ -452,7 +479,7 @@ def front_trajectory(snaps, dx):
 
 class TestFrontTracking:
     def test_stationary_front_speed_zero(self):
-        snaps = [seeded_grid().field_active.copy() for _ in range(8)]
+        snaps = [seeded_fields()[0] for _ in range(8)]
         traj = front_trajectory(snaps, dx=5.0)
         assert front_speed(traj, 0.25) == pytest.approx(0.0, abs=1e-12)
 

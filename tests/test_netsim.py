@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dscsim import analysis, environment, meanfield, rng, sensor
 from dscsim.environment import ConcentrationModel
 from dscsim.netsim import (
+    _SAMPLE_BLOCK,
     ACTIVE,
     NetworkConfig,
     Simulation,
@@ -473,7 +474,8 @@ class TestLazyStreams:
         monkeypatch.setattr(Simulation, "_fill", recording)
         cfg = paper_config(delta=0.01, rotation_period=15)
         sim = Simulation(cfg, SPEC40, REFERENCE, seeds=(25, 26, 9))
-        for _ in range(400):  # four sample blocks
+        steps = 3 * _SAMPLE_BLOCK + 16  # into a fourth sample block
+        for _ in range(steps):
             sim._advance()
         sensing_at = {t: set(idx.tolist()) for t, idx, _ in seen}
         built = np.flatnonzero(sim._row >= 0)
@@ -482,12 +484,13 @@ class TestLazyStreams:
         filled = [(row, block) for _, rows, block in fills for row in rows.tolist()]
         assert len(filled) == len(set(filled))
         for t, rows, block in fills:
-            assert block == (t - 1) // 128
+            assert block == (t - 1) // _SAMPLE_BLOCK
             assert set(sensor_of[rows].tolist()) <= sensing_at[t], t
-        read = {(int(sim._row[i]), (t - 1) // 128) for t, idx in sensing_at.items() for i in idx}
+        read = {(int(sim._row[i]), (t - 1) // _SAMPLE_BLOCK)
+                for t, idx in sensing_at.items() for i in idx}
         assert set(filled) == read
         assert len({block for _, block in filled}) == 4
-        _assert_eager_readings(seen, sim, 400)
+        _assert_eager_readings(seen, sim, steps)
 
     def test_union_members_read_at_their_own_threshold(self, monkeypatch):
         cfg = paper_config(delta=0.05, rotation_period=15)
