@@ -266,6 +266,8 @@ def resolve_pde(config: ExperimentConfig) -> PdeSettings:
 
     spec = config.sensor
     pde = config.pde
+    if not math.isfinite(pde.dx * pde.dx):
+        raise ValueError(f"dx = {pde.dx} is too large: dx^2 is not finite")
     d = pde.diffusivity or spec.r_star ** 2 / spec.tau_star
     p = sensor.detection_probability(spec, config.environment)
     r0_value = meanfield.r0(

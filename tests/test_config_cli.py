@@ -238,6 +238,10 @@ class TestSweep:
 # given explicitly, and derived as dx^2 / (8 d) = 1.25e-321.
 SUBNORMAL_DT = ["dt = 5e-324\n", "dx = 1e-160\ndiffusivity = 1.0\n"]
 
+# [pde] settings whose dx is finite but whose dx^2 overflows, with dt given
+# explicitly and derived from dx.
+HUGE_DX = ["dx = 1e200\ndt = 0.05\n", "dx = 1e200\n"]
+
 
 class TestResolvePde:
     def test_derived_fields_filled(self):
@@ -261,6 +265,11 @@ class TestResolvePde:
     @pytest.mark.parametrize("pde", SUBNORMAL_DT, ids=["explicit", "derived"])
     def test_dt_too_small_to_count_steps_rejected(self, pde):
         with pytest.raises(ValueError, match=r"dt = .* 1 / dt and t_end / dt"):
+            resolve_pde(parse_config(MINIMAL + "\n[pde]\n" + pde))
+
+    @pytest.mark.parametrize("pde", HUGE_DX, ids=["explicit-dt", "derived-dt"])
+    def test_dx_with_overflowing_square_rejected(self, pde):
+        with pytest.raises(ValueError, match=r"dx = 1e\+200 is too large"):
             resolve_pde(parse_config(MINIMAL + "\n[pde]\n" + pde))
 
     @pytest.mark.parametrize("level", [0.0, 1.0])
@@ -360,6 +369,15 @@ class TestCli:
         assert cli.main(["pde", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert re.search(r"^dscsim pde: error: dt = ", err, re.MULTILINE), err
+
+    @pytest.mark.parametrize("pde", HUGE_DX, ids=["explicit-dt", "derived-dt"])
+    def test_pde_dx_too_large_is_error_exit_naming_dx(self, tmp_path, capsys, pde):
+        # dx ** 2 used to raise OverflowError, reported without a key
+        path = tmp_path / "pde.ini"
+        path.write_text(MINIMAL + "\n[pde]\n" + pde, encoding="utf-8")
+        assert cli.main(["pde", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^dscsim pde: error: dx = ", err, re.MULTILINE), err
 
     def test_missing_config_is_error_exit(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.ini"),

@@ -400,6 +400,20 @@ class TestIntegratePde:
         with pytest.raises(ValueError, match="2-D arrays of one shape"):
             integrate_pde((np.full(10, 0.2), np.full(10, 0.8)), 0.4, 5.0, 1.0, 0.25, 1.0, 0.1)
 
+    @pytest.mark.parametrize("d", [1.0, 0.0])
+    def test_dx_with_overflowing_square_rejected(self, d):
+        # dx ** 2 used to raise OverflowError, which names no argument
+        with pytest.raises(ValueError, match=r"dx = 1e\+200 is too large"):
+            integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=0.25, dx=1e200, d=d)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+    def test_empty_fields_rejected(self, shape):
+        # they used to reach the mean of an empty slice (a RuntimeWarning)
+        fields = (np.zeros(shape), np.ones(shape))
+        message = rf"must not be empty, got shape \({shape[0]}, {shape[1]}\)"
+        with pytest.raises(ValueError, match=message):
+            integrate_pde(fields, 0.4, 5.0, t_end=1.0, dt=0.25, dx=1.0, d=0.1)
+
     def test_zero_diffusion_ignores_dx(self):
         # d * lap is zero at d = 0, also where dx * dx underflows
         starts = np.array([[0.1, 0.2, 0.3], [0.05, 0.5, 0.9]])
@@ -417,6 +431,95 @@ class TestIntegratePde:
                              record_every=300)
         final = traj.active[-1]
         assert final[:, 5:].mean() > final[:, :5].mean()
+
+
+def random_rows(nx, ny, seed):
+    """(active, passive) whose ny rows repeat one random row each."""
+    gen = np.random.default_rng(seed)
+    row_a, row_p = gen.uniform(0.0, 0.6, nx), gen.uniform(0.2, 1.0, nx)
+    return np.tile(row_a, (ny, 1)), np.tile(row_p, (ny, 1))
+
+
+def trajectory_bytes(traj):
+    return [traj.times.tobytes(), traj.profiles.tobytes()] + [
+        f.tobytes() for f in traj.active + traj.passive]
+
+
+class TestOneRowPath:
+    """y-invariant inputs are solved on one row; every record must equal,
+    byte for byte, the full-grid solve forced by patching _y_invariant."""
+
+    def both_paths(self, monkeypatch, *args, **kwargs):
+        """(one-row path taken?, its trajectory, the forced full-grid one)."""
+        original, taken, rows = meanfield._y_invariant, [], []
+        monkeypatch.setattr(meanfield, "_y_invariant",
+                            lambda *arrays: taken.append(original(*arrays)) or taken[-1])
+        rhs = meanfield._pde_rhs
+        monkeypatch.setattr(meanfield, "_pde_rhs",
+                            lambda u, *rest: rows.append(u.shape[1]) or rhs(u, *rest))
+        traj = integrate_pde(*args, **kwargs)
+        monkeypatch.setattr(meanfield, "_y_invariant", lambda *arrays: False)
+        full = integrate_pde(*args, **kwargs)
+        ny = np.shape(args[0][0])[0]
+        assert set(rows) == ({1, ny} if taken[0] else {ny})
+        return taken[0], traj, full
+
+    @pytest.mark.parametrize("ny", [3, 8])
+    @pytest.mark.parametrize("keep_fields", [True, False])
+    @pytest.mark.parametrize("record_every", [1, 4])
+    def test_seeded_front_matches_the_full_grid(self, monkeypatch, ny, keep_fields,
+                                                record_every):
+        taken, traj, full = self.both_paths(
+            monkeypatch, seeded_fields(ny=ny), 0.4, 5.0, 5.0, 0.25, DX, D,
+            record_every, keep_fields=keep_fields)
+        assert taken
+        assert len(traj.active) == (traj.times.size if keep_fields else 0)
+        assert trajectory_bytes(traj) == trajectory_bytes(full)
+        for f in traj.active + traj.passive:
+            assert f.shape == (ny, 30) and f.flags.c_contiguous and f.flags.writeable
+
+    @pytest.mark.parametrize("ny", [3, 8])
+    def test_clamped_run_matches_the_full_grid(self, monkeypatch, ny):
+        # the inputs of the golden clamp case, which overshoots below zero
+        fields = seeded_fields(nx=12, ny=ny, columns=3, level=0.8)
+        taken, traj, full = self.both_paths(monkeypatch, fields, 20.0, 5.0, 1.0, 0.25,
+                                            2.0, 1.0)
+        assert taken
+        assert trajectory_bytes(traj) == trajectory_bytes(full)
+
+    @pytest.mark.parametrize("ny", [3, 8])
+    @pytest.mark.parametrize("alpha_shape", ["full", "row", "flat"])
+    def test_random_rows_and_alpha_match_the_full_grid(self, monkeypatch, ny, alpha_shape):
+        ramp = np.linspace(0.1, 0.9, 16)
+        alpha = {"full": np.tile(ramp, (ny, 1)), "row": ramp[None, :], "flat": ramp}
+        taken, traj, full = self.both_paths(
+            monkeypatch, random_rows(16, ny, 11), alpha[alpha_shape], math.inf, 10.0, 0.5,
+            2.0, 1.0, record_every=3)
+        assert taken
+        assert trajectory_bytes(traj) == trajectory_bytes(full)
+
+    @pytest.mark.parametrize("ny", [3, 8])
+    @pytest.mark.parametrize("where", ["field", "alpha"])
+    def test_negative_zero_row_takes_the_full_grid(self, monkeypatch, ny, where):
+        # -0.0 == 0.0, but the rows differ in their bits
+        active, passive = seeded_fields(ny=ny)
+        alpha = np.full((ny, 30), 0.4)
+        alpha[:, 10] = 0.0
+        assert active[0, 10] == 0.0
+        {"field": active, "alpha": alpha}[where][2, 10] = -0.0
+        taken, traj, full = self.both_paths(monkeypatch, (active, passive), alpha, 5.0,
+                                            5.0, 0.25, DX, D)
+        assert not taken
+        assert trajectory_bytes(traj) == trajectory_bytes(full)
+
+    def test_y_invariance_is_bitwise(self):
+        row = np.linspace(0.0, 1.0, 6)
+        grid = np.tile(row, (4, 1))
+        assert meanfield._y_invariant(grid, grid, np.asarray(0.4), row, row[None, :])
+        varied = grid.copy()
+        varied[3, 0] = -0.0
+        assert not meanfield._y_invariant(grid, varied)
+        assert not meanfield._y_invariant(grid, np.outer(np.arange(1.0, 5.0), row))
 
 
 class TestRunPde:
