@@ -450,18 +450,28 @@ class TestOneRowPath:
     byte for byte, the full-grid solve forced by patching _y_invariant."""
 
     def both_paths(self, monkeypatch, *args, **kwargs):
-        """(one-row path taken?, its trajectory, the forced full-grid one)."""
-        original, taken, rows = meanfield._y_invariant, [], []
-        monkeypatch.setattr(meanfield, "_y_invariant",
-                            lambda *arrays: taken.append(original(*arrays)) or taken[-1])
-        rhs = meanfield._pde_rhs
-        monkeypatch.setattr(meanfield, "_pde_rhs",
-                            lambda u, *rest: rows.append(u.shape[1]) or rhs(u, *rest))
+        """(one-row path taken?, its trajectory, the forced full-grid one),
+        after checking how many rows each path hands the stencil."""
+        original, rhs = meanfield._y_invariant, meanfield._pde_rhs
+        taken, rows = [], []
+
+        def spy(*arrays):
+            taken.append(original(*arrays))
+            return taken[-1]
+
+        def counted_rhs(u, *rest):
+            rows.append(u.shape[1])
+            rhs(u, *rest)
+
+        monkeypatch.setattr(meanfield, "_y_invariant", spy)
+        monkeypatch.setattr(meanfield, "_pde_rhs", counted_rhs)
         traj = integrate_pde(*args, **kwargs)
+        ny = np.shape(args[0][0])[0]
+        assert set(rows) == {1 if taken[0] else ny}
+        rows.clear()
         monkeypatch.setattr(meanfield, "_y_invariant", lambda *arrays: False)
         full = integrate_pde(*args, **kwargs)
-        ny = np.shape(args[0][0])[0]
-        assert set(rows) == ({1, ny} if taken[0] else {ny})
+        assert set(rows) == {ny}
         return taken[0], traj, full
 
     @pytest.mark.parametrize("ny", [3, 8])
