@@ -165,10 +165,16 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
 
     Row i lists, ascending, every j != i whose offset d = positions[j] -
     positions[i] satisfies d_x**2 + d_y**2 <= r_star**2 in floating point.
-    Points are sorted by square cell; each point's 3 x 3 block of cells is
-    found by binary search in that order and filtered by the exact test.
+    Points are sorted by square cell, and a table of cell counts gives where
+    each cell's points start in that order. The 3 x 3 block of cells around
+    a point is three runs of that order, one per column (a column's cells
+    have consecutive ids), and its points are filtered by the exact test.
     """
+    if not r_star > 0:
+        raise ValueError(f"r_star must be > 0, got {r_star}")
     pos = np.asarray(positions, dtype=float)
+    if not np.isfinite(pos).all():
+        raise ValueError("positions must be finite")
     n = len(pos)
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -176,22 +182,23 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
     extent = float((pos.max(axis=0) - lo).max())
     # The 2**-16 margin exceeds the rounding error of the distance test and
     # of the cell arithmetic, so every accepted pair lies in the same or an
-    # adjacent cell. Cells at least extent / 2**31 wide keep the cell ids
-    # below 2**63; the 2**-500 floor covers an r_star whose square underflows.
-    cell = max(r_star, extent / 2**31, 2.0**-500) * (1.0 + 2.0**-16)
+    # adjacent cell. Cells at least extent / (2 isqrt(n) + 2) wide keep the
+    # table at O(n) cells; the 2**-500 floor covers an r_star whose square
+    # underflows.
+    cell = max(r_star, extent / (2 * math.isqrt(n) + 2), 2.0**-500) * (1.0 + 2.0**-16)
     kx, ky = np.floor((pos - lo) / cell).astype(np.int64).T
-    rows = int(ky.max()) + 3  # a padding row each side: ky +- 1 never wraps
-    cell_id = kx * rows + ky + 1
-    order = np.argsort(cell_id)
-    sorted_id = cell_id[order]
-    block = (np.arange(-1, 2)[:, None] * rows + np.arange(-1, 2)).ravel()
-    target = (cell_id[:, None] + block).ravel()
-    start = np.searchsorted(sorted_id, target, side="left")
-    count = np.searchsorted(sorted_id, target, side="right") - start
-    i = np.repeat(np.arange(target.size) // block.size, count)
-    j = order[_ragged_arange(start, count)]
-    d = pos[j] - pos[i]
-    keep = (d[:, 0] ** 2 + d[:, 1] ** 2 <= r_star * r_star) & (i != j)
+    rows = int(ky.max()) + 3  # a padding row and column each side: no wrap
+    cell_id = (kx + 1) * rows + ky + 1
+    offset = np.zeros((int(kx.max()) + 3) * rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell_id, minlength=offset.size - 1), out=offset[1:])
+    first = (cell_id[:, None] + np.array([-rows - 1, -1, rows - 1])).ravel()
+    begin = offset[first]
+    count = offset[first + 3] - begin
+    i = np.repeat(np.arange(first.size) // 3, count)
+    j = np.argsort(cell_id)[_ragged_arange(begin, count)]
+    x, y = pos.T
+    dx, dy = x[j] - x[i], y[j] - y[i]
+    keep = (dx**2 + dy**2 <= r_star * r_star) & (i != j)
     pairs = np.sort(i[keep] * n + j[keep])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
@@ -237,7 +244,6 @@ class Simulation:
                                                                 self.permanent))
         n_perm = config.permanent_count
         degrees, neighbors = [], []
-        self._fail_rngs, self._rotate_rngs = [], []
         for k, (seed, spec) in enumerate(zip(self.seeds, self.specs)):
             positions = place_sensors(config, rng.substream(seed, rng.PLACEMENT))
             indptr, indices = neighbor_csr(positions, spec.r_star)
@@ -248,8 +254,6 @@ class Simulation:
             starters = order[: n_perm + config.initial_active]
             kind[k, starters] = ACTIVE
             remaining[k, starters] = self.tau_star
-            self._fail_rngs.append(rng.substream(seed, rng.FAILURE))
-            self._rotate_rngs.append(rng.substream(seed, rng.ROTATION))
         self.indptr = np.zeros(m * n + 1, dtype=np.int64)
         np.cumsum(np.concatenate(degrees), out=self.indptr[1:])
         self.indices = np.concatenate(neighbors)
@@ -270,6 +274,10 @@ class Simulation:
 
         period = config.rotation_period
         self.rotation_period = 10 * self.tau_star if period is None else period
+        # Failure and rotation streams exist only where _advance draws them.
+        failing, rotating = config.failure_rate > 0.0, n_perm and self.rotation_period
+        self._fail_rngs = [rng.substream(s, rng.FAILURE) for s in self.seeds if failing]
+        self._rotate_rngs = [rng.substream(s, rng.ROTATION) for s in self.seeds if rotating]
         self.t = 0
 
     def _fill(self, rows: np.ndarray, block: int) -> None:
@@ -340,7 +348,7 @@ class Simulation:
         ticks of a sparse network.
         """
         cfg, tau_star = self.config, self.tau_star
-        n, m = cfg.n, len(self.seeds)
+        n, m, n_perm = cfg.n, len(self.seeds), cfg.permanent_count
         kind, remaining, used = self.kind, self.remaining, self._broadcast_used
         self.t += 1
 
@@ -356,10 +364,12 @@ class Simulation:
         # Phase 2: timers.
         remaining[sensing] -= 1
         expired = sensing[remaining[sensing] == 0]
-        rearm = self.permanent[expired]
-        kind[expired[~rearm]] = PASSIVE
-        remaining[expired[rearm]] = tau_star
-        used[expired[rearm]] = False
+        if n_perm:  # else no sensor is permanent
+            rearm = self.permanent[expired]
+            remaining[expired[rearm]] = tau_star
+            used[expired[rearm]] = False
+            expired = expired[~rearm]
+        kind[expired] = PASSIVE
         if cfg.refresh_on_detect:
             # A detection re-arms the detector's own timer (including one
             # whose activation just ended this step).
@@ -383,8 +393,7 @@ class Simulation:
             self.permanent[dying] = False
 
         # Phase 5: permanent-set reshuffle, member by member.
-        n_perm = cfg.permanent_count
-        if n_perm and self.rotation_period and self.t % self.rotation_period == 0:
+        if self._rotate_rngs and self.t % self.rotation_period == 0:
             for gen, member_kind, permanent in zip(self._rotate_rngs, kind.reshape(m, n),
                                                    self.permanent.reshape(m, n)):
                 alive = np.flatnonzero(member_kind != FAULTY)
@@ -453,7 +462,8 @@ def _chunk_run(chunk) -> list[np.ndarray]:
     counts = np.empty((len(seeds), steps))
     for column in counts.T:
         sim._advance()
-        column[:] = np.count_nonzero(sim.kind.reshape(-1, config.n) == ACTIVE, axis=1)
+        column[:] = np.bincount(np.flatnonzero(sim.kind == ACTIVE) // config.n,
+                                minlength=len(seeds))
     return list(counts / config.n)
 
 

@@ -2,6 +2,7 @@
 conservation, determinism, and the epidemic dichotomy."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,40 @@ class TestNeighborSearch:
         assert np.all(rows != indices)
         assert np.array_equal(np.sort(indices * n + rows), rows * n + indices)  # symmetric
         assert np.all(np.diff(indices)[rows[1:] == rows[:-1]] > 0)
+
+    @pytest.mark.parametrize("r_star", [math.nan, 0.0, -0.0, -40.0, -math.inf])
+    def test_range_must_be_positive(self, r_star):
+        # At r_star = -40 the rule d**2 <= r_star**2 would admit most pairs.
+        with pytest.raises(ValueError, match="r_star"):
+            neighbor_csr(_KM_SQUARE[:50], r_star)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_positions_must_be_finite(self, bad):
+        pos = _KM_SQUARE[:50].copy()
+        pos[7, 1] = bad
+        with pytest.raises(ValueError, match="positions"):
+            neighbor_csr(pos, 40.0)
+
+    def test_cell_table_stays_linear_in_points(self):
+        # Cells r_star wide would number 1e30 on a 1e6 m square at r_star =
+        # 1e-9; the table is bounded by the points instead. Only the copied
+        # points are neighbors.
+        base = np.random.default_rng(11).random((19_996, 2)) * 1e6
+        small = np.vstack([base[:200], base[:4]])
+        for got, expected in zip(neighbor_csr(small, 1e-9), _brute_force_csr(small, 1e-9)):
+            assert np.array_equal(got, expected)
+        pos = np.vstack([base, base[:4]])
+        tracemalloc.start()
+        try:
+            indptr, indices = neighbor_csr(pos, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        copies = np.arange(4)
+        assert np.array_equal(np.flatnonzero(np.diff(indptr)), np.r_[copies, copies + 19_996])
+        assert np.array_equal(indices, np.r_[copies + 19_996, copies])
+        # 5.6 MB measured for these 20 000 points (numpy 2, 64-bit).
+        assert peak < 8e6
 
 
 class TestStepSemantics:
@@ -600,6 +635,27 @@ class TestUnion:
         offsets = [0, 50, 100]
         assert np.array_equal(union.indices,
                               np.concatenate([s.indices + o for s, o in zip(lone, offsets)]))
+
+    @pytest.mark.parametrize("options, extra", [
+        ({}, set()),
+        ({"failure_rate": 0.01}, {rng.FAILURE}),
+        ({"delta": 0.1}, {rng.ROTATION}),
+        ({"delta": 0.1, "rotation_period": 0}, set()),
+        ({"delta": 0.1, "failure_rate": 0.01}, {rng.FAILURE, rng.ROTATION}),
+    ])
+    def test_union_builds_only_the_streams_it_draws(self, monkeypatch, options, extra):
+        built = []
+        original = rng.substream
+
+        def spying(seed, *path):
+            built.append((seed, path[0]))
+            return original(seed, *path)
+
+        monkeypatch.setattr(rng, "substream", spying)
+        seeds = (3, 4, 9)
+        Simulation(paper_config(n=50, **options), SPEC40, REFERENCE, seeds=seeds)
+        domains = {rng.PLACEMENT, rng.INITIAL_STATE} | extra
+        assert sorted(built) == sorted((s, d) for s in seeds for d in domains)
 
     def test_union_needs_a_seed_and_has_no_single_record(self):
         with pytest.raises(ValueError, match="at least one seed"):
