@@ -39,7 +39,7 @@ from .config import (
 SUBCOMMANDS = ("sample", "simulate", "sweep", "analyze", "meanfield", "pde")
 # Subcommands that accept --jobs. Only sweep reads it; analyze and pde still
 # accept it, without effect, because bench/test_bench.py passes it to every
-# command of a workload (ROADMAP item 5 drops that, then these two reject it).
+# command of a workload (ROADMAP item 1 drops that, then these two reject it).
 _JOBS_SUBCOMMANDS = ("sweep", "analyze", "pde")
 
 

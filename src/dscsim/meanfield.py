@@ -24,6 +24,7 @@ activation fronts (Fisher-type, speed of order sqrt(b * D)).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,44 +237,49 @@ def integrate_sis(
         substeps *= 2
 
 
-def _pde_rhs(u: np.ndarray, alpha, decay: float, d: float, dx2: float,
-             out: np.ndarray, lap: np.ndarray, react: np.ndarray) -> None:
-    """Write the time derivative of the stacked fields u = (a, p) into out.
+# Views of a zeroed (2, R, nx + 2) buffer: R = rows + 2 with pad rows, R = 1
+# on one row. pads pairs each pad with its edge; span runs flat from the first
+# interior cell to the last, and up, down, left, right are its neighbors.
+_Padded = namedtuple("_Padded", "grid interior pads span up down left right")
 
-    lap is a work buffer of u's shape, react one of a field's shape.
-    The arithmetic is, in this order and rounded at every step,
+
+def _padded(rows: int, nx: int) -> _Padded:
+    w, r0 = nx + 2, int(rows > 1)
+    grid = np.zeros((2, rows + 2 * r0, w))
+    pads = [(grid[:, :, ::w - 1], grid[:, :, 1:w - 1:max(nx - 1, 1)])]
+    if r0:
+        pads.append((grid[:, ::rows + 1], grid[:, 1:rows + 1:rows - 1]))
+    flat, start = grid.reshape(-1), r0 * w + 1
+    return _Padded(grid, grid[:, r0:r0 + rows, 1:-1], pads, *(
+        flat[start + s:flat.size - start + s] for s in (0, -r0 * w, r0 * w, -1, 1)))
+
+
+def _pde_rhs(src, dst, lap, alpha, decay: float, d: float, dx2: float) -> None:
+    """Write the time derivative of the stacked fields src = (a, p) into dst,
+    once src's pads hold their edge cells (zero flux); lap is a work buffer.
+    Per cell, in this order and rounded at every step,
 
         react = alpha * a * p - decay * a
         lap(f) = (up + down + left + right - 4 f) / dx2
         out = (d * lap(a) + react, d * lap(p) - react)
-
-    where a neighbor beyond the edge is the edge cell itself (zero flux).
     """
-    a, p = u
+    for pad, edge in src.pads:
+        np.copyto(pad, edge)
+    total = lap.span
+    np.add(src.up, src.down, out=total)
+    total += src.left
+    total += src.right
+    np.multiply(src.span, 4.0, out=dst.span)
+    total -= dst.span
+    total /= dx2
+    total *= d
+    (a, p), (out, react) = src.grid, dst.grid
     np.multiply(a, alpha, out=react)
     react *= p
-    np.multiply(a, decay, out=out[0])
-    react -= out[0]
-    lap[:, 1:] = u[:, :-1]
-    lap[:, :1] = u[:, :1]
-    lap[:, :-1] += u[:, 1:]
-    lap[:, -1:] += u[:, -1:]
-    # Left, then right neighbors, each as one contiguous pass over the
-    # flattened stack. That pass gives the edge column the wrong
-    # neighbor, so the column is then recomputed from its saved sum.
-    flat, u_flat = lap.reshape(-1), u.reshape(-1)
-    edge = lap[:, :, 0].copy()
-    flat[1:] += u_flat[:-1]
-    np.add(edge, u[:, :, 0], out=lap[:, :, 0])
-    edge = lap[:, :, -1].copy()
-    flat[:-1] += u_flat[1:]
-    np.add(edge, u[:, :, -1], out=lap[:, :, -1])
-    np.multiply(u, 4.0, out=out)
-    lap -= out
-    lap /= dx2
-    lap *= d
-    np.add(lap[0], react, out=out[0])
-    np.subtract(lap[1], react, out=out[1])
+    np.multiply(a, decay, out=out)
+    react -= out
+    np.add(lap.grid[0], react, out=out)
+    np.subtract(lap.grid[1], react, out=react)
 
 
 def _y_invariant(*arrays: np.ndarray) -> bool:
@@ -327,11 +333,12 @@ def integrate_pde(
     steps and at the end: always the y-averaged active profile, and the
     full fields unless keep_fields is false.
 
-    When both fields and alpha_field are the same in every row (bitwise),
-    the solver steps a single row: with zero-flux edges a y-uniform cell's
-    up and down neighbors are the cell itself, so that row is bitwise every
-    row of the full grid, and the records are bitwise identical to the
-    full solve's at 1/ny of its cost.
+    Each field is stepped inside a border of pad cells that copy its edge
+    cells, so the Laplacian is one pass over a flat run whose neighbors are
+    shifted views. When both fields and alpha_field are the same in every
+    row (bitwise), the solver steps a single row: with zero-flux edges a
+    y-uniform cell's up and down neighbors are the cell itself, so that row,
+    and every record, is bitwise the full grid's.
     """
     a0, p0 = (np.asarray(f, dtype=float) for f in fields)
     if a0.ndim != 2 or a0.shape != p0.shape:
@@ -353,8 +360,8 @@ def integrate_pde(
         raise ValueError(f"t_end / dt = {t_end} / {dt} steps is not finite")
     if not tau_star > 0:
         raise ValueError("tau_star must be > 0 (inf turns off deactivation)")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    if not hasattr(record_every, "__index__") or record_every < 1:
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
     if d > 0:
         limit = dx ** 2 / (4.0 * d)
         if dt > limit * (1.0 + 1e-12):
@@ -366,26 +373,23 @@ def integrate_pde(
         raise ValueError("alpha_field must be finite")
     shape = a0.shape
     try:
-        fits = np.broadcast_shapes(alpha.shape, shape) == shape
+        full = np.broadcast_to(alpha, shape)
     except ValueError:
-        fits = False
-    if not fits:
-        raise ValueError(f"alpha_field of shape {alpha.shape} does not fit the grid {shape}")
-    if _y_invariant(a0, p0, alpha):
-        a0, p0 = a0[:1], p0[:1]
-        alpha = alpha[:1] if alpha.ndim == 2 else alpha
-    decay = 0.0 if math.isinf(tau_star) else 1.0 / tau_star
-    # d * lap is zero at d = 0 for any finite lap; a unit dx2 there keeps
-    # lap finite when dx * dx would underflow.
-    rhs_args = (alpha, decay, d, dx * dx if d > 0 else 1.0)
+        raise ValueError(f"alpha_field of shape {alpha.shape} does not fit the grid {shape}") from None
+    rows, nx = 1 if _y_invariant(a0, p0, full) else shape[0], shape[1]
+    if alpha.ndim:  # padded like a field; a scalar stays one
+        alpha = np.pad(full[:rows], [(int(rows > 1),) * 2, (1, 1)], mode="edge")
+    # 1 / tau_star is 0.0 at tau_star = inf. d * lap is zero at d = 0 for any
+    # finite lap; a unit dx2 there keeps lap finite when dx * dx underflows.
+    work = (alpha, 1.0 / tau_star, d, dx * dx if d > 0 else 1.0)
 
     # u holds (a, p); each RK4 stage is computed in place as
     #   k1 = rhs(u), k2 = rhs(u + (dt/2) k1), k3 = rhs(u + (dt/2) k2),
     #   k4 = rhs(u + dt k3), u += (dt/6) (((k1 + 2 k2) + 2 k3) + k4)
-    # with acc summing the k's in that order.
-    u = np.stack((a0, p0))
-    stage, k, acc, lap = (np.empty_like(u) for _ in range(4))
-    react = np.empty_like(u[0])
+    # with acc summing the k's in that order, on whole padded buffers.
+    vu, vstage, vk, vacc, vlap = views = [_padded(rows, nx) for _ in range(5)]
+    u, stage, k, acc = (v.grid for v in views[:4])
+    vu.interior[0], vu.interior[1] = a0[:rows], p0[:rows]
     half, sixth = 0.5 * dt, dt / 6.0
     n_steps = max(1, round(t_end / dt))
     times, profiles, snaps_a, snaps_p = [], [], [], []
@@ -393,7 +397,7 @@ def integrate_pde(
     def record(step: int) -> None:
         # On the one-row path each record is that row broadcast to the grid;
         # the mean keeps numpy's reduction order over the full grid's rows.
-        a, p = (np.broadcast_to(f, shape) for f in u)
+        a, p = (np.broadcast_to(f, shape) for f in vu.interior)
         times.append(step * dt)
         profiles.append(a.mean(axis=0))
         if keep_fields:
@@ -402,24 +406,20 @@ def integrate_pde(
 
     record(0)
     for step in range(1, n_steps + 1):
-        _pde_rhs(u, *rhs_args, acc, lap, react)
+        _pde_rhs(vu, vacc, vlap, *work)
         np.multiply(acc, half, out=stage)
+        for h in (half, dt):
+            stage += u
+            _pde_rhs(vstage, vk, vlap, *work)
+            np.multiply(k, h, out=stage)
+            k *= 2.0
+            acc += k
         stage += u
-        _pde_rhs(stage, *rhs_args, k, lap, react)
-        np.multiply(k, half, out=stage)
-        stage += u
-        k *= 2.0
-        acc += k
-        _pde_rhs(stage, *rhs_args, k, lap, react)
-        np.multiply(k, dt, out=stage)
-        stage += u
-        k *= 2.0
-        acc += k
-        _pde_rhs(stage, *rhs_args, k, lap, react)
+        _pde_rhs(vstage, vk, vlap, *work)
         acc += k
         acc *= sixth
         u += acc
-        for field in u:
+        for field in vu.interior:
             if field.min() < 0:
                 np.maximum(field, 0.0, out=field)
         if step % record_every == 0 or step == n_steps:

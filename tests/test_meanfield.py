@@ -372,6 +372,18 @@ class TestIntegratePde:
             integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D,
                           record_every=0)
 
+    @pytest.mark.parametrize("record_every", [2.5, math.nan])
+    def test_non_integer_record_every_rejected(self, record_every):
+        # 2.5 used to record every 5 steps, NaN only the first and last
+        with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+            integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D,
+                          record_every=record_every)
+
+    def test_numpy_integer_record_every_accepted(self):
+        traj = integrate_pde(seeded_fields(), 0.4, 5.0, t_end=3.0, dt=0.25, dx=DX, d=D,
+                             record_every=np.int64(4))
+        assert traj.times.tolist() == [0.0, 1.0, 2.0, 3.0]
+
     @pytest.mark.parametrize("dx, d", [(math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
     def test_grid_must_be_finite(self, dx, d):
         with pytest.raises(ValueError, match="finite"):
@@ -459,9 +471,9 @@ class TestOneRowPath:
             taken.append(original(*arrays))
             return taken[-1]
 
-        def counted_rhs(u, *rest):
-            rows.append(u.shape[1])
-            rhs(u, *rest)
+        def counted_rhs(src, *rest):
+            rows.append(src.interior.shape[1])
+            rhs(src, *rest)
 
         monkeypatch.setattr(meanfield, "_y_invariant", spy)
         monkeypatch.setattr(meanfield, "_pde_rhs", counted_rhs)
@@ -530,6 +542,86 @@ class TestOneRowPath:
         varied[3, 0] = -0.0
         assert not meanfield._y_invariant(grid, varied)
         assert not meanfield._y_invariant(grid, np.outer(np.arange(1.0, 5.0), row))
+
+
+def reference_pde(fields, alpha, tau_star, t_end, dt, dx, d, record_every):
+    """integrate_pde's documented arithmetic, written out slowly on whole
+    arrays: an np.pad(mode="edge") Laplacian, RK4 in the order of
+    integrate_pde's comment, and a per-field clamp. Returns the trajectory
+    and how many times a field was clamped."""
+    a, p = (np.array(f, dtype=float) for f in fields)
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), a.shape)
+    decay = 0.0 if math.isinf(tau_star) else 1.0 / tau_star
+    dx2 = dx * dx if d > 0 else 1.0
+
+    def lap(f):
+        g = np.pad(f, 1, mode="edge")
+        up, down, left, right = g[:-2, 1:-1], g[2:, 1:-1], g[1:-1, :-2], g[1:-1, 2:]
+        return ((((up + down) + left) + right) - 4.0 * f) / dx2 * d
+
+    def rhs(u):
+        react = (alpha * u[0]) * u[1] - decay * u[0]
+        return lap(u[0]) + react, lap(u[1]) - react
+
+    def plus(u, h, k):
+        return [f + h * q for f, q in zip(u, k)]
+
+    u, clamps = [a, p], 0
+    records = [(0.0, a.mean(axis=0), a.copy(), p.copy())]
+    n_steps = max(1, round(t_end / dt))
+    for step in range(1, n_steps + 1):
+        k1 = rhs(u)
+        k2 = rhs(plus(u, 0.5 * dt, k1))
+        k3 = rhs(plus(u, 0.5 * dt, k2))
+        k4 = rhs(plus(u, dt, k3))
+        u = [f + dt / 6.0 * (((q1 + 2.0 * q2) + 2.0 * q3) + q4)
+             for f, q1, q2, q3, q4 in zip(u, k1, k2, k3, k4)]
+        for i, f in enumerate(u):
+            if f.min() < 0:
+                u[i], clamps = np.maximum(f, 0.0), clamps + 1
+        if step % record_every == 0 or step == n_steps:
+            records.append((step * dt, u[0].mean(axis=0), u[0].copy(), u[1].copy()))
+    times, profiles, active, passive = zip(*records)
+    traj = meanfield.PdeTrajectory(times=np.array(times), active=list(active),
+                                   passive=list(passive), dx=dx, profiles=np.array(profiles))
+    return traj, clamps
+
+
+class TestOperationOrder:
+    """integrate_pde must equal the slow reference byte for byte, whatever
+    buffers it steps: the arithmetic is pinned apart from its layout."""
+
+    @pytest.mark.parametrize("nx", [1, 2, 5])
+    @pytest.mark.parametrize("ny", [1, 2, 4])
+    @pytest.mark.parametrize("alpha_shape", [(), "row", "column", "grid"])
+    @pytest.mark.parametrize("same_rows", [False, True])
+    def test_awkward_grids_match_the_reference(self, nx, ny, alpha_shape, same_rows):
+        gen = np.random.default_rng(100 * nx + 10 * ny + same_rows)
+        fields = random_rows(nx, ny, 5) if same_rows else (
+            gen.uniform(0.0, 0.6, (ny, nx)), gen.uniform(0.2, 1.0, (ny, nx)))
+        shape = {(): (), "row": (nx,), "column": (ny, 1), "grid": (ny, nx)}[alpha_shape]
+        alpha = gen.uniform(0.1, 0.9, shape)
+        # dx, d and dt not powers of two, so that reordering a product rounds
+        args = (fields, alpha, 5.0, 3.0, 0.3, 1.5, 0.3, 4)
+        expected, _ = reference_pde(*args)
+        assert trajectory_bytes(integrate_pde(*args)) == trajectory_bytes(expected)
+
+    @pytest.mark.parametrize("case", ["no-diffusion", "tau-inf", "clamp-rows", "clamp-grid"])
+    def test_edge_cases_match_the_reference(self, case):
+        gen = np.random.default_rng(7)
+        random_grid = (gen.uniform(0.0, 0.6, (3, 4)), gen.uniform(0.2, 1.0, (3, 4)))
+        seeded = seeded_fields(nx=12, ny=5, columns=3, level=0.8)
+        bumped = (seeded[0].copy(), seeded[1])
+        bumped[0][2, 6] = 0.3
+        args = {
+            "no-diffusion": (random_grid, 0.4, 5.0, 2.0, 0.25, 1e-160, 0.0, 3),
+            "tau-inf": (random_grid, 0.3, math.inf, 4.0, 0.5, 1.5, 0.7, 3),
+            "clamp-rows": (seeded, 20.0, 5.0, 1.0, 0.25, 2.0, 1.0, 1),
+            "clamp-grid": (bumped, 20.0, 5.0, 1.0, 0.25, 2.0, 1.0, 1),
+        }[case]
+        expected, clamps = reference_pde(*args)
+        assert clamps >= (2 if case.startswith("clamp") else 0)
+        assert trajectory_bytes(integrate_pde(*args)) == trajectory_bytes(expected)
 
 
 class TestRunPde:
