@@ -53,13 +53,19 @@ filled the first time its sensor senses in that block, from one shared
 Philox set to the stream's key and block counter. A row keeps only whether
 each uniform is >= its member's u*, the one thing the protocol reads.
 Phases 1-3 act on index arrays: the sensing sensors, and the recipients
-of this step's messages, from which the wake-ups are taken.
+of this step's messages, from which the wake-ups are taken. The active
+list is carried from tick to tick: a tick returns the sensors active after
+it (the sensing ones still active after their timers, then each wake-up
+once), and the driver behind run and run_members passes it to the next
+tick as its sensing list. So a tick costs what its active sensors and
+messages cost, not a pass over every sensor of the union. The list is read
+from the state arrays instead on ticks that pass over every sensor anyway
+(failure draws, rotation) and when a tick is given none.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -339,13 +345,20 @@ class Simulation:
         counts = self.indptr[broadcasters + 1] - starts
         return self.indices[_ragged_arange(starts, counts)]
 
-    def _advance(self) -> tuple[np.ndarray, np.ndarray]:
+    def _advance(
+        self, sensing: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One synchronous tick of every member; returns the indices of this
-        tick's broadcasting and detecting sensors.
+        tick's broadcasting, detecting and (after the tick) active sensors.
 
-        Sensing, timers and wake-ups act on index arrays, of the active
-        sensors and of this tick's message recipients, which are few in most
-        ticks of a sparse network.
+        sensing must list each active sensor once, as the active list the
+        previous tick returned does; without it the list is recomputed from
+        kind, so state written between ticks is read. Sensing, timers and
+        wake-ups act on index arrays, of the active sensors and of this
+        tick's message recipients, which are few in most ticks of a sparse
+        network. The returned active list is built from them too, except on
+        ticks that already pass over every sensor (failure draws, rotation),
+        where it is read from kind.
         """
         cfg, tau_star = self.config, self.tau_star
         n, m, n_perm = cfg.n, len(self.seeds), cfg.permanent_count
@@ -353,7 +366,8 @@ class Simulation:
         self.t += 1
 
         # Phase 1: sense and broadcast.
-        sensing = np.flatnonzero(kind == ACTIVE)
+        if sensing is None:
+            sensing = np.flatnonzero(kind == ACTIVE)
         detecting = sensing[self._sense(sensing)]
         broadcasting = detecting
         if cfg.single_shot:
@@ -362,8 +376,9 @@ class Simulation:
         received = self._deliver(broadcasting)
 
         # Phase 2: timers.
-        remaining[sensing] -= 1
-        expired = sensing[remaining[sensing] == 0]
+        left = remaining[sensing] - 1
+        remaining[sensing] = left
+        expired = sensing[left == 0]
         if n_perm:  # else no sensor is permanent
             rearm = self.permanent[expired]
             remaining[expired[rearm]] = tau_star
@@ -375,6 +390,8 @@ class Simulation:
             # whose activation just ended this step).
             kind[detecting] = ACTIVE
             remaining[detecting] = tau_star
+        # Taken before phase 3, which may wake a sensor that just expired.
+        staying = sensing[kind[sensing] == ACTIVE]
 
         # Phase 3: wake-ups (messages from this step, passive after expiry).
         wake = received[kind[received] == PASSIVE]  # repeats write the same values
@@ -383,7 +400,8 @@ class Simulation:
         used[wake] = False
 
         # Phase 4: failures (absorbing); each member draws n uniforms.
-        if cfg.failure_rate > 0.0:
+        failing = cfg.failure_rate > 0.0
+        if failing:
             draws = np.empty((m, n))
             for gen, row in zip(self._fail_rngs, draws):
                 gen.random(out=row)
@@ -393,7 +411,8 @@ class Simulation:
             self.permanent[dying] = False
 
         # Phase 5: permanent-set reshuffle, member by member.
-        if self._rotate_rngs and self.t % self.rotation_period == 0:
+        rotating = self._rotate_rngs and self.t % self.rotation_period == 0
+        if rotating:
             for gen, member_kind, permanent in zip(self._rotate_rngs, kind.reshape(m, n),
                                                    self.permanent.reshape(m, n)):
                 alive = np.flatnonzero(member_kind != FAULTY)
@@ -404,23 +423,43 @@ class Simulation:
             kind[newly] = ACTIVE
             remaining[newly] = tau_star
             used[newly] = False
-        return broadcasting, detecting
+
+        if failing or rotating:
+            return broadcasting, detecting, np.flatnonzero(kind == ACTIVE)
+        wake.sort()  # each woken sensor once: drop the repeats of a sorted list
+        first = np.ones(wake.size, dtype=bool)
+        np.not_equal(wake[1:], wake[:-1], out=first[1:])
+        return broadcasting, detecting, np.concatenate((staying, wake[first]))
 
     def step(self) -> SimRecord:
         """Advance a one-run Simulation one tick; returns its record."""
         if len(self.seeds) != 1:
             raise ValueError("step() advances one run; a union has no single record")
-        broadcasting, detecting = self._advance()
-        n_active = int(np.count_nonzero(self.kind == ACTIVE))
-        n_faulty = int(np.count_nonzero(self.kind == FAULTY))
+        return self._record(*self._advance())
+
+    def _record(self, broadcasting, detecting, active) -> SimRecord:
+        """The record of a one-run tick from what _advance returned."""
+        cfg = self.config
+        # Only failures make sensors faulty.
+        n_faulty = int(np.count_nonzero(self.kind == FAULTY)) if cfg.failure_rate > 0.0 else 0
         return SimRecord(
             step=self.t,
-            n_active=n_active,
-            n_passive=self.config.n - n_active - n_faulty,
+            n_active=active.size,
+            n_passive=cfg.n - active.size - n_faulty,
             n_faulty=n_faulty,
-            messages_sent=int(broadcasting.size),
-            detections=int(detecting.size),
+            messages_sent=broadcasting.size,
+            detections=detecting.size,
         )
+
+
+def _ticks(sim: Simulation, steps: int):
+    """Advance sim `steps` ticks, yielding what each _advance returns. Each
+    tick's active list is the next tick's sensing list; the first tick
+    reads it from kind."""
+    active = None
+    for _ in range(steps):
+        broadcasting, detecting, active = sim._advance(active)
+        yield broadcasting, detecting, active
 
 
 def run(
@@ -430,7 +469,7 @@ def run(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     sim = Simulation(config, spec, model)
-    return [sim.step() for _ in range(steps)]
+    return [sim._record(*tick) for tick in _ticks(sim, steps)]
 
 
 def active_fraction(records: list[SimRecord], n: int) -> np.ndarray:
@@ -454,16 +493,15 @@ def _union_key(member):
 
 
 def _chunk_run(chunk) -> list[np.ndarray]:
-    """Active-fraction trajectories of one union's members, in member order."""
+    """Active-fraction trajectories of one union's members, in member order,
+    counted member by member from the active list each tick returns."""
     config, model, steps, seeds, specs = chunk
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     sim = Simulation(config, specs, model, seeds)
     counts = np.empty((len(seeds), steps))
-    for column in counts.T:
-        sim._advance()
-        column[:] = np.bincount(np.flatnonzero(sim.kind == ACTIVE) // config.n,
-                                minlength=len(seeds))
+    for column, (_, _, active) in zip(counts.T, _ticks(sim, steps)):
+        column[:] = np.bincount(active // config.n, minlength=len(seeds))
     return list(counts / config.n)
 
 
@@ -495,6 +533,8 @@ def run_members(members, jobs: int = 1) -> list[np.ndarray]:
     if jobs == 1:
         results = map(_chunk_run, chunks)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_chunk_run, chunks, chunksize=1))
     trajectories = [None] * len(order)

@@ -4,6 +4,7 @@ conservation, determinism, and the epidemic dichotomy."""
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dscsim import analysis, environment, meanfield, rng, sensor
+from dscsim.config import load_config
 from dscsim.environment import ConcentrationModel
 from dscsim.netsim import (
     _SAMPLE_BLOCK,
     ACTIVE,
+    FAULTY,
+    PASSIVE,
     NetworkConfig,
     Simulation,
+    _ticks,
     active_fraction,
     ensemble_run,
     neighbor_csr,
@@ -669,6 +674,83 @@ class TestUnion:
             Simulation(paper_config(n=10), specs, REFERENCE, seeds=(1, 2))
         with pytest.raises(ValueError, match="needs 2 SensorSpecs"):
             Simulation(paper_config(n=10), specs[:1], REFERENCE, seeds=(1, 2))
+
+
+def _demo_sparse_union():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "demo-sparse.ini")
+    specs = [replace(cfg.sensor, r_star=r) for r in (20.0, 27.0, 30.0, 40.0)]
+    return Simulation(cfg.network, specs, cfg.environment, seeds=(0, 1, 2, 3))
+
+
+class TestCarriedActiveList:
+    """_ticks hands each tick's active list to the next tick as its sensing
+    list; the list must be the active set, each sensor once."""
+
+    @pytest.mark.parametrize("options", [
+        {"single_shot": True},
+        {"refresh_on_detect": True},
+        {"delta": 0.05, "rotation_period": 3},
+        {"failure_rate": 0.004},
+        {"delta": 0.05, "rotation_period": 7, "failure_rate": 0.004, "single_shot": True,
+         "refresh_on_detect": True},
+    ])
+    def test_list_is_the_active_set(self, options):
+        cfg = NetworkConfig(n=80, width=300.0, height=300.0, initial_active=4, **options)
+        sim = Simulation(cfg, SPEC40, REFERENCE, seeds=(5, 6, 7))
+        self._check_every_tick(sim, 300)
+
+    def test_list_is_the_active_set_on_demo_sparse(self):
+        self._check_every_tick(_demo_sparse_union(), 500)
+
+    @staticmethod
+    def _check_every_tick(sim, steps):
+        sizes = []
+        for _, _, active in _ticks(sim, steps):
+            assert np.unique(active).size == active.size, sim.t
+            assert np.array_equal(np.sort(active), np.flatnonzero(sim.kind == ACTIVE)), sim.t
+            sizes.append(active.size)
+        assert max(sizes) > 0
+
+    @pytest.mark.parametrize("refresh", [False, True])
+    @pytest.mark.parametrize("remaining", [(1, 3), (1, 1)])
+    def test_expiry_and_wake_in_one_tick_listed_once(self, remaining, refresh):
+        # Both sensors detect every reading and hear each other. Sensor 0's
+        # timer ends in the tick that sensor 1's message reaches it, so the
+        # message wakes it again (with (1, 1) each wakes the other).
+        cfg = NetworkConfig(n=2, width=10.0, height=10.0, initial_active=0,
+                            refresh_on_detect=refresh)
+        sim = Simulation(cfg, SensorSpec(c_star=0.0, tau_star=5, r_star=40.0),
+                         ConcentrationModel(c0=1.0, omega=1.0))
+        assert sim.indices.size == 2
+        sim.kind[:] = ACTIVE
+        sim.remaining[:] = remaining
+        broadcasting, _, active = sim._advance()
+        assert broadcasting.size == 2
+        assert sorted(active.tolist()) == [0, 1]
+        _, _, active = sim._advance(active)
+        assert sorted(active.tolist()) == [0, 1]
+
+    def test_members_conserve_sensors(self):
+        cfg = NetworkConfig(n=150, width=400.0, height=400.0, delta=0.1, rotation_period=20,
+                            initial_active=5, failure_rate=0.01)
+        seeds = (8, 9, 10)
+        sim = Simulation(cfg, SPEC40, REFERENCE, seeds=seeds)
+        for _, _, active in _ticks(sim, 250):
+            kind = sim.kind.reshape(len(seeds), cfg.n)
+            counts = (np.bincount(active // cfg.n, minlength=len(seeds)),
+                      np.count_nonzero(kind == PASSIVE, axis=1),
+                      np.count_nonzero(kind == FAULTY, axis=1))
+            assert np.array_equal(sum(counts), [cfg.n] * len(seeds)), sim.t
+        assert (counts[2] > 0).all()
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(options=_PROTOCOL_OPTIONS, seed=st.integers(0, 2**40))
+    def test_run_records_are_the_step_records(self, options, seed):
+        cfg = NetworkConfig(n=80, width=300.0, height=300.0, initial_active=4, seed=seed,
+                            **options)
+        spec = SensorSpec(c_star=150.0, tau_star=4, r_star=40.0)
+        sim = Simulation(cfg, spec, REFERENCE)
+        assert run(cfg, spec, REFERENCE, 140) == [sim.step() for _ in range(140)]
 
 
 def _ensemble_plateaus(cfg, spec, steps, n_seeds):

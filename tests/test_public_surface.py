@@ -1,7 +1,11 @@
 """The package's public surface: `dscsim.__all__` and the attributes of
 `dscsim` agree, so a deleted or added name cannot drift out of step."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import dscsim
 
@@ -17,3 +21,12 @@ def test_every_public_attribute_is_listed():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(dscsim.__all__)) == []
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only run_members at jobs > 1 imports concurrent.futures.
+    src = str(Path(dscsim.__file__).resolve().parents[1])
+    code = "import sys, dscsim, dscsim.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
