@@ -163,7 +163,8 @@ def place_sensors(config: NetworkConfig, gen: np.random.Generator) -> np.ndarray
 
 def _ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of arange(start, start + count) over the given runs."""
-    return np.arange(int(counts.sum())) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
 def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.ndarray]:
@@ -297,14 +298,15 @@ class Simulation:
         held at once.
         """
         bit_generator = self._draw.bit_generator
-        state = bit_generator.state
-        state["state"]["counter"] = np.array([block * _SAMPLE_BLOCK // 4, 0, 0, 0],
-                                             dtype=np.uint64)
-        state["buffer_pos"] = 4
+        # Python ints, which the state setter reads faster than numpy
+        # scalars; buffer_pos 4 refills the buffer before it is read.
+        state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0,
+                 "state": {"counter": [block * _SAMPLE_BLOCK // 4, 0, 0, 0]}}
         for start in range(0, rows.size, _FILL_ROWS):
             part = rows[start:start + _FILL_ROWS]
             uniforms = np.empty((part.size, _SAMPLE_BLOCK))
-            for key, out in zip(self._keys[part], uniforms):
+            for key, out in zip(self._keys[part].tolist(), uniforms):
                 state["state"]["key"] = key
                 bit_generator.state = state
                 self._draw.random(out=out)
