@@ -20,6 +20,8 @@ from .environment import ConcentrationModel
 SWEEP_COLUMNS = (
     "seed", "plateau_mean", "plateau_std", "p", "alpha_theory_g1", "n", "tau_star", "initial_active",
 )
+# Fewest trajectory points extract_plateau accepts.
+_MIN_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ def extract_plateau(
     dying ones, pass check_stationary=False.
     """
     y = np.asarray(trajectory, dtype=float)
-    if y.size < 10:
-        raise ValueError(f"trajectory too short: {y.size} < 10 points")
+    if y.size < _MIN_POINTS:
+        raise ValueError(f"trajectory too short: {y.size} < {_MIN_POINTS} points")
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must be in (0, 1]")
     k = max(1, int(np.ceil(y.size * tail_fraction)))
@@ -134,7 +136,9 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> list[list]:
     Every grid point runs run.n_seeds members at seeds network.seed + k
     through netsim.run_members; each row holds one member's raw tail
     statistics (dying runs included) and the point's p and alpha at g = 1.
-    Rows come in grid order, then seed order, whatever jobs is.
+    Rows come in grid order, then seed order, whatever jobs is. A point
+    with fewer run.steps than extract_plateau needs is rejected before any
+    member runs.
     """
     n_seeds, base_seed = config.run.n_seeds, config.network.seed
     points = sweep_points(config)
@@ -143,6 +147,9 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> list[list]:
         cfg = config
         for path, value in point.items():
             cfg = apply_override(cfg, path, value)
+        if cfg.run.steps < _MIN_POINTS:
+            raise ValueError(f"run.steps must be >= {_MIN_POINTS} to extract a plateau, "
+                             f"got {cfg.run.steps}")
         configs.append(cfg)
     members = [
         (replace(cfg.network, seed=base_seed + k), cfg.sensor, cfg.environment, cfg.run.steps)

@@ -36,7 +36,6 @@ from .config import (
     sweep_points,
 )
 
-SUBCOMMANDS = ("sample", "simulate", "sweep", "analyze", "meanfield", "pde")
 # Subcommands that accept --jobs. Only sweep reads it; analyze and pde still
 # accept it, without effect, because bench/test_bench.py passes it to every
 # command of a workload (ROADMAP item 1 drops that, then these two reject it).
@@ -172,7 +171,7 @@ def dispatch(subcommand: str, config: ExperimentConfig, out_dir, jobs: int = 1, 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dscsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=os.environ.get("DSCSIM_CONFIG"))
         p.add_argument("--out", default=os.environ.get("DSCSIM_OUT", "."))

@@ -52,15 +52,15 @@ the tick its sensor first senses, and its row of a 128-step block is
 filled the first time its sensor senses in that block, from one shared
 Philox set to the stream's key and block counter. A row keeps only whether
 each uniform is >= its member's u*, the one thing the protocol reads.
-Phases 1-3 act on index arrays: the sensing sensors, and the recipients
+Every phase acts on index arrays: the sensing sensors, and the recipients
 of this step's messages, from which the wake-ups are taken. The active
-list is carried from tick to tick: a tick returns the sensors active after
-it (the sensing ones still active after their timers, then each wake-up
-once), and the driver behind run and run_members passes it to the next
-tick as its sensing list. So a tick costs what its active sensors and
-messages cost, not a pass over every sensor of the union. The list is read
-from the state arrays instead on ticks that pass over every sensor anyway
-(failure draws, rotation) and when a tick is given none.
+list is part of the Simulation's state: each tick senses it and rewrites
+it from those arrays (the sensing sensors still active after their
+timers, then each wake-up once, less this tick's failures, plus the
+sensors a rotation wakes). So a tick costs what its active sensors and
+messages cost, not a pass over every sensor of the union. Only the first
+tick reads the list from the state arrays, so state written before it is
+read.
 """
 
 from __future__ import annotations
@@ -286,6 +286,8 @@ class Simulation:
         self._fail_rngs = [rng.substream(s, rng.FAILURE) for s in self.seeds if failing]
         self._rotate_rngs = [rng.substream(s, rng.ROTATION) for s in self.seeds if rotating]
         self.t = 0
+        # The sensors active after tick t, each once; None: read it from kind.
+        self._active = None
 
     def _fill(self, rows: np.ndarray, block: int) -> None:
         """Detection bits of the given stream rows for sample block `block`,
@@ -347,20 +349,15 @@ class Simulation:
         counts = self.indptr[broadcasters + 1] - starts
         return self.indices[_ragged_arange(starts, counts)]
 
-    def _advance(
-        self, sensing: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _advance(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One synchronous tick of every member; returns the indices of this
         tick's broadcasting, detecting and (after the tick) active sensors.
 
-        sensing must list each active sensor once, as the active list the
-        previous tick returned does; without it the list is recomputed from
-        kind, so state written between ticks is read. Sensing, timers and
-        wake-ups act on index arrays, of the active sensors and of this
-        tick's message recipients, which are few in most ticks of a sparse
-        network. The returned active list is built from them too, except on
-        ticks that already pass over every sensor (failure draws, rotation),
-        where it is read from kind.
+        The tick senses the active list the previous tick left in _active,
+        each active sensor once, and leaves its own there; a first tick
+        (_active is None) reads the list from kind. Every phase acts on
+        index arrays, of the active sensors and of this tick's message
+        recipients, which are few in most ticks of a sparse network.
         """
         cfg, tau_star = self.config, self.tau_star
         n, m, n_perm = cfg.n, len(self.seeds), cfg.permanent_count
@@ -368,6 +365,7 @@ class Simulation:
         self.t += 1
 
         # Phase 1: sense and broadcast.
+        sensing = self._active
         if sensing is None:
             sensing = np.flatnonzero(kind == ACTIVE)
         detecting = sensing[self._sense(sensing)]
@@ -400,10 +398,13 @@ class Simulation:
         kind[wake] = ACTIVE
         remaining[wake] = tau_star
         used[wake] = False
+        wake.sort()  # each woken sensor once: drop the repeats of a sorted list
+        first = np.ones(wake.size, dtype=bool)
+        np.not_equal(wake[1:], wake[:-1], out=first[1:])
+        active = np.concatenate((staying, wake[first]))
 
         # Phase 4: failures (absorbing); each member draws n uniforms.
-        failing = cfg.failure_rate > 0.0
-        if failing:
+        if cfg.failure_rate > 0.0:
             draws = np.empty((m, n))
             for gen, row in zip(self._fail_rngs, draws):
                 gen.random(out=row)
@@ -411,36 +412,30 @@ class Simulation:
             kind[dying] = FAULTY
             remaining[dying] = 0
             self.permanent[dying] = False
+            active = active[kind[active] == ACTIVE]
 
         # Phase 5: permanent-set reshuffle, member by member.
-        rotating = self._rotate_rngs and self.t % self.rotation_period == 0
-        if rotating:
+        if self._rotate_rngs and self.t % self.rotation_period == 0:
             for gen, member_kind, permanent in zip(self._rotate_rngs, kind.reshape(m, n),
                                                    self.permanent.reshape(m, n)):
                 alive = np.flatnonzero(member_kind != FAULTY)
                 chosen = gen.choice(alive, size=min(n_perm, alive.size), replace=False)
                 permanent[:] = False
                 permanent[chosen] = True
-            newly = self.permanent & (kind == PASSIVE)
+            newly = np.flatnonzero(self.permanent & (kind == PASSIVE))
             kind[newly] = ACTIVE
             remaining[newly] = tau_star
             used[newly] = False
+            active = np.concatenate((active, newly))
 
-        if failing or rotating:
-            return broadcasting, detecting, np.flatnonzero(kind == ACTIVE)
-        wake.sort()  # each woken sensor once: drop the repeats of a sorted list
-        first = np.ones(wake.size, dtype=bool)
-        np.not_equal(wake[1:], wake[:-1], out=first[1:])
-        return broadcasting, detecting, np.concatenate((staying, wake[first]))
+        self._active = active
+        return broadcasting, detecting, active
 
     def step(self) -> SimRecord:
         """Advance a one-run Simulation one tick; returns its record."""
         if len(self.seeds) != 1:
             raise ValueError("step() advances one run; a union has no single record")
-        return self._record(*self._advance())
-
-    def _record(self, broadcasting, detecting, active) -> SimRecord:
-        """The record of a one-run tick from what _advance returned."""
+        broadcasting, detecting, active = self._advance()
         cfg = self.config
         # Only failures make sensors faulty.
         n_faulty = int(np.count_nonzero(self.kind == FAULTY)) if cfg.failure_rate > 0.0 else 0
@@ -454,16 +449,6 @@ class Simulation:
         )
 
 
-def _ticks(sim: Simulation, steps: int):
-    """Advance sim `steps` ticks, yielding what each _advance returns. Each
-    tick's active list is the next tick's sensing list; the first tick
-    reads it from kind."""
-    active = None
-    for _ in range(steps):
-        broadcasting, detecting, active = sim._advance(active)
-        yield broadcasting, detecting, active
-
-
 def run(
     config: NetworkConfig, spec: SensorSpec, model: ConcentrationModel, steps: int
 ) -> list[SimRecord]:
@@ -471,7 +456,7 @@ def run(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     sim = Simulation(config, spec, model)
-    return [sim._record(*tick) for tick in _ticks(sim, steps)]
+    return [sim.step() for _ in range(steps)]
 
 
 def active_fraction(records: list[SimRecord], n: int) -> np.ndarray:
@@ -496,14 +481,14 @@ def _union_key(member):
 
 def _chunk_run(chunk) -> list[np.ndarray]:
     """Active-fraction trajectories of one union's members, in member order,
-    counted member by member from the active list each tick returns."""
+    counted member by member from the active list each _advance returns."""
     config, model, steps, seeds, specs = chunk
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     sim = Simulation(config, specs, model, seeds)
     counts = np.empty((len(seeds), steps))
-    for column, (_, _, active) in zip(counts.T, _ticks(sim, steps)):
-        column[:] = np.bincount(active // config.n, minlength=len(seeds))
+    for column in counts.T:
+        column[:] = np.bincount(sim._advance()[2] // config.n, minlength=len(seeds))
     return list(counts / config.n)
 
 

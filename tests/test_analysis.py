@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dscsim import rng
+from dscsim import netsim, rng
 from dscsim.analysis import (
     SWEEP_COLUMNS,
     alpha_from_sim,
@@ -192,6 +192,18 @@ class TestSweepBridge:
         assert [row[:2] for row in rows] == [[0, 30.0]] * 3 + [[1, 90.0]] * 3
         assert [row[2] for row in rows] == [0, 1, 2, 0, 1, 2]  # seed column
         assert all(len(row) == 2 + len(SWEEP_COLUMNS) for row in rows)
+
+    @pytest.mark.parametrize("text", [
+        SWEEP_CONFIG.replace("steps = 40", "steps = 9"),
+        SWEEP_CONFIG.replace("sensor.r_star = 30, 90", "run.steps = 40, 5"),
+    ])
+    def test_sweep_rejects_short_runs_before_running(self, monkeypatch, text):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(netsim, "run_members", unreachable)
+        with pytest.raises(ValueError, match=r"run.steps must be >= 10 .*, got (9|5)$"):
+            sweep(parse_config(text))
 
     def test_analyze_sweep_groups_points(self):
         header = ["point", "sensor.r_star", *SWEEP_COLUMNS]

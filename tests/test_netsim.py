@@ -21,7 +21,6 @@ from dscsim.netsim import (
     PASSIVE,
     NetworkConfig,
     Simulation,
-    _ticks,
     active_fraction,
     ensemble_run,
     neighbor_csr,
@@ -453,6 +452,7 @@ class TestLazyStreams:
                 forced[step] = min(asleep)
                 sim.kind[forced[step]] = ACTIVE
                 sim.remaining[forced[step]] = spec.tau_star
+                sim._active = None  # the next tick reads the written state
             sim.step()
         first = _first_active(seen)
         assert min(first.values()) == 129
@@ -683,8 +683,8 @@ def _demo_sparse_union():
 
 
 class TestCarriedActiveList:
-    """_ticks hands each tick's active list to the next tick as its sensing
-    list; the list must be the active set, each sensor once."""
+    """Each tick senses the active list the previous tick left in
+    Simulation._active; the list must be the active set, each sensor once."""
 
     @pytest.mark.parametrize("options", [
         {"single_shot": True},
@@ -702,10 +702,30 @@ class TestCarriedActiveList:
     def test_list_is_the_active_set_on_demo_sparse(self):
         self._check_every_tick(_demo_sparse_union(), 500)
 
+    def test_list_is_the_active_set_when_every_tick_rotates(self):
+        cfg = NetworkConfig(n=80, width=300.0, height=300.0, delta=0.1, rotation_period=1,
+                            initial_active=4)
+        self._check_every_tick(Simulation(cfg, SPEC40, REFERENCE, seeds=(5, 6, 7)), 60)
+
+    def test_everything_fails_in_the_first_tick(self):
+        # Every sensor detects every reading and hears every other, so the
+        # first tick wakes every passive one; all of them then fail.
+        cfg = NetworkConfig(n=6, width=10.0, height=10.0, delta=0.5, rotation_period=1,
+                            initial_active=1, failure_rate=1.0)
+        sim = Simulation(cfg, SensorSpec(c_star=0.0, tau_star=5, r_star=40.0),
+                         ConcentrationModel(c0=1.0, omega=1.0))
+        record = sim.step()
+        assert record.messages_sent == 4  # the permanent and initial sensors
+        assert sim._active.size == 0
+        assert (sim.kind == FAULTY).all()
+        assert (record.n_active, record.n_passive, record.n_faulty) == (0, 0, cfg.n)
+
     @staticmethod
     def _check_every_tick(sim, steps):
         sizes = []
-        for _, _, active in _ticks(sim, steps):
+        for _ in range(steps):
+            _, _, active = sim._advance()
+            assert active is sim._active
             assert np.unique(active).size == active.size, sim.t
             assert np.array_equal(np.sort(active), np.flatnonzero(sim.kind == ACTIVE)), sim.t
             sizes.append(active.size)
@@ -727,7 +747,7 @@ class TestCarriedActiveList:
         broadcasting, _, active = sim._advance()
         assert broadcasting.size == 2
         assert sorted(active.tolist()) == [0, 1]
-        _, _, active = sim._advance(active)
+        _, _, active = sim._advance()
         assert sorted(active.tolist()) == [0, 1]
 
     def test_members_conserve_sensors(self):
@@ -735,7 +755,8 @@ class TestCarriedActiveList:
                             initial_active=5, failure_rate=0.01)
         seeds = (8, 9, 10)
         sim = Simulation(cfg, SPEC40, REFERENCE, seeds=seeds)
-        for _, _, active in _ticks(sim, 250):
+        for _ in range(250):
+            _, _, active = sim._advance()
             kind = sim.kind.reshape(len(seeds), cfg.n)
             counts = (np.bincount(active // cfg.n, minlength=len(seeds)),
                       np.count_nonzero(kind == PASSIVE, axis=1),
@@ -750,7 +771,11 @@ class TestCarriedActiveList:
                             **options)
         spec = SensorSpec(c_star=150.0, tau_star=4, r_star=40.0)
         sim = Simulation(cfg, spec, REFERENCE)
-        assert run(cfg, spec, REFERENCE, 140) == [sim.step() for _ in range(140)]
+        rescanned = []
+        for _ in range(140):
+            sim._active = None  # read the list from kind
+            rescanned.append(sim.step())
+        assert run(cfg, spec, REFERENCE, 140) == rescanned
 
 
 def _ensemble_plateaus(cfg, spec, steps, n_seeds):
