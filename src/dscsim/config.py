@@ -144,6 +144,15 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
+def _convert(path: str, raw: str):
+    """The value of key `path` ("section.key") read from raw text."""
+    section, _, key = path.partition(".")
+    try:
+        return _SCHEMA[section][key][0](raw)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {path}: {exc}") from exc
+
+
 def _section_kwargs(parser: configparser.ConfigParser, section: str) -> dict:
     schema = _SCHEMA[section]
     kwargs = {}
@@ -151,12 +160,9 @@ def _section_kwargs(parser: configparser.ConfigParser, section: str) -> dict:
     for key in present:
         if key not in schema:
             raise ValueError(f"unknown key '{key}' in section [{section}]")
-    for key, (convert, required) in schema.items():
+    for key, (_, required) in schema.items():
         if key in present:
-            try:
-                kwargs[key] = convert(present[key])
-            except ValueError as exc:
-                raise ValueError(f"bad value for {section}.{key}: {exc}") from exc
+            kwargs[key] = _convert(f"{section}.{key}", present[key])
         elif required:
             raise ValueError(f"missing required key '{key}' in section [{section}]")
     return kwargs
@@ -174,11 +180,10 @@ def _parse_sweep(parser: configparser.ConfigParser) -> tuple[SweepAxis, ...]:
         # base config and reads no [meanfield] or [pde] key.
         if section in ("meanfield", "pde") or path in ("run.n_seeds", "network.seed"):
             raise ValueError(f"sweep axis '{path}' is not read by the sweep subcommand")
-        convert = _SCHEMA[section][key][0]
         tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
         if not tokens:
             raise ValueError(f"sweep axis '{path}' has no values")
-        axes.append(SweepAxis(path=path, values=tuple(convert(tok) for tok in tokens)))
+        axes.append(SweepAxis(path=path, values=tuple(_convert(path, tok) for tok in tokens)))
     return tuple(axes)
 
 

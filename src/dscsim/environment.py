@@ -65,7 +65,7 @@ def pdf_continuous(model: ConcentrationModel, c):
     Integrates to omega over [0, inf); the atom carries the rest.
     """
     c_arr = np.asarray(c, dtype=float)
-    if np.any(c_arr < 0):
+    if not np.all(c_arr >= 0):  # NaN fails too
         raise ValueError("concentration must be >= 0")
     g = model.gamma
     scale = model.omega / ((g - 2.0) * model.c0)
@@ -79,7 +79,7 @@ def cdf(model: ConcentrationModel, c):
     Right-continuous; cdf(0) equals the atom weight 1 - omega.
     """
     c_arr = np.asarray(c, dtype=float)
-    if np.any(c_arr < 0):
+    if not np.all(c_arr >= 0):  # NaN fails too
         raise ValueError("concentration must be >= 0")
     g = model.gamma
     scale = model.omega / ((g - 2.0) * model.c0)
@@ -94,7 +94,7 @@ def quantile(model: ConcentrationModel, u):
     u = 1 is excluded: the inverse diverges there.
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0) or np.any(u_arr >= 1):
+    if not np.all((u_arr >= 0) & (u_arr < 1)):  # NaN fails too
         raise ValueError("u must be in [0, 1)")
     if model.omega == 0.0:
         out = np.zeros_like(u_arr)

@@ -8,7 +8,9 @@ Passive recipients switch to active for tau_star steps. Active recipients
 ignore messages. A configurable fraction of sensors is kept permanently
 active (re-armed on expiry, reshuffled periodically to spread the energy
 cost), and an optional per-step failure probability moves sensors into an
-absorbing faulty state that neither senses nor relays.
+absorbing faulty state that neither senses nor relays. A sensor's state is
+its timer alone: remaining > 0 is active with that many steps left, 0 is
+passive and FAULTY (-1) is faulty.
 
 One simulation step, synchronously:
 
@@ -28,8 +30,9 @@ One simulation step, synchronously:
      ended is woken again);
   4. non-faulty sensors fail with probability failure_rate;
   5. every rotation_period steps the permanent set is re-drawn uniformly
-     among the non-faulty sensors;
-  6. population counts are recorded.
+     among the non-faulty sensors.
+
+Simulation.step counts the populations after the tick into its record.
 
 Runs are reproducible: placement, initial selection, per-sensor
 concentration series, failures and reshuffles all derive from the single
@@ -59,7 +62,7 @@ it from those arrays (the sensing sensors still active after their
 timers, then each wake-up once, less this tick's failures, plus the
 sensors a rotation wakes). So a tick costs what its active sensors and
 messages cost, not a pass over every sensor of the union. Only the first
-tick reads the list from the state arrays, so state written before it is
+tick reads the list from the timers, so state written before it is
 read.
 """
 
@@ -74,9 +77,8 @@ from . import environment, rng
 from .environment import ConcentrationModel
 from .sensor import SensorSpec
 
-PASSIVE = 0
-ACTIVE = 1
-FAULTY = 2
+# A faulty sensor's timer; an active one's is > 0, a passive one's 0.
+FAULTY = -1
 
 # Steps of per-sensor samples drawn per refill; amortizes generator calls
 # without changing any drawn value (streams are consumed sequentially). A
@@ -243,12 +245,10 @@ class Simulation:
         if any(s.tau_star != self.tau_star for s in self.specs):
             raise ValueError("the members of a union must share tau_star")
 
-        self.kind = np.full(m * n, PASSIVE, dtype=np.int8)
         self.remaining = np.zeros(m * n, dtype=np.int64)
         self.permanent = np.zeros(m * n, dtype=bool)
         self._broadcast_used = np.zeros(m * n, dtype=bool)
-        kind, remaining, permanent = (a.reshape(m, n) for a in (self.kind, self.remaining,
-                                                                self.permanent))
+        remaining, permanent = self.remaining.reshape(m, n), self.permanent.reshape(m, n)
         n_perm = config.permanent_count
         degrees, neighbors = [], []
         for k, (seed, spec) in enumerate(zip(self.seeds, self.specs)):
@@ -258,9 +258,7 @@ class Simulation:
             neighbors.append(indices + k * n)
             order = rng.substream(seed, rng.INITIAL_STATE).permutation(n)
             permanent[k, order[:n_perm]] = True
-            starters = order[: n_perm + config.initial_active]
-            kind[k, starters] = ACTIVE
-            remaining[k, starters] = self.tau_star
+            remaining[k, order[: n_perm + config.initial_active]] = self.tau_star
         self.indptr = np.zeros(m * n + 1, dtype=np.int64)
         np.cumsum(np.concatenate(degrees), out=self.indptr[1:])
         self.indices = np.concatenate(neighbors)
@@ -286,7 +284,7 @@ class Simulation:
         self._fail_rngs = [rng.substream(s, rng.FAILURE) for s in self.seeds if failing]
         self._rotate_rngs = [rng.substream(s, rng.ROTATION) for s in self.seeds if rotating]
         self.t = 0
-        # The sensors active after tick t, each once; None: read it from kind.
+        # The sensors active after tick t, each once; None: read the timers.
         self._active = None
 
     def _fill(self, rows: np.ndarray, block: int) -> None:
@@ -355,19 +353,19 @@ class Simulation:
 
         The tick senses the active list the previous tick left in _active,
         each active sensor once, and leaves its own there; a first tick
-        (_active is None) reads the list from kind. Every phase acts on
+        (_active is None) reads the list from the timers. Every phase acts on
         index arrays, of the active sensors and of this tick's message
         recipients, which are few in most ticks of a sparse network.
         """
         cfg, tau_star = self.config, self.tau_star
         n, m, n_perm = cfg.n, len(self.seeds), cfg.permanent_count
-        kind, remaining, used = self.kind, self.remaining, self._broadcast_used
+        remaining, used = self.remaining, self._broadcast_used
         self.t += 1
 
         # Phase 1: sense and broadcast.
         sensing = self._active
         if sensing is None:
-            sensing = np.flatnonzero(kind == ACTIVE)
+            sensing = np.flatnonzero(remaining > 0)
         detecting = sensing[self._sense(sensing)]
         broadcasting = detecting
         if cfg.single_shot:
@@ -378,24 +376,20 @@ class Simulation:
         # Phase 2: timers.
         left = remaining[sensing] - 1
         remaining[sensing] = left
-        expired = sensing[left == 0]
         if n_perm:  # else no sensor is permanent
-            rearm = self.permanent[expired]
-            remaining[expired[rearm]] = tau_star
-            used[expired[rearm]] = False
-            expired = expired[~rearm]
-        kind[expired] = PASSIVE
+            expired = sensing[left == 0]
+            rearm = expired[self.permanent[expired]]
+            remaining[rearm] = tau_star
+            used[rearm] = False
         if cfg.refresh_on_detect:
             # A detection re-arms the detector's own timer (including one
             # whose activation just ended this step).
-            kind[detecting] = ACTIVE
             remaining[detecting] = tau_star
         # Taken before phase 3, which may wake a sensor that just expired.
-        staying = sensing[kind[sensing] == ACTIVE]
+        staying = sensing[remaining[sensing] > 0]
 
         # Phase 3: wake-ups (messages from this step, passive after expiry).
-        wake = received[kind[received] == PASSIVE]  # repeats write the same values
-        kind[wake] = ACTIVE
+        wake = received[remaining[received] == 0]  # repeats write the same values
         remaining[wake] = tau_star
         used[wake] = False
         wake.sort()  # each woken sensor once: drop the repeats of a sorted list
@@ -408,22 +402,20 @@ class Simulation:
             draws = np.empty((m, n))
             for gen, row in zip(self._fail_rngs, draws):
                 gen.random(out=row)
-            dying = (draws.ravel() < cfg.failure_rate) & (kind != FAULTY)
-            kind[dying] = FAULTY
-            remaining[dying] = 0
+            dying = (draws.ravel() < cfg.failure_rate) & (remaining != FAULTY)
+            remaining[dying] = FAULTY
             self.permanent[dying] = False
-            active = active[kind[active] == ACTIVE]
+            active = active[remaining[active] > 0]
 
         # Phase 5: permanent-set reshuffle, member by member.
         if self._rotate_rngs and self.t % self.rotation_period == 0:
-            for gen, member_kind, permanent in zip(self._rotate_rngs, kind.reshape(m, n),
-                                                   self.permanent.reshape(m, n)):
-                alive = np.flatnonzero(member_kind != FAULTY)
+            for gen, timers, permanent in zip(self._rotate_rngs, remaining.reshape(m, n),
+                                              self.permanent.reshape(m, n)):
+                alive = np.flatnonzero(timers != FAULTY)
                 chosen = gen.choice(alive, size=min(n_perm, alive.size), replace=False)
                 permanent[:] = False
                 permanent[chosen] = True
-            newly = np.flatnonzero(self.permanent & (kind == PASSIVE))
-            kind[newly] = ACTIVE
+            newly = np.flatnonzero(self.permanent & (remaining == 0))
             remaining[newly] = tau_star
             used[newly] = False
             active = np.concatenate((active, newly))
@@ -438,7 +430,7 @@ class Simulation:
         broadcasting, detecting, active = self._advance()
         cfg = self.config
         # Only failures make sensors faulty.
-        n_faulty = int(np.count_nonzero(self.kind == FAULTY)) if cfg.failure_rate > 0.0 else 0
+        n_faulty = int(np.count_nonzero(self.remaining == FAULTY)) if cfg.failure_rate > 0.0 else 0
         return SimRecord(
             step=self.t,
             n_active=active.size,

@@ -33,7 +33,7 @@ class SensorSpec:
 
 def read(spec: SensorSpec, c: float) -> int:
     """Binary reading: 1 iff c >= c_star (boundary inclusive)."""
-    if c < 0:
+    if not c >= 0:  # NaN fails too
         raise ValueError("concentration must be >= 0")
     return 1 if c >= spec.c_star else 0
 

@@ -1,5 +1,7 @@
 """Plateau extraction, calibration, power-law fits, and the KS check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,11 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_distance([], REFERENCE)
+
+    @pytest.mark.parametrize("samples", [[1.0, math.nan], [math.nan], [0.0, -1.0]])
+    def test_nan_or_negative_rejected(self, samples):
+        with pytest.raises(ValueError, match="concentration must be >= 0"):
+            ks_distance(samples, REFERENCE)
 
 
 SWEEP_CONFIG = """\

@@ -223,6 +223,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"sweep axis '{path}'"):
             parse_config(SMALL_RUN + f"\n[sweep]\n{path} = 1, 3\n")
 
+    @pytest.mark.parametrize("path, raw, reason", [
+        ("sensor.r_star", "20, abc", "could not convert"),
+        ("sensor.r_star", "20, inf", "not a finite number"),
+        ("network.delta", "nan, 0.1", "not a finite number"),
+        ("sensor.tau_star", "5, 2.5", "invalid literal for int"),
+        ("network.single_shot", "yes, maybe", "not a boolean"),
+    ])
+    def test_bad_axis_value_names_its_axis(self, path, raw, reason):
+        with pytest.raises(ValueError, match=f"bad value for {path}: {reason}"):
+            parse_config(SMALL_RUN + f"\n[sweep]\n{path} = {raw}\n")
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="values"):
             parse_config(SMALL_RUN + "\n[sweep]\nsensor.r_star =\n")

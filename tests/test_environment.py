@@ -118,6 +118,13 @@ class TestCdf:
             cdf(REFERENCE, -0.5)
 
 
+@pytest.mark.parametrize("law", [cdf, pdf_continuous])
+@pytest.mark.parametrize("c", [math.nan, [1.0, math.nan], np.array([[0.0], [math.nan]])])
+def test_nan_concentration_rejected(law, c):
+    with pytest.raises(ValueError, match="concentration must be >= 0"):
+        law(REFERENCE, c)
+
+
 def _bisect_cdf_inverse(model, u, lo=0.0, hi=1e9, iters=200):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -143,9 +150,9 @@ class TestQuantile:
             _bisect_cdf_inverse(REFERENCE, 0.9), rel=1e-9
         )
 
-    @pytest.mark.parametrize("u", [-0.01, 1.0, 1.5])
+    @pytest.mark.parametrize("u", [-0.01, 1.0, 1.5, math.nan, [0.5, math.nan]])
     def test_domain_errors(self, u):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="u must be in"):
             quantile(REFERENCE, u)
 
     def test_round_trip_with_cdf(self):

@@ -16,9 +16,7 @@ from dscsim.config import load_config
 from dscsim.environment import ConcentrationModel
 from dscsim.netsim import (
     _SAMPLE_BLOCK,
-    ACTIVE,
     FAULTY,
-    PASSIVE,
     NetworkConfig,
     Simulation,
     active_fraction,
@@ -450,7 +448,6 @@ class TestLazyStreams:
             if step in (129, 300):
                 asleep = set(range(cfg.n)) - set(_first_active(seen))
                 forced[step] = min(asleep)
-                sim.kind[forced[step]] = ACTIVE
                 sim.remaining[forced[step]] = spec.tau_star
                 sim._active = None  # the next tick reads the written state
             sim.step()
@@ -544,7 +541,7 @@ class TestLazyStreams:
         got = np.empty((300, len(seeds)))
         for row in got:
             sim._advance()
-            row[:] = np.count_nonzero(sim.kind.reshape(len(seeds), cfg.n) == ACTIVE, axis=1)
+            row[:] = np.count_nonzero(sim.remaining.reshape(len(seeds), cfg.n) > 0, axis=1)
         # Members 0, 2 and 4 share a seed, hence their streams, but not c_star.
         assert {i // cfg.n for _, idx, _ in seen for i in idx.tolist()} == set(range(len(seeds)))
         _assert_eager_readings(seen, sim, 300)
@@ -634,7 +631,7 @@ class TestUnion:
             union._advance()
             for sim in lone:
                 sim.step()
-        for name in ("kind", "remaining", "permanent"):
+        for name in ("remaining", "permanent"):
             assert np.array_equal(getattr(union, name),
                                   np.concatenate([getattr(sim, name) for sim in lone]))
         offsets = [0, 50, 100]
@@ -717,7 +714,7 @@ class TestCarriedActiveList:
         record = sim.step()
         assert record.messages_sent == 4  # the permanent and initial sensors
         assert sim._active.size == 0
-        assert (sim.kind == FAULTY).all()
+        assert (sim.remaining == FAULTY).all()
         assert (record.n_active, record.n_passive, record.n_faulty) == (0, 0, cfg.n)
 
     @staticmethod
@@ -727,7 +724,10 @@ class TestCarriedActiveList:
             _, _, active = sim._advance()
             assert active is sim._active
             assert np.unique(active).size == active.size, sim.t
-            assert np.array_equal(np.sort(active), np.flatnonzero(sim.kind == ACTIVE)), sim.t
+            assert np.array_equal(np.sort(active), np.flatnonzero(sim.remaining > 0)), sim.t
+            timers = sim.remaining
+            assert ((timers == FAULTY) | ((timers >= 0) & (timers <= sim.tau_star))).all(), sim.t
+            assert (timers[active] > 0).all(), sim.t
             sizes.append(active.size)
         assert max(sizes) > 0
 
@@ -742,7 +742,6 @@ class TestCarriedActiveList:
         sim = Simulation(cfg, SensorSpec(c_star=0.0, tau_star=5, r_star=40.0),
                          ConcentrationModel(c0=1.0, omega=1.0))
         assert sim.indices.size == 2
-        sim.kind[:] = ACTIVE
         sim.remaining[:] = remaining
         broadcasting, _, active = sim._advance()
         assert broadcasting.size == 2
@@ -757,10 +756,10 @@ class TestCarriedActiveList:
         sim = Simulation(cfg, SPEC40, REFERENCE, seeds=seeds)
         for _ in range(250):
             _, _, active = sim._advance()
-            kind = sim.kind.reshape(len(seeds), cfg.n)
+            timers = sim.remaining.reshape(len(seeds), cfg.n)
             counts = (np.bincount(active // cfg.n, minlength=len(seeds)),
-                      np.count_nonzero(kind == PASSIVE, axis=1),
-                      np.count_nonzero(kind == FAULTY, axis=1))
+                      np.count_nonzero(timers == 0, axis=1),
+                      np.count_nonzero(timers == FAULTY, axis=1))
             assert np.array_equal(sum(counts), [cfg.n] * len(seeds)), sim.t
         assert (counts[2] > 0).all()
 
@@ -773,7 +772,7 @@ class TestCarriedActiveList:
         sim = Simulation(cfg, spec, REFERENCE)
         rescanned = []
         for _ in range(140):
-            sim._active = None  # read the list from kind
+            sim._active = None  # read the list from the timers
             rescanned.append(sim.step())
         assert run(cfg, spec, REFERENCE, 140) == rescanned
 

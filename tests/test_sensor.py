@@ -47,6 +47,13 @@ class TestRead:
         assert read(spec, 0.0) == 0
         assert read(spec, 99.999) == 0
 
+    @pytest.mark.parametrize("c", [-1.0, math.nan])
+    @pytest.mark.parametrize("c_star", [0.0, 100.0])
+    def test_negative_or_nan_rejected(self, c, c_star):
+        spec = SensorSpec(c_star=c_star, tau_star=5, r_star=10.0)
+        with pytest.raises(ValueError, match="concentration must be >= 0"):
+            read(spec, c)
+
     def test_degenerate_zero_threshold_always_fires(self):
         spec = SensorSpec(c_star=0.0, tau_star=5, r_star=10.0)
         for c in (0.0, 1e-9, 17.0):
