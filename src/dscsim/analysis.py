@@ -8,6 +8,7 @@ and the sweep -> analyze experiment that ties them together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,15 +81,16 @@ def alpha_from_sim(plateau_active_fraction: float, tau_star: float, n: int) -> f
 def calibrate_g(pairs) -> float:
     """Least-squares slope through the origin of alpha_sim vs alpha_theory(g=1).
 
-    pairs: iterable of (alpha_sim, alpha_theory_at_g1), all positive.
+    pairs: iterable of (alpha_sim, alpha_theory_at_g1), all finite and
+    positive.
     """
     arr = np.asarray(list(pairs), dtype=float)
     if arr.size == 0:
         raise ValueError("calibrate_g needs at least one pair")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("pairs must be (alpha_sim, alpha_theory) tuples")
-    if np.any(arr <= 0):
-        raise ValueError("all rates must be positive")
+    if not np.all((arr > 0) & (arr < np.inf)):  # NaN fails too
+        raise ValueError("all rates must be finite and positive")
     sim, theory = arr[:, 0], arr[:, 1]
     return float(np.dot(sim, theory) / np.dot(theory, theory))
 
@@ -99,8 +101,8 @@ def fit_power_law(xs, ys) -> FitResult:
     y = np.asarray(ys, dtype=float)
     if x.size < 3 or y.size != x.size:
         raise ValueError("need at least 3 matching (x, y) points")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("power-law fit requires positive data")
+    if not np.all((x > 0) & (x < np.inf) & (y > 0) & (y < np.inf)):  # NaN fails too
+        raise ValueError("power-law fit requires finite positive data")
     lx, ly = np.log(x), np.log(y)
     design = np.vstack([lx, np.ones_like(lx)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, ly, rcond=None)
@@ -191,15 +193,21 @@ def analyze_sweep(rows) -> dict:
     for row in rows:
         grouped.setdefault(int(row["point"]), []).append(row)
 
+    def number(row, column):
+        value = float(row[column])
+        if not math.isfinite(value):
+            raise ValueError(f"sweep column {column} is {row[column]!r} at point {row['point']}")
+        return value
+
     per_point, sizes, pairs, power_xs = [], [], [], []
     for point_idx, members in sorted(grouped.items()):
         first = members[0]
-        plateaus = [float(r["plateau_mean"]) for r in members]
+        plateaus = [number(r, "plateau_mean") for r in members]
         plateau_sim = float(np.mean(plateaus))
-        p = float(first["p"])
-        alpha_g1 = float(first["alpha_theory_g1"])
+        p = number(first, "p")
+        alpha_g1 = number(first, "alpha_theory_g1")
         n = int(first["n"])
-        tau_star = float(first["tau_star"])
+        tau_star = number(first, "tau_star")
         supercritical = int(first["initial_active"]) / n < plateau_sim < 1.0
         alpha_s = alpha_from_sim(plateau_sim, tau_star, n) if supercritical else None
         if supercritical:

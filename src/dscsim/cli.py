@@ -58,9 +58,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Strict JSON: a NaN or infinite value raises before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cmd_sample(config: ExperimentConfig, out: Path, jobs: int) -> dict | None:

@@ -72,18 +72,16 @@ def logistic_solution(z0: float, b: float, t):
 
 def steady_state(r0_value: float) -> tuple[float, float]:
     """Supercritical steady state: (active_fraction, theta) with theta = 1/R0."""
-    if r0_value <= 1.0:
-        raise ValueError(
-            f"subcritical: R0 = {r0_value} <= 1 has no nonzero steady state"
-        )
+    if not r0_value > 1.0:  # NaN fails too
+        raise ValueError(f"subcritical: R0 = {r0_value} is not > 1, no nonzero steady state")
     theta = 1.0 / r0_value
     return 1.0 - theta, theta
 
 
 def relaxation_time(r0_value: float, tau_star: float) -> float:
     """Time scale tau_star / (R0 - 1) to reach the supercritical steady state."""
-    if r0_value <= 1.0:
-        raise ValueError(f"subcritical: R0 = {r0_value} <= 1 never saturates")
+    if not r0_value > 1.0:  # NaN fails too
+        raise ValueError(f"subcritical: R0 = {r0_value} is not > 1, never saturates")
     return tau_star / (r0_value - 1.0)
 
 

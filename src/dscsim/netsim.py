@@ -49,12 +49,13 @@ per worker), not one per grid point. No drawn value changes: every member
 keeps its own placement, initial-state, failure and rotation streams and
 draws from them as a lone run does, and a sensor's concentration stream
 stays keyed by (member seed, sensor index). The kernel pays for streams
-only where sensors sense: a stream is kept as its Philox key alone,
-derived (with every key new in that tick, in one rng.sensor_keys call) in
-the tick its sensor first senses, and its row of a 128-step block is
-filled the first time its sensor senses in that block, from one shared
-Philox set to the stream's key and block counter. A row keeps only whether
-each uniform is >= its member's u*, the one thing the protocol reads.
+only where sensors sense. The stream store is indexed by sensor: row i
+holds sensor i's Philox key, derived (with every key new in that tick, in
+one rng.sensor_keys call) in the tick the sensor first senses, and its
+detection bits for one 128-step block, filled the first time the sensor
+senses in that block from one shared Philox set to its key and block
+counter. A row keeps only whether each uniform is >= its member's u*, the
+one thing the protocol reads.
 Every phase acts on index arrays: the sensing sensors, and the recipients
 of this step's messages, from which the wake-ups are taken. The active
 list is part of the Simulation's state: each tick senses it and rewrites
@@ -87,8 +88,8 @@ FAULTY = -1
 # stream drew before.
 _SAMPLE_BLOCK = 128
 # Sensors per union at most (at least one member). A union holds about
-# 190 bytes per sensor: 128 of detection block, 32 of stream key, uniform
-# threshold and filled block, and the state arrays; plus 8 per edge.
+# 170 bytes per sensor: 128 of detection block, 24 of stream key and
+# filled block, and the state arrays; plus 8 per edge.
 _UNION_SENSORS = 1 << 16
 # Stream rows whose uniforms a fill holds at once (64 KiB of floats). One
 # buffer for every stale row would outgrow the detection block at a block
@@ -132,8 +133,9 @@ class NetworkConfig:
             )
         if not 0.0 <= self.failure_rate <= 1.0:
             raise ValueError(f"failure_rate must be in [0, 1], got {self.failure_rate}")
-        if self.rotation_period is not None and self.rotation_period < 0:
-            raise ValueError("rotation_period must be >= 0 or None")
+        period = self.rotation_period
+        if period is not None and (not hasattr(period, "__index__") or period < 0):
+            raise ValueError(f"rotation_period must be an integer >= 0 or None, got {period!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -263,18 +265,15 @@ class Simulation:
         np.cumsum(np.concatenate(degrees), out=self.indptr[1:])
         self.indices = np.concatenate(neighbors)
 
-        # Sensor streams, in the order they were built: row r of _keys is a
-        # stream's Philox key, row r of _threshold its member's u*, and row r
-        # of _detect holds, for each step of sample block _block[r], whether
-        # its uniform is >= that threshold. _row maps a sensor to its
-        # stream's row (-1: the sensor has not sensed).
+        # Sensor streams, row i for sensor i: _keys[i] is its Philox key and
+        # _detect[i] holds, for each step of sample block _block[i], whether
+        # its uniform is >= its member's u*. _block[i] is -1 until sensor i
+        # first senses; _sense derives a new sensor's key and fills its row
+        # in one call, so a row has a key exactly where _block >= 0.
         self._u_star = environment.uniform_threshold(model, [s.c_star for s in self.specs])
         self._keys = np.empty((m * n, 2), dtype=np.uint64)
-        self._threshold = np.empty(m * n)
         self._detect = np.empty((m * n, _SAMPLE_BLOCK), dtype=bool)
-        self._block = np.empty(m * n, dtype=np.int64)
-        self._row = np.full(m * n, -1, dtype=np.int64)
-        self._streams = 0
+        self._block = np.full(m * n, -1, dtype=np.int64)
         self._draw = np.random.Generator(np.random.Philox(0))
 
         period = config.rotation_period
@@ -287,13 +286,14 @@ class Simulation:
         # The sensors active after tick t, each once; None: read the timers.
         self._active = None
 
-    def _fill(self, rows: np.ndarray, block: int) -> None:
-        """Detection bits of the given stream rows for sample block `block`,
-        steps block * _SAMPLE_BLOCK + 1 .. (block + 1) * _SAMPLE_BLOCK.
+    def _fill(self, sensors: np.ndarray, block: int) -> None:
+        """Detection bits of the given sensors, whose keys are derived, for
+        sample block `block`: steps block * _SAMPLE_BLOCK + 1 ..
+        (block + 1) * _SAMPLE_BLOCK, compared with each sensor's member's u*.
 
-        Each row's uniforms are drawn from the shared Philox set to the
-        stream's key and to counter block * _SAMPLE_BLOCK // 4 with an empty
-        buffer, the state a fresh stream reaches by drawing its first
+        Each sensor's uniforms are drawn from the shared Philox set to its
+        key and to counter block * _SAMPLE_BLOCK // 4 with an empty buffer,
+        the state a fresh stream reaches by drawing its first
         block * _SAMPLE_BLOCK values. At most _FILL_ROWS rows of uniforms are
         held at once.
         """
@@ -303,42 +303,34 @@ class Simulation:
         state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0,
                  "state": {"counter": [block * _SAMPLE_BLOCK // 4, 0, 0, 0]}}
-        for start in range(0, rows.size, _FILL_ROWS):
-            part = rows[start:start + _FILL_ROWS]
+        for start in range(0, sensors.size, _FILL_ROWS):
+            part = sensors[start:start + _FILL_ROWS]
             uniforms = np.empty((part.size, _SAMPLE_BLOCK))
             for key, out in zip(self._keys[part].tolist(), uniforms):
                 state["state"]["key"] = key
                 bit_generator.state = state
                 self._draw.random(out=out)
-            self._detect[part] = uniforms >= self._threshold[part, None]
-        self._block[rows] = block
+            self._detect[part] = uniforms >= self._u_star[part // self.config.n, None]
+        self._block[sensors] = block
 
     def _sense(self, sensing: np.ndarray) -> np.ndarray:
         """Whether this step's reading reaches its member's c_star at each
         sensing sensor.
 
-        A sensor sensing for the first time gets its stream key (all of this
-        tick's new keys in one rng.sensor_keys call) and threshold here, and
-        a stream's row is filled for a sample block the first time its
-        sensor senses in that block.
+        A sensor sensing for the first time gets its stream key here (all of
+        this tick's new keys in one rng.sensor_keys call), and a sensor's row
+        is filled for a sample block the first time it senses in that block.
         """
         block, pos = divmod(self.t - 1, _SAMPLE_BLOCK)
-        rows = self._row[sensing]
-        new = np.flatnonzero(rows < 0)
+        stale = sensing[self._block[sensing] != block]
+        new = stale[self._block[stale] < 0]
         if new.size:
-            n, first = self.config.n, self._streams
-            fresh = sensing[new]
-            member = fresh // n
-            self._streams += new.size
-            rows[new] = self._row[fresh] = np.arange(first, self._streams)
-            self._keys[first:self._streams] = rng.sensor_keys(
-                [self.seeds[k] for k in member.tolist()], fresh % n)
-            self._threshold[first:self._streams] = self._u_star[member]
-            self._block[first:self._streams] = -1
-        stale = rows[self._block[rows] != block]
+            n = self.config.n
+            self._keys[new] = rng.sensor_keys([self.seeds[k] for k in (new // n).tolist()],
+                                              new % n)
         if stale.size:
             self._fill(stale, block)
-        return self._detect[rows, pos]
+        return self._detect[sensing, pos]
 
     def _deliver(self, broadcasters: np.ndarray) -> np.ndarray:
         """Indices of the recipients of the broadcasters' messages; a sensor

@@ -25,8 +25,8 @@ class SensorSpec:
     def __post_init__(self):
         if not 0 <= self.c_star < math.inf:
             raise ValueError(f"c_star must be finite and >= 0, got {self.c_star}")
-        if self.tau_star < 1:
-            raise ValueError(f"tau_star must be >= 1, got {self.tau_star}")
+        if not hasattr(self.tau_star, "__index__") or self.tau_star < 1:
+            raise ValueError(f"tau_star must be an integer >= 1, got {self.tau_star!r}")
         if not 0 < self.r_star < math.inf:
             raise ValueError(f"r_star must be finite and > 0, got {self.r_star}")
 

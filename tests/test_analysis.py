@@ -95,6 +95,13 @@ class TestCalibrateG:
         with pytest.raises(ValueError):
             calibrate_g([(0.0, 1e-4)])
 
+    @pytest.mark.parametrize("pair", [
+        (math.nan, 1e-4), (1e-4, math.nan), (math.inf, 1e-4), (1e-4, math.inf),
+    ])
+    def test_non_finite_rejected(self, pair):
+        with pytest.raises(ValueError, match="finite and positive"):
+            calibrate_g([(2e-4, 2e-4), pair])
+
 
 class TestFitPowerLaw:
     def test_exact_square_law(self):
@@ -125,6 +132,16 @@ class TestFitPowerLaw:
     def test_nonpositive_data_rejected(self):
         with pytest.raises(ValueError):
             fit_power_law([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_data_rejected(self, capfd, bad, axis):
+        # LAPACK would complain on stderr and then raise LinAlgError.
+        data = {"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]}
+        data[axis][2] = bad
+        with pytest.raises(ValueError, match="finite positive data"):
+            fit_power_law(data["x"], data["y"])
+        assert capfd.readouterr().err == ""
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -227,6 +244,16 @@ class TestSweepBridge:
     def test_analyze_sweep_rejects_no_rows(self):
         with pytest.raises(ValueError, match="no sweep rows"):
             analyze_sweep([])
+
+    @pytest.mark.parametrize("column", ["plateau_mean", "p", "alpha_theory_g1", "tau_star"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_analyze_sweep_rejects_non_finite_cells(self, column, cell):
+        header = ["point", "sensor.r_star", *SWEEP_COLUMNS]
+        rows = [dict(zip(header, map(str, row))) for row in sweep(parse_config(SWEEP_CONFIG))]
+        for row in rows[3:]:
+            row[column] = cell
+        with pytest.raises(ValueError, match=f"sweep column {column} is '{cell}' at point 1$"):
+            analyze_sweep(rows)
 
     def test_analyze_sweep_names_missing_columns(self):
         rows = [{"point": "0", "seed": "0", "plateau_mean": "0.1"}]

@@ -336,6 +336,29 @@ class TestCli:
         assert {"g", "power_law", "per_point", "sweep_axes"} <= set(report)
         assert len(report["per_point"]) == 2
 
+    @pytest.mark.parametrize("column", ["alpha_theory_g1", "plateau_mean"])
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_analyze_non_finite_sweep_is_error_exit(self, tmp_path, config_file, capsys,
+                                                    column, cell):
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "sweep.csv"
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        at = header.index(column)
+        for row in rows:
+            row[at] = cell
+        path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+        assert cli.main(["analyze", "--config", str(config_file), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"dscsim analyze: error: sweep column {column} is '{cell}' at point 0\n")
+        assert not (tmp_path / "analysis.json").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_outputs_refuse_non_finite_values(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_json(path, {"g": 1.0, "r0": [value]})
+        assert not path.exists()
+
     def test_full_pipeline_deterministic(self, tmp_path, config_file):
         outs = []
         for name in ("x", "y"):

@@ -86,9 +86,10 @@ class TestClosedForms:
         _, theta = steady_state(1.0053096491487339)
         assert theta == pytest.approx(0.9947183943243458, abs=1e-10)
 
-    def test_steady_state_subcritical_error(self):
+    @pytest.mark.parametrize("r0_value", [1.0, 0.5, -math.inf, math.nan])
+    def test_steady_state_subcritical_error(self, r0_value):
         with pytest.raises(ValueError, match="subcritical"):
-            steady_state(1.0)
+            steady_state(r0_value)
 
     def test_relaxation_time_values(self):
         assert relaxation_time(2.0, 5.0) == pytest.approx(5.0)
@@ -97,9 +98,10 @@ class TestClosedForms:
     def test_relaxation_time_diverges_near_threshold(self):
         assert relaxation_time(1.0 + 1e-9, 5.0) > 1e9
 
-    def test_relaxation_subcritical_error(self):
+    @pytest.mark.parametrize("r0_value", [0.9, 1.0, -math.inf, math.nan])
+    def test_relaxation_subcritical_error(self, r0_value):
         with pytest.raises(ValueError, match="subcritical"):
-            relaxation_time(0.9, 5.0)
+            relaxation_time(r0_value, 5.0)
 
     def test_theta_scaling_laws(self):
         # theta = 1/R0 scales as 1/r*^2, 1/n, 1/p: evaluate at doubled arguments

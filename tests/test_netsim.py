@@ -62,6 +62,19 @@ class TestConfigValidation:
         cfg = NetworkConfig(n=10, width=10.0, height=10.0, delta=0.11, initial_active=0)
         assert cfg.permanent_count == 2
 
+    @pytest.mark.parametrize("period", [2.5, 5.0, np.float64(5.0), "5", -1, np.int64(-1)])
+    def test_rotation_period_must_be_an_integer_at_least_zero(self, period):
+        # t % 2.5 == 0 would reshuffle every 5 steps, silently.
+        with pytest.raises(ValueError, match="rotation_period must be an integer"):
+            NetworkConfig(n=10, width=10.0, height=10.0, delta=0.1, initial_active=0,
+                          rotation_period=period)
+
+    @pytest.mark.parametrize("period", [None, 0, 7, np.int64(7), np.int32(7)])
+    def test_integer_rotation_periods_accepted(self, period):
+        cfg = NetworkConfig(n=10, width=10.0, height=10.0, delta=0.1, initial_active=0,
+                            rotation_period=period)
+        assert cfg.rotation_period == period
+
 
 class TestPlacement:
     def test_single_point_inside_region(self):
@@ -441,22 +454,26 @@ class TestLazyStreams:
         cfg = NetworkConfig(n=40, width=100.0, height=100.0, initial_active=0, seed=5)
         spec = SensorSpec(c_star=100.0, tau_star=5, r_star=25.0)
         sim = Simulation(cfg, spec, REFERENCE)
+        steps = 3 * _SAMPLE_BLOCK + 16  # into a fourth sample block
+        # The first step of the second sample block, and a step inside the
+        # third, whose stream offset is counter 2 * _SAMPLE_BLOCK // 4 and
+        # whose read lies at no 4-word boundary.
+        second, inside_third = _SAMPLE_BLOCK + 1, 5 * _SAMPLE_BLOCK // 2
+        assert (inside_third - 1) // _SAMPLE_BLOCK == 2 and (inside_third - 1) % 4
         forced = {}
-        for step in range(1, 401):
-            # Step 129 starts the second 128-step block; step 300 lies
-            # inside the third, whose stream offset is counter 64.
-            if step in (129, 300):
+        for step in range(1, steps + 1):
+            if step in (second, inside_third):
                 asleep = set(range(cfg.n)) - set(_first_active(seen))
                 forced[step] = min(asleep)
                 sim.remaining[forced[step]] = spec.tau_star
                 sim._active = None  # the next tick reads the written state
             sim.step()
         first = _first_active(seen)
-        assert min(first.values()) == 129
+        assert min(first.values()) == second
         assert all(first[i] == step for step, i in forced.items())
         # Neighbors woken by messages first sense mid-block.
-        assert any(t > 129 and (t - 1) % 128 for t in first.values())
-        _assert_eager_readings(seen, sim, 400)
+        assert any(t > second and (t - 1) % _SAMPLE_BLOCK for t in first.values())
+        _assert_eager_readings(seen, sim, steps)
 
     def test_sensor_woken_by_rotation(self, monkeypatch):
         seen = _record_sensing(monkeypatch)
@@ -467,12 +484,13 @@ class TestLazyStreams:
         spec = SensorSpec(c_star=150.0, tau_star=5, r_star=1e-3)
         sim = Simulation(cfg, spec, REFERENCE)
         assert sim.indices.size == 0  # no messages: only rotation wakes sensors
-        for _ in range(400):
+        steps = 3 * _SAMPLE_BLOCK + 16  # into a fourth sample block
+        for _ in range(steps):
             sim.step()
         late = [t for t in _first_active(seen).values() if t > 1]
         assert late and all(t % cfg.rotation_period == 1 for t in late)
-        assert any(t > 256 for t in late)
-        _assert_eager_readings(seen, sim, 400)
+        assert any(t > 2 * _SAMPLE_BLOCK for t in late)  # after the second block
+        _assert_eager_readings(seen, sim, steps)
 
     def test_streams_built_once_and_only_for_sensors_that_sense(self, monkeypatch):
         seen = _record_sensing(monkeypatch)
@@ -515,16 +533,12 @@ class TestLazyStreams:
         for _ in range(steps):
             sim._advance()
         sensing_at = {t: set(idx.tolist()) for t, idx, _ in seen}
-        built = np.flatnonzero(sim._row >= 0)
-        sensor_of = np.empty(sim._streams, dtype=np.int64)
-        sensor_of[sim._row[built]] = built
         filled = [(row, block) for _, rows, block in fills for row in rows.tolist()]
         assert len(filled) == len(set(filled))
         for t, rows, block in fills:
             assert block == (t - 1) // _SAMPLE_BLOCK
-            assert set(sensor_of[rows].tolist()) <= sensing_at[t], t
-        read = {(int(sim._row[i]), (t - 1) // _SAMPLE_BLOCK)
-                for t, idx in sensing_at.items() for i in idx}
+            assert set(rows.tolist()) <= sensing_at[t], t
+        read = {(i, (t - 1) // _SAMPLE_BLOCK) for t, idx in sensing_at.items() for i in idx}
         assert set(filled) == read
         assert len({block for _, block in filled}) == 4
         _assert_eager_readings(seen, sim, steps)

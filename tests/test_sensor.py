@@ -25,6 +25,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="tau_star"):
             SensorSpec(c_star=1.0, tau_star=0, r_star=10.0)
 
+    @pytest.mark.parametrize("tau_star", [2.5, 5.0, np.float64(5.0), "5", math.nan, math.inf])
+    def test_non_integer_tau_rejected(self, tau_star):
+        # A timer of 2.5 would be stored as 2 while the theory used 2.5.
+        with pytest.raises(ValueError, match="tau_star must be an integer"):
+            SensorSpec(c_star=150.0, tau_star=tau_star, r_star=40.0)
+
+    @pytest.mark.parametrize("tau_star", [1, 5, np.int64(5), np.int32(5)])
+    def test_integer_tau_accepted(self, tau_star):
+        assert SensorSpec(c_star=150.0, tau_star=tau_star, r_star=40.0).tau_star == tau_star
+
     def test_zero_range_rejected(self):
         with pytest.raises(ValueError, match="r_star"):
             SensorSpec(c_star=1.0, tau_star=5, r_star=0.0)
