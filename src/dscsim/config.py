@@ -20,7 +20,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .environment import ConcentrationModel
-from .netsim import NetworkConfig
+from .netsim import NetworkConfig, _check_integers
 from .sensor import SensorSpec
 
 
@@ -31,6 +31,7 @@ class RunSettings:
     tail_fraction: float = 0.25
 
     def __post_init__(self):
+        _check_integers(self, "steps", "n_seeds")
         if self.steps < 1 or self.n_seeds < 1:
             raise ValueError("steps and n_seeds must be >= 1")
         if not 0.0 < self.tail_fraction <= 1.0:
@@ -76,6 +77,7 @@ class PdeSettings:
     record_every: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "nx", "ny", "seed_columns", "record_every")
         if self.nx < 3 or self.ny < 1:
             raise ValueError("grid must be at least 3 x 1 cells")
         if self.dx <= 0 or self.t_end <= 0:

@@ -42,13 +42,20 @@ never depend on iteration order or sensor count.
 Runs that share the deployment, tau_star, model and step count run as
 one disjoint union, whatever their seeds, r_star and c_star: one
 Simulation holds every member's sensors side by side, with a
-block-diagonal neighbor CSR built at each member's own r_star, and one
-step kernel advances all of them per tick, reducing the populations
-member by member. A sweep over r_star or c_star is thus one union (or one
-per worker), not one per grid point. No drawn value changes: every member
-keeps its own placement, initial-state, failure and rotation streams and
-draws from them as a lone run does, and a sensor's concentration stream
-stays keyed by (member seed, sensor index). The kernel pays for streams
+block-diagonal neighbor CSR at each member's own r_star, and one step
+kernel advances all of them per tick, reducing the populations member by
+member. A sweep over r_star or c_star is thus one union (or one per
+worker), not one per grid point. The members of one seed share its
+deployment: the union places the seed's sensors, draws its initial order
+and builds its CSR once, at the largest r_star among them, and a member
+at a smaller r_star keeps the pairs that pass neighbor_csr's own distance
+test at its range. Rounding is monotone, so that is the CSR neighbor_csr
+builds at that range, byte for byte. run_members sorts each group of
+members by seed and cuts it into contiguous chunks, so a seed's members
+share a chunk. No drawn value changes: the placement and initial order
+are the ones a lone run draws, every member draws from its own failure
+and rotation streams as a lone run does, and a sensor's concentration
+stream stays keyed by (member seed, sensor index). The kernel pays for streams
 only where sensors sense. The stream store is indexed by sensor: row i
 holds sensor i's Philox key, derived (with every key new in that tick, in
 one rng.sensor_keys call) in the tick the sensor first senses, and its
@@ -98,6 +105,14 @@ _UNION_SENSORS = 1 << 16
 _FILL_ROWS = 64
 
 
+def _check_integers(settings, *keys: str) -> None:
+    """Reject a field without __index__ (50.0, 2.5), naming it."""
+    for key in keys:
+        value = getattr(settings, key)
+        if not hasattr(value, "__index__"):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static description of one network deployment.
@@ -118,6 +133,7 @@ class NetworkConfig:
     refresh_on_detect: bool = False
 
     def __post_init__(self):
+        _check_integers(self, "n", "initial_active", "seed")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
@@ -226,9 +242,10 @@ class Simulation:
     every state array, the neighbor CSR is block-diagonal, and _advance()
     steps all members at once. spec is then one SensorSpec for every member
     or a sequence of one per seed; the members may differ in r_star and
-    c_star but not in tau_star. Each member keeps its own placement,
-    initial-state, failure, rotation and sensor streams, its own range and
-    threshold, so a member's trajectory is the one it gives alone.
+    c_star but not in tau_star, and a seed may repeat. Each distinct seed's
+    placement, initial order and CSR are built once; each member keeps its
+    own failure, rotation and sensor streams, its own range and threshold,
+    so a member's trajectory is the one it gives alone.
     """
 
     def __init__(
@@ -252,13 +269,30 @@ class Simulation:
         self._broadcast_used = np.zeros(m * n, dtype=bool)
         remaining, permanent = self.remaining.reshape(m, n), self.permanent.reshape(m, n)
         n_perm = config.permanent_count
+        # One deployment per distinct seed: its placement, its initial order
+        # and its CSR at the largest r_star among the seed's members.
+        r_max = {}
+        for seed, spec in zip(self.seeds, self.specs):
+            r_max[seed] = max(r_max.get(seed, 0.0), spec.r_star)
+        deployments = {}
+        for seed, r in r_max.items():
+            positions = place_sensors(config, rng.substream(seed, rng.PLACEMENT))
+            order = rng.substream(seed, rng.INITIAL_STATE).permutation(n)
+            deployments[seed] = (positions, *neighbor_csr(positions, r), order)
         degrees, neighbors = [], []
         for k, (seed, spec) in enumerate(zip(self.seeds, self.specs)):
-            positions = place_sensors(config, rng.substream(seed, rng.PLACEMENT))
-            indptr, indices = neighbor_csr(positions, spec.r_star)
-            degrees.append(np.diff(indptr))
+            positions, indptr, indices, order = deployments[seed]
+            degree = np.diff(indptr)
+            if spec.r_star != r_max[seed]:
+                # neighbor_csr's own test. Rounding is monotone, so r*r <=
+                # r_max*r_max and this keeps neighbor_csr(positions, r_star).
+                rows = np.repeat(np.arange(n), degree)
+                x, y = positions.T
+                dx, dy = x[indices] - x[rows], y[indices] - y[rows]
+                keep = dx**2 + dy**2 <= spec.r_star * spec.r_star
+                degree, indices = np.bincount(rows[keep], minlength=n), indices[keep]
+            degrees.append(degree)
             neighbors.append(indices + k * n)
-            order = rng.substream(seed, rng.INITIAL_STATE).permutation(n)
             permanent[k, order[:n_perm]] = True
             remaining[k, order[: n_perm + config.initial_active]] = self.tau_star
         self.indptr = np.zeros(m * n + 1, dtype=np.int64)
@@ -433,12 +467,16 @@ class Simulation:
         )
 
 
+def _check_count(name: str, value) -> None:
+    if not hasattr(value, "__index__") or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def run(
     config: NetworkConfig, spec: SensorSpec, model: ConcentrationModel, steps: int
 ) -> list[SimRecord]:
     """Full trajectory of `steps` records from the initial state."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_count("steps", steps)
     sim = Simulation(config, spec, model)
     return [sim.step() for _ in range(steps)]
 
@@ -467,8 +505,6 @@ def _chunk_run(chunk) -> list[np.ndarray]:
     """Active-fraction trajectories of one union's members, in member order,
     counted member by member from the active list each _advance returns."""
     config, model, steps, seeds, specs = chunk
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     sim = Simulation(config, specs, model, seeds)
     counts = np.empty((len(seeds), steps))
     for column in counts.T:
@@ -481,23 +517,29 @@ def run_members(members, jobs: int = 1) -> list[np.ndarray]:
 
     Members that differ only in config.seed, spec.r_star and spec.c_star,
     wherever they stand in the list, run together as Simulation unions: each
-    such group is dealt round-robin into as few chunks as hold at most
-    ceil(len / jobs) members and _UNION_SENSORS sensors (or one member), so
-    every chunk of a sweep gets its share of each grid point. With jobs > 1
-    the chunks execute in separate processes. Every member's trajectory is
-    the one run() gives it alone, and the trajectories come back in input
-    order, so the result depends on neither jobs nor scheduling.
+    such group is sorted by seed (stably) and cut into as few contiguous,
+    equal chunks as hold at most ceil(len / jobs) members and _UNION_SENSORS
+    sensors (or one member). So a seed's members share a chunk, and with it
+    one deployment, except where a cut falls inside them, and since every
+    seed of a sweep carries one member per grid point, every chunk gets its
+    share of each point. jobs and every member's steps are checked before
+    any union is built. With jobs > 1 the chunks execute in separate
+    processes. Every member's trajectory is the one run() gives it alone,
+    and the trajectories come back in input order, so the result depends on
+    neither jobs nor scheduling.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_count("jobs", jobs)
     groups: dict[tuple, list[int]] = {}
     for index, member in enumerate(members):
+        _check_count("steps", member[3])
         groups.setdefault(_union_key(member), []).append(index)
     chunks, order = [], []
     for (config, _, model, steps), indices in groups.items():
         size = max(1, min(math.ceil(len(indices) / jobs), _UNION_SENSORS // config.n))
         count = math.ceil(len(indices) / size)
-        for part in (indices[k::count] for k in range(count)):
+        indices.sort(key=lambda i: members[i][0].seed)
+        for k in range(count):
+            part = indices[k * len(indices) // count:(k + 1) * len(indices) // count]
             order += part
             chunks.append((config, model, steps, [members[i][0].seed for i in part],
                            [members[i][1] for i in part]))
@@ -505,6 +547,8 @@ def run_members(members, jobs: int = 1) -> list[np.ndarray]:
         results = map(_chunk_run, chunks)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
+        import numpy.random  # noqa: F401 - loaded once here, so forked workers inherit it
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_chunk_run, chunks, chunksize=1))
@@ -523,8 +567,7 @@ def ensemble_run(
     jobs: int = 1,
 ) -> EnsembleResult:
     """Ensemble over seeds config.seed, config.seed + 1, ..., run by run_members."""
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    _check_count("n_seeds", n_seeds)
     members = [
         (replace(config, seed=config.seed + i), spec, model, steps) for i in range(n_seeds)
     ]

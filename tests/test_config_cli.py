@@ -6,6 +6,7 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,7 @@ KEY_TYPES = {
     for f in fields(getattr(_BASE, section.name))
 }
 FLOAT_KEYS = sorted(path for path, kind in KEY_TYPES.items() if kind == "float")
+INT_KEYS = sorted(path for path, kind in KEY_TYPES.items() if kind == "int")
 
 
 def _with_value(path: str, raw: str) -> str:
@@ -116,6 +118,22 @@ class TestParsing:
     def test_meanfield_settings_reject_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             MeanFieldSettings(**{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("path", INT_KEYS)
+    def test_non_integer_count_rejected_naming_its_field(self, path, value):
+        # run.n_seeds = 2.0 used to fail in analysis.sweep, pde.seed_columns =
+        # 2.5 in run_pde, network.n = 50.0 inside numpy.
+        key = path.partition(".")[2]
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            apply_override(_BASE, path, value)
+
+    @pytest.mark.parametrize("path", INT_KEYS)
+    def test_numpy_integer_count_accepted(self, path):
+        section, _, key = path.partition(".")
+        value = np.int64(getattr(getattr(_BASE, section), key))
+        cfg = apply_override(_BASE, path, value)
+        assert getattr(getattr(cfg, section), key) is value
 
     def test_negative_seed_rejected(self):
         # numpy used to reject it late (simulate) or not at all (meanfield)

@@ -1,7 +1,12 @@
 """Agent-based protocol: placement, neighbor search, step semantics,
 conservation, determinism, and the epidemic dichotomy."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dscsim import analysis, environment, meanfield, rng, sensor
+from dscsim import analysis, environment, meanfield, netsim, rng, sensor
 from dscsim.config import load_config
 from dscsim.environment import ConcentrationModel
 from dscsim.netsim import (
@@ -68,6 +73,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="rotation_period must be an integer"):
             NetworkConfig(n=10, width=10.0, height=10.0, delta=0.1, initial_active=0,
                           rotation_period=period)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 50.0), ("n", np.float64(50.0)), ("n", "50"), ("initial_active", 2.0),
+        ("initial_active", 2.5), ("seed", 1.5), ("seed", 3.0), ("seed", None),
+    ])
+    def test_counts_and_seed_must_be_integers(self, key, value):
+        # n = 50.0 failed later in numpy, seed = 1.5 inside SeedSequence.
+        base = dict(n=10, width=10.0, height=10.0, initial_active=0)
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            NetworkConfig(**{**base, key: value})
+
+    def test_numpy_integer_counts_and_seed_accepted(self):
+        cfg = NetworkConfig(n=np.int64(10), width=10.0, height=10.0,
+                            initial_active=np.int32(2), seed=np.uint64(7))
+        assert (cfg.n, cfg.initial_active, cfg.seed) == (10, 2, 7)
 
     @pytest.mark.parametrize("period", [None, 0, 7, np.int64(7), np.int32(7)])
     def test_integer_rotation_periods_accepted(self, period):
@@ -346,10 +366,35 @@ class TestDeterminism:
             expected = active_fraction(run(cfg, spec, model, steps), cfg.n)
             assert traj.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0, "2"])
     def test_run_members_rejects_jobs_below_one(self, jobs):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
             run_members([(paper_config(n=10), SPEC40, REFERENCE, 5)], jobs)
+
+    @pytest.mark.parametrize("n_seeds", [0, 2.5, 2.0])
+    def test_ensemble_rejects_non_integer_or_too_few_seeds(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds must be an integer >= 1"):
+            ensemble_run(paper_config(n=10), SPEC40, REFERENCE, steps=5, n_seeds=n_seeds)
+
+    @pytest.mark.parametrize("steps", [0, -2, 12.5, 12.0, np.float64(12.0), "12"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_members_checks_steps_before_any_union_or_pool(self, monkeypatch, steps,
+                                                               jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the inputs were checked")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(Simulation, "__init__", refuse)
+        # The bad member comes last, after a union of good ones.
+        members = [(paper_config(seed=s, n=10), SPEC40, REFERENCE, 5) for s in range(3)]
+        members.append((paper_config(n=10), SPEC40, REFERENCE, steps))
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            run_members(members, jobs)
+
+    @pytest.mark.parametrize("steps", [0, 12.5, np.float64(12.0)])
+    def test_run_rejects_non_integer_or_too_few_steps(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            run(paper_config(n=10), SPEC40, REFERENCE, steps)
 
     def test_single_seed_ensemble_has_zero_std(self):
         cfg = paper_config(seed=24, n=100)
@@ -685,6 +730,134 @@ class TestUnion:
             Simulation(paper_config(n=10), specs, REFERENCE, seeds=(1, 2))
         with pytest.raises(ValueError, match="needs 2 SensorSpecs"):
             Simulation(paper_config(n=10), specs[:1], REFERENCE, seeds=(1, 2))
+
+
+def _member_csr(union, k):
+    """Member k's block of a union's CSR, as its lone run's (indptr, indices)."""
+    n = union.config.n
+    indptr = union.indptr[k * n:(k + 1) * n + 1]
+    return indptr - indptr[0], union.indices[indptr[0]:indptr[-1]] - k * n
+
+
+# A 0.1-spaced lattice: pairs at exactly 0.1 and at the rounded sums of 0.1
+# steps; with ranges 0.1 and 0.3, whose squares round, the distance test
+# decides on its last bit.
+_TENTH_LATTICE = np.array([(0.1 * i, 0.1 * j) for i in range(9) for j in range(9)]
+                          + [(2.0, 2.0), (2.3, 2.0), (2.0, 2.3), (2.3, 2.4)])
+
+
+class TestSharedDeployment:
+    """A union builds each distinct seed's placement, initial order and
+    neighbor CSR once, the CSR at the largest range among that seed's
+    members, and filters every other member's CSR from it with
+    neighbor_csr's own test."""
+
+    @pytest.mark.parametrize("ranges", [
+        (0.1, 0.3, 0.2, 0.30000000000000004, 0.5, 0.1),
+        (0.3, 0.1),
+        (0.1,),
+    ])
+    def test_member_csr_is_the_lone_csr_on_range_boundaries(self, monkeypatch, ranges):
+        positions = _TENTH_LATTICE
+        monkeypatch.setattr(netsim, "place_sensors", lambda config, gen: positions.copy())
+        cfg = NetworkConfig(n=len(positions), width=3.0, height=3.0, initial_active=0)
+        specs = [replace(SPEC40, r_star=r) for r in ranges]
+        union = Simulation(cfg, specs, REFERENCE, seeds=(5,) * len(ranges))
+        for k, r in enumerate(ranges):
+            expected = neighbor_csr(positions, r)
+            got = _member_csr(union, k)
+            assert got[0].tobytes() == expected[0].tobytes(), r
+            assert got[1].tobytes() == expected[1].tobytes(), r
+        # Pairs at exactly the range, which a strict test would drop.
+        dx, dy = (positions[None, :, :] - positions[:, None, :]).transpose(2, 0, 1)
+        assert np.any(dx**2 + dy**2 == 0.1 * 0.1)
+
+    def test_member_csr_is_the_lone_csr_on_a_placement(self):
+        cfg = paper_config(n=400)
+        ranges = (20.0, 27.0, 30.0, 40.0, 27.0)
+        union = Simulation(cfg, [replace(SPEC40, r_star=r) for r in ranges], REFERENCE,
+                           seeds=(7, 8, 7, 7, 7))
+        for k, (seed, r) in enumerate(zip(union.seeds, ranges)):
+            positions = place_sensors(cfg, rng.substream(seed, rng.PLACEMENT))
+            expected = neighbor_csr(positions, r)
+            got = _member_csr(union, k)
+            assert got[0].tobytes() == expected[0].tobytes(), (seed, r)
+            assert got[1].tobytes() == expected[1].tobytes(), (seed, r)
+
+    def test_one_placement_and_csr_per_seed(self, monkeypatch):
+        calls = {"place_sensors": [], "neighbor_csr": []}
+        for name, record in calls.items():
+            def counting(*args, _original=getattr(netsim, name), _record=record):
+                _record.append(args[1])
+                return _original(*args)
+            monkeypatch.setattr(netsim, name, counting)
+        seeds, ranges = (3, 4, 9), (20.0, 40.0, 27.0, 30.0)
+        Simulation(paper_config(n=100), [replace(SPEC40, r_star=r) for _ in seeds for r in ranges],
+                   REFERENCE, seeds=[s for s in seeds for _ in ranges])
+        assert len(calls["place_sensors"]) == 3
+        assert calls["neighbor_csr"] == [40.0] * 3
+
+    def test_odd_seed_count_keeps_seeds_together_at_two_jobs(self, monkeypatch):
+        chunks = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                chunks.extend(items)
+                return [fn(chunk) for chunk in chunks]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        # As analysis.sweep lists them: grid point by grid point, then seed.
+        ranges, seeds = (20.0, 27.0, 30.0, 40.0), (0, 1, 2)
+        members = [(paper_config(seed=s, n=100), replace(SPEC40, r_star=r), REFERENCE, 30)
+                   for r in ranges for s in seeds]
+        got = run_members(members, jobs=2)
+        for trajectory, member in zip(got, members):
+            assert trajectory.tobytes() == active_fraction(run(*member), 100).tobytes()
+        dealt = [chunk[3] for chunk in chunks]
+        # Two equal chunks of seed-sorted members: seeds 0 and 2 each stay in
+        # one chunk, and only seed 1, where the cut falls, is in both.
+        assert dealt == [[0, 0, 0, 0, 1, 1], [1, 1, 2, 2, 2, 2]]
+        # The sort is stable: a seed's members keep their grid order.
+        assert [spec.r_star for chunk in chunks for spec in chunk[4]] == [
+            20.0, 27.0, 30.0, 40.0, 20.0, 27.0, 30.0, 40.0, 20.0, 27.0, 30.0, 40.0]
+
+    def test_pool_workers_start_with_numpy_random_loaded(self):
+        code = textwrap.dedent("""
+            import sys
+            from dataclasses import replace
+            from dscsim import netsim
+            from dscsim.environment import ConcentrationModel
+            from dscsim.sensor import SensorSpec
+
+            assert "numpy.random" not in sys.modules
+            chunk_run = netsim._chunk_run
+
+            def warm_chunk_run(chunk):
+                assert "numpy.random" in sys.modules, "a worker imports numpy.random"
+                return chunk_run(chunk)
+
+            netsim._chunk_run = warm_chunk_run
+            cfg = netsim.NetworkConfig(n=40, width=100.0, height=100.0, initial_active=4)
+            spec = SensorSpec(c_star=150.0, tau_star=4, r_star=30.0)
+            members = [(replace(cfg, seed=s), spec, ConcentrationModel(c0=150.0), 20)
+                       for s in range(4)]
+            netsim.run_members(members, jobs=2)
+            assert "numpy.random" in sys.modules
+            print("warm")
+        """)
+        src = str(Path(netsim.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert done.stdout.strip() == "warm", done.stderr
 
 
 def _demo_sparse_union():
