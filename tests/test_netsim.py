@@ -830,34 +830,37 @@ class TestSharedDeployment:
         assert [spec.r_star for chunk in chunks for spec in chunk[4]] == [
             20.0, 27.0, 30.0, 40.0, 20.0, 27.0, 30.0, 40.0, 20.0, 27.0, 30.0, 40.0]
 
-    def test_pool_workers_start_with_numpy_random_loaded(self):
-        code = textwrap.dedent("""
-            import sys
-            from dataclasses import replace
-            from dscsim import netsim
-            from dscsim.environment import ConcentrationModel
-            from dscsim.sensor import SensorSpec
 
-            assert "numpy.random" not in sys.modules
-            chunk_run = netsim._chunk_run
+# The parent loads numpy.random before it starts a pool, so forked workers
+# inherit it instead of each importing it.
+def test_pool_workers_start_with_numpy_random_loaded():
+    code = textwrap.dedent("""
+        import sys
+        from dataclasses import replace
+        from dscsim import netsim
+        from dscsim.environment import ConcentrationModel
+        from dscsim.sensor import SensorSpec
 
-            def warm_chunk_run(chunk):
-                assert "numpy.random" in sys.modules, "a worker imports numpy.random"
-                return chunk_run(chunk)
+        assert "numpy.random" not in sys.modules
+        chunk_run = netsim._chunk_run
 
-            netsim._chunk_run = warm_chunk_run
-            cfg = netsim.NetworkConfig(n=40, width=100.0, height=100.0, initial_active=4)
-            spec = SensorSpec(c_star=150.0, tau_star=4, r_star=30.0)
-            members = [(replace(cfg, seed=s), spec, ConcentrationModel(c0=150.0), 20)
-                       for s in range(4)]
-            netsim.run_members(members, jobs=2)
-            assert "numpy.random" in sys.modules
-            print("warm")
-        """)
-        src = str(Path(netsim.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
-        assert done.stdout.strip() == "warm", done.stderr
+        def warm_chunk_run(chunk):
+            assert "numpy.random" in sys.modules, "a worker imports numpy.random"
+            return chunk_run(chunk)
+
+        netsim._chunk_run = warm_chunk_run
+        cfg = netsim.NetworkConfig(n=40, width=100.0, height=100.0, initial_active=4)
+        spec = SensorSpec(c_star=150.0, tau_star=4, r_star=30.0)
+        members = [(replace(cfg, seed=s), spec, ConcentrationModel(c0=150.0), 20)
+                   for s in range(4)]
+        netsim.run_members(members, jobs=2)
+        assert "numpy.random" in sys.modules
+        print("warm")
+    """)
+    src = str(Path(netsim.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert done.stdout.strip() == "warm", done.stderr
 
 
 def _demo_sparse_union():
