@@ -20,8 +20,8 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .environment import ConcentrationModel
-from .netsim import NetworkConfig, _check_integers
-from .sensor import SensorSpec
+from .netsim import NetworkConfig
+from .sensor import SensorSpec, check_integer
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,8 @@ class RunSettings:
     tail_fraction: float = 0.25
 
     def __post_init__(self):
-        _check_integers(self, "steps", "n_seeds")
-        if self.steps < 1 or self.n_seeds < 1:
-            raise ValueError("steps and n_seeds must be >= 1")
+        check_integer("steps", self.steps, 1)
+        check_integer("n_seeds", self.n_seeds, 1)
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError("tail_fraction must be in (0, 1]")
 
@@ -77,7 +76,8 @@ class PdeSettings:
     record_every: int = 0
 
     def __post_init__(self):
-        _check_integers(self, "nx", "ny", "seed_columns", "record_every")
+        for key in ("nx", "ny", "seed_columns", "record_every"):
+            check_integer(key, getattr(self, key))
         if self.nx < 3 or self.ny < 1:
             raise ValueError("grid must be at least 3 x 1 cells")
         if self.dx <= 0 or self.t_end <= 0:

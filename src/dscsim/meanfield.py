@@ -358,8 +358,7 @@ def integrate_pde(
         raise ValueError(f"t_end / dt = {t_end} / {dt} steps is not finite")
     if not tau_star > 0:
         raise ValueError("tau_star must be > 0 (inf turns off deactivation)")
-    if not hasattr(record_every, "__index__") or record_every < 1:
-        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
+    sensor.check_integer("record_every", record_every, 1)
     if d > 0:
         limit = dx ** 2 / (4.0 * d)
         if dt > limit * (1.0 + 1e-12):

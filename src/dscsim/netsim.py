@@ -50,9 +50,7 @@ deployment: the union places the seed's sensors, draws its initial order
 and builds its CSR once, at the largest r_star among them, and a member
 at a smaller r_star keeps the pairs that pass neighbor_csr's own distance
 test at its range. Rounding is monotone, so that is the CSR neighbor_csr
-builds at that range, byte for byte. run_members sorts each group of
-members by seed and cuts it into contiguous chunks, so a seed's members
-share a chunk. No drawn value changes: the placement and initial order
+builds at that range, byte for byte. No drawn value changes: the placement and initial order
 are the ones a lone run draws, every member draws from its own failure
 and rotation streams as a lone run does, and a sensor's concentration
 stream stays keyed by (member seed, sensor index). The kernel pays for streams
@@ -83,7 +81,7 @@ import numpy as np
 
 from . import environment, rng
 from .environment import ConcentrationModel
-from .sensor import SensorSpec
+from .sensor import SensorSpec, check_integer
 
 # A faulty sensor's timer; an active one's is > 0, a passive one's 0.
 FAULTY = -1
@@ -103,14 +101,6 @@ _UNION_SENSORS = 1 << 16
 # boundary of a large union where most sensors sense, and buffers of 256
 # rows or more raised a sweep worker's peak RSS by 0.4 MB.
 _FILL_ROWS = 64
-
-
-def _check_integers(settings, *keys: str) -> None:
-    """Reject a field without __index__ (50.0, 2.5), naming it."""
-    for key in keys:
-        value = getattr(settings, key)
-        if not hasattr(value, "__index__"):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -133,15 +123,12 @@ class NetworkConfig:
     refresh_on_detect: bool = False
 
     def __post_init__(self):
-        _check_integers(self, "n", "initial_active", "seed")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        check_integer("n", self.n, 1)
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ValueError("region dimensions must be finite and > 0")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
-        if self.initial_active < 0:
-            raise ValueError("initial_active must be >= 0")
+        check_integer("initial_active", self.initial_active, 0)
         if self.permanent_count + self.initial_active > self.n:
             raise ValueError(
                 f"permanent sensors ({self.permanent_count}) plus initial_active "
@@ -149,9 +136,9 @@ class NetworkConfig:
             )
         if not 0.0 <= self.failure_rate <= 1.0:
             raise ValueError(f"failure_rate must be in [0, 1], got {self.failure_rate}")
-        period = self.rotation_period
-        if period is not None and (not hasattr(period, "__index__") or period < 0):
-            raise ValueError(f"rotation_period must be an integer >= 0 or None, got {period!r}")
+        if self.rotation_period is not None:
+            check_integer("rotation_period", self.rotation_period, 0)
+        check_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -467,16 +454,11 @@ class Simulation:
         )
 
 
-def _check_count(name: str, value) -> None:
-    if not hasattr(value, "__index__") or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def run(
     config: NetworkConfig, spec: SensorSpec, model: ConcentrationModel, steps: int
 ) -> list[SimRecord]:
     """Full trajectory of `steps` records from the initial state."""
-    _check_count("steps", steps)
+    check_integer("steps", steps, 1)
     sim = Simulation(config, spec, model)
     return [sim.step() for _ in range(steps)]
 
@@ -517,29 +499,27 @@ def run_members(members, jobs: int = 1) -> list[np.ndarray]:
 
     Members that differ only in config.seed, spec.r_star and spec.c_star,
     wherever they stand in the list, run together as Simulation unions: each
-    such group is sorted by seed (stably) and cut into as few contiguous,
-    equal chunks as hold at most ceil(len / jobs) members and _UNION_SENSORS
-    sensors (or one member). So a seed's members share a chunk, and with it
-    one deployment, except where a cut falls inside them, and since every
-    seed of a sweep carries one member per grid point, every chunk gets its
-    share of each point. jobs and every member's steps are checked before
-    any union is built. With jobs > 1 the chunks execute in separate
-    processes. Every member's trajectory is the one run() gives it alone,
-    and the trajectories come back in input order, so the result depends on
-    neither jobs nor scheduling.
+    such group is dealt round-robin into as few chunks as hold at most
+    ceil(len / jobs) members and _UNION_SENSORS sensors (or one member), so
+    every chunk of a sweep gets its share of each grid point. A sweep lists
+    its members point by point, then seed by seed, so with a seed count
+    that is a multiple of the chunk count each seed's members land in one
+    chunk and share one deployment. jobs and every member's steps are
+    checked before any union is built. With jobs > 1 the chunks execute in
+    separate processes. Every member's trajectory is the one run() gives it
+    alone, and the trajectories come back in input order, so the result
+    depends on neither jobs nor scheduling.
     """
-    _check_count("jobs", jobs)
+    check_integer("jobs", jobs, 1)
     groups: dict[tuple, list[int]] = {}
     for index, member in enumerate(members):
-        _check_count("steps", member[3])
+        check_integer("steps", member[3], 1)
         groups.setdefault(_union_key(member), []).append(index)
     chunks, order = [], []
     for (config, _, model, steps), indices in groups.items():
         size = max(1, min(math.ceil(len(indices) / jobs), _UNION_SENSORS // config.n))
         count = math.ceil(len(indices) / size)
-        indices.sort(key=lambda i: members[i][0].seed)
-        for k in range(count):
-            part = indices[k * len(indices) // count:(k + 1) * len(indices) // count]
+        for part in (indices[k::count] for k in range(count)):
             order += part
             chunks.append((config, model, steps, [members[i][0].seed for i in part],
                            [members[i][1] for i in part]))
@@ -547,8 +527,6 @@ def run_members(members, jobs: int = 1) -> list[np.ndarray]:
         results = map(_chunk_run, chunks)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-        import numpy.random  # noqa: F401 - loaded once here, so forked workers inherit it
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_chunk_run, chunks, chunksize=1))
@@ -567,7 +545,7 @@ def ensemble_run(
     jobs: int = 1,
 ) -> EnsembleResult:
     """Ensemble over seeds config.seed, config.seed + 1, ..., run by run_members."""
-    _check_count("n_seeds", n_seeds)
+    check_integer("n_seeds", n_seeds, 1)
     members = [
         (replace(config, seed=config.seed + i), spec, model, steps) for i in range(n_seeds)
     ]

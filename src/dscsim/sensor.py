@@ -9,6 +9,14 @@ from . import environment
 from .environment import ConcentrationModel
 
 
+def check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Reject a value without __index__ (50.0, 2.5, "3") or below minimum,
+    naming it; numpy integers pass."""
+    if not hasattr(value, "__index__") or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SensorSpec:
     """Hardware parameters shared by every sensor in a network.
@@ -25,8 +33,7 @@ class SensorSpec:
     def __post_init__(self):
         if not 0 <= self.c_star < math.inf:
             raise ValueError(f"c_star must be finite and >= 0, got {self.c_star}")
-        if not hasattr(self.tau_star, "__index__") or self.tau_star < 1:
-            raise ValueError(f"tau_star must be an integer >= 1, got {self.tau_star!r}")
+        check_integer("tau_star", self.tau_star, 1)
         if not 0 < self.r_star < math.inf:
             raise ValueError(f"r_star must be finite and > 0, got {self.r_star}")
 

@@ -3,10 +3,6 @@ conservation, determinism, and the epidemic dichotomy."""
 
 import concurrent.futures
 import math
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -797,7 +793,15 @@ class TestSharedDeployment:
         assert len(calls["place_sensors"]) == 3
         assert calls["neighbor_csr"] == [40.0] * 3
 
-    def test_odd_seed_count_keeps_seeds_together_at_two_jobs(self, monkeypatch):
+    @pytest.mark.parametrize("seeds, dealt", [
+        # Each seed whole in one chunk, with one member per grid point.
+        ((0, 1), [[(0, 20.0), (0, 27.0), (0, 30.0), (0, 40.0)],
+                  [(1, 20.0), (1, 27.0), (1, 30.0), (1, 40.0)]]),
+        # One seed: the points interleave, so neither chunk gets only the
+        # costly supercritical ranges.
+        ((0,), [[(0, 20.0), (0, 30.0)], [(0, 27.0), (0, 40.0)]]),
+    ])
+    def test_sweep_deal_at_two_jobs(self, monkeypatch, seeds, dealt):
         chunks = []
 
         class InProcessPool:
@@ -816,51 +820,14 @@ class TestSharedDeployment:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         # As analysis.sweep lists them: grid point by grid point, then seed.
-        ranges, seeds = (20.0, 27.0, 30.0, 40.0), (0, 1, 2)
+        ranges = (20.0, 27.0, 30.0, 40.0)
         members = [(paper_config(seed=s, n=100), replace(SPEC40, r_star=r), REFERENCE, 30)
                    for r in ranges for s in seeds]
         got = run_members(members, jobs=2)
         for trajectory, member in zip(got, members):
             assert trajectory.tobytes() == active_fraction(run(*member), 100).tobytes()
-        dealt = [chunk[3] for chunk in chunks]
-        # Two equal chunks of seed-sorted members: seeds 0 and 2 each stay in
-        # one chunk, and only seed 1, where the cut falls, is in both.
-        assert dealt == [[0, 0, 0, 0, 1, 1], [1, 1, 2, 2, 2, 2]]
-        # The sort is stable: a seed's members keep their grid order.
-        assert [spec.r_star for chunk in chunks for spec in chunk[4]] == [
-            20.0, 27.0, 30.0, 40.0, 20.0, 27.0, 30.0, 40.0, 20.0, 27.0, 30.0, 40.0]
-
-
-# The parent loads numpy.random before it starts a pool, so forked workers
-# inherit it instead of each importing it.
-def test_pool_workers_start_with_numpy_random_loaded():
-    code = textwrap.dedent("""
-        import sys
-        from dataclasses import replace
-        from dscsim import netsim
-        from dscsim.environment import ConcentrationModel
-        from dscsim.sensor import SensorSpec
-
-        assert "numpy.random" not in sys.modules
-        chunk_run = netsim._chunk_run
-
-        def warm_chunk_run(chunk):
-            assert "numpy.random" in sys.modules, "a worker imports numpy.random"
-            return chunk_run(chunk)
-
-        netsim._chunk_run = warm_chunk_run
-        cfg = netsim.NetworkConfig(n=40, width=100.0, height=100.0, initial_active=4)
-        spec = SensorSpec(c_star=150.0, tau_star=4, r_star=30.0)
-        members = [(replace(cfg, seed=s), spec, ConcentrationModel(c0=150.0), 20)
-                   for s in range(4)]
-        netsim.run_members(members, jobs=2)
-        assert "numpy.random" in sys.modules
-        print("warm")
-    """)
-    src = str(Path(netsim.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
-    assert done.stdout.strip() == "warm", done.stderr
+        assert [[(seed, spec.r_star) for seed, spec in zip(chunk[3], chunk[4])]
+                for chunk in chunks] == dealt
 
 
 def _demo_sparse_union():
