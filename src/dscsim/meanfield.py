@@ -150,19 +150,33 @@ class Trajectory:
 
 # The most RK4 substeps integrate_sis spends on one grid interval. A grid
 # of m steps therefore costs at most m * (2 * _SIS_MAX_SUBSTEPS - 1)
-# substeps over all refinement passes; the benchmark's converge at 128.
+# substeps over all refinement passes, fewer when a pass reaches its
+# fixed point early; the benchmark's converge at 128.
 _SIS_MAX_SUBSTEPS = 1 << 12
 
 
-def _sis_pass(alpha, tau_star, n, nu, y0, times: list, substeps: int) -> np.ndarray:
+def _equal_widths(times) -> bool:
+    """True when every interval of the grid `times` has the same width."""
+    widths = np.diff(times)
+    return bool((widths == widths[0]).all())
+
+
+def _sis_pass(alpha, tau_star, n, nu, y0, times: list, equal_widths: bool,
+              substeps: int) -> np.ndarray:
     """One classic RK4 pass over the grid `times` with `substeps` equal
     steps per interval. Each stage evaluates the right-hand side at the
-    iterate clamped to [0, n], which keeps solver excursions off-domain."""
+    iterate clamped to [0, n], which keeps solver excursions off-domain.
+
+    On a grid of equal widths every interval applies one fixed map to y,
+    so once an interval ends bitwise on its start value (a 0.0 after a
+    -0.0 is a change) every later value is that value: the pass stops
+    there and fills the rest of the grid with it."""
     out = np.empty(len(times))
     out[0] = y = float(y0)
     for k in range(len(times) - 1):
         h = (times[k + 1] - times[k]) / substeps
         half, sixth = 0.5 * h, h / 6.0
+        start = y
         for _ in range(substeps):
             c = 0.0 if y < 0.0 else (n if y > n else y)
             k1 = alpha * c ** nu * (n - c) - c / tau_star
@@ -177,6 +191,10 @@ def _sis_pass(alpha, tau_star, n, nu, y0, times: list, substeps: int) -> np.ndar
             k4 = alpha * c ** nu * (n - c) - c / tau_star
             y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = y
+        if equal_widths and y == start and (
+                y != 0.0 or math.copysign(1.0, y) == math.copysign(1.0, start)):
+            out[k + 2:] = y
+            break
     return out
 
 
@@ -197,7 +215,10 @@ def integrate_sis(
     (relative to the trajectory scale). nu = 1 recovers the closed-form
     logistic case; nu < 1 damps growth in dense deployments. Raises
     ValueError when the refinements have not agreed by _SIS_MAX_SUBSTEPS
-    substeps per grid step.
+    substeps per grid step. On a grid of equal widths a pass stops at the
+    first interval that ends bitwise on its start value, a fixed point of
+    the step map, and repeats it to t_end; the values are the ones the
+    full pass would compute.
     """
     for name, value in (("alpha", alpha), ("tau_star", tau_star), ("n", n),
                         ("y0", y0), ("dt", dt), ("t_end", t_end)):
@@ -217,10 +238,11 @@ def integrate_sis(
     m = max(1, round(t_end / dt))
     times = np.arange(m + 1) * dt
     grid = times.tolist()  # scalar arithmetic is faster on floats than on numpy scalars
-    prev = _sis_pass(alpha, tau_star, n, nu, y0, grid, 1)
+    equal = _equal_widths(times)
+    prev = _sis_pass(alpha, tau_star, n, nu, y0, grid, equal, 1)
     substeps = 2
     while True:
-        cur = _sis_pass(alpha, tau_star, n, nu, y0, grid, substeps)
+        cur = _sis_pass(alpha, tau_star, n, nu, y0, grid, equal, substeps)
         scale = max(1.0, float(np.max(np.abs(cur))))
         diff = float(np.max(np.abs(cur - prev)))
         if diff <= rel_tol * scale:
@@ -337,6 +359,20 @@ def integrate_pde(
     row (bitwise), the solver steps a single row: with zero-flux edges a
     y-uniform cell's up and down neighbors are the cell itself, so that row,
     and every record, is bitwise the full grid's.
+
+    With d > 0, dx must leave room for every Laplacian the solver forms,
+    pad cells included: a ValueError names dx unless 64 M / dx^2 is a
+    finite float, where M = max(a0 + p0). The argument: a + p only
+    diffuses and the clamp keeps both fields non-negative, so between
+    steps each stays within [0, M] up to RK4's overshoot. A stencil's
+    |up + down + left + right - 4 f| is at most 8 times the largest |value|
+    it reads, so h d |lap| <= 8 (h d / dx^2) B for a stage bounded by B.
+    Under the stability limit dt d / dx^2 <= 1/4, the diffusion part of
+    the stages u + (dt/2) k1, u + (dt/2) k2 and u + dt k3 is then bounded
+    by M + M = 2M, M + 2M = 3M and M + 2 * 3M = 7M. Rounding 7M up to 8M
+    absorbs the stability test's 1e-12 slack and the overshoot, and
+    8 * 8M / dx^2 is the bound. Growth the reaction adds on top reaches
+    interior cells as well, so it is the model's own, not the pads'.
     """
     a0, p0 = (np.asarray(f, dtype=float) for f in fields)
     if a0.ndim != 2 or a0.shape != p0.shape:
@@ -365,6 +401,13 @@ def integrate_pde(
             raise ValueError(
                 f"stability violation: dt = {dt} exceeds dx^2/(4 d) = {limit}"
             )
+        with np.errstate(over="ignore"):  # an infinite sum is rejected below
+            top = float((a0 + p0).max())
+        if not math.isfinite(64.0 * (top / (dx * dx))):  # see the docstring
+            raise ValueError(
+                f"dx = {dx} is too small for fields up to {top}: the Laplacian "
+                f"bound 64 * {top} / dx^2 is not finite"
+            )
     alpha = np.asarray(alpha_field, dtype=float)
     if not np.all(np.isfinite(alpha)):
         raise ValueError("alpha_field must be finite")
@@ -387,6 +430,7 @@ def integrate_pde(
     vu, vstage, vk, vacc, vlap = views = [_padded(rows, nx) for _ in range(5)]
     u, stage, k, acc = (v.grid for v in views[:4])
     vu.interior[0], vu.interior[1] = a0[:rows], p0[:rows]
+    interiors = list(vu.interior)
     half, sixth = 0.5 * dt, dt / 6.0
     n_steps = max(1, round(t_end / dt))
     times, profiles, snaps_a, snaps_p = [], [], [], []
@@ -416,8 +460,9 @@ def integrate_pde(
         acc += k
         acc *= sixth
         u += acc
-        for field in vu.interior:
-            if field.min() < 0:
+        # per field, so that a NaN in one does not skip the other's clamp
+        for field, low in zip(interiors, vu.interior.min(axis=(1, 2)).tolist()):
+            if low < 0:
                 np.maximum(field, 0.0, out=field)
         if step % record_every == 0 or step == n_steps:
             record(step)

@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dscsim import meanfield
 from dscsim.config import parse_config
@@ -177,6 +179,97 @@ class TestInfoGain:
             info_gain_conditions(0.5, 0.01, p, 5.0, 400, 100.0, 1e6, 40.0)
 
 
+def reference_sis_pass(alpha, tau_star, n, nu, y0, times, substeps):
+    """integrate_sis's RK4 pass written without the fixed-point stop:
+    every interval of the grid is computed."""
+    out = np.empty(len(times))
+    out[0] = y = float(y0)
+    for k in range(len(times) - 1):
+        h = (times[k + 1] - times[k]) / substeps
+        half, sixth = 0.5 * h, h / 6.0
+        for _ in range(substeps):
+            c = 0.0 if y < 0.0 else (n if y > n else y)
+            k1 = alpha * c ** nu * (n - c) - c / tau_star
+            c = y + half * k1
+            c = 0.0 if c < 0.0 else (n if c > n else c)
+            k2 = alpha * c ** nu * (n - c) - c / tau_star
+            c = y + half * k2
+            c = 0.0 if c < 0.0 else (n if c > n else c)
+            k3 = alpha * c ** nu * (n - c) - c / tau_star
+            c = y + h * k3
+            c = 0.0 if c < 0.0 else (n if c > n else c)
+            k4 = alpha * c ** nu * (n - c) - c / tau_star
+            y += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = y
+    return out
+
+
+def sis_pass_bytes(alpha, tau_star, n, nu, y0, dt, steps, substeps):
+    """(_sis_pass, reference) bytes on integrate_sis's grid of `steps` dt."""
+    times = np.arange(steps + 1) * dt
+    grid = times.tolist()
+    got = meanfield._sis_pass(alpha, tau_star, n, nu, y0, grid,
+                              meanfield._equal_widths(times), substeps)
+    return got.tobytes(), reference_sis_pass(alpha, tau_star, n, nu, y0, grid, substeps).tobytes()
+
+
+@st.composite
+def sis_cases(draw):
+    n = draw(st.one_of(st.integers(1, 1000), st.floats(1.0, 1000.0)))
+    tau_star = draw(st.floats(0.5, 20.0))
+    # alpha through R0 = alpha tau_star n, so that most runs settle in the grid
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0).map(lambda r: r / (tau_star * n))))
+    nu = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    y0 = draw(st.one_of(st.sampled_from([0.0, -0.0, n]), st.floats(0.0, n)))
+    dt = draw(st.sampled_from([1.0, 0.25, 0.1, 1 / 3]))
+    return (alpha, tau_star, n, nu, y0, dt, draw(st.integers(1, 400)),
+            draw(st.sampled_from([1, 2, 4])))
+
+
+class CountedRate(float):
+    """A contact rate that counts its multiplications: 4 per RK4 substep."""
+
+    calls = 0
+
+    def __mul__(self, other):
+        self.calls += 1
+        return float(self) * other
+
+
+class TestSisFixedPoint:
+    """A pass on a grid of equal widths stops once an interval ends on its
+    start value; its values must stay those of the full loop."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(case=sis_cases())
+    # the benchmark's nu = 0.5 call at one substep: settles at interval 355
+    @example(case=(1e-3, 5.0, 400, 0.5, 10.0, 1.0, 400, 1))
+    def test_pass_matches_the_full_loop(self, case):
+        got, expected = sis_pass_bytes(*case)
+        assert got == expected
+
+    def test_unequal_widths_run_in_full(self):
+        # an interval of this 1/3 grid ends on its start, but the next
+        # width differs, so a stop there would change later bytes
+        times = np.arange(309) * (1 / 3)
+        assert not meanfield._equal_widths(times)
+        case = (2.459e-4, 1.0, 400, 0.5, 384.9, 1 / 3, 308, 2)
+        stopped = meanfield._sis_pass(*case[:5], times.tolist(), True, 2)
+        got, expected = sis_pass_bytes(*case)
+        assert stopped.tobytes() != expected
+        assert got == expected
+
+    @pytest.mark.parametrize("dt, substeps", [(1.0, 3), (0.1, 3000)])
+    def test_work_stops_at_the_fixed_point(self, dt, substeps):
+        # y0 = 0 is a fixed point at nu > 0: on the unit grid each pass
+        # stops after its first interval, and the passes of 1 and 2
+        # substeps agree; the 0.1 grid has unequal widths and runs in full
+        alpha = CountedRate(1e-3)
+        traj = integrate_sis(alpha, 5.0, 400.0, 0.7, 0.0, 1000 * dt, dt)
+        assert traj.y.size == 1001 and not traj.y.any()
+        assert alpha.calls == 4 * substeps
+
+
 class TestIntegrateSis:
     def test_nu_one_matches_logistic_closed_form(self):
         alpha, tau, n, y0 = 1e-3, 5.0, 400.0, 10.0
@@ -267,9 +360,9 @@ class TestIntegrateSis:
             integrate_sis(1e-3, 5.0, 400.0, 1.0, 10.0, t_end=1e300, dt=1e-300)
 
     def test_long_grid_converges(self):
-        # the benchmark's call on a 5 000-step grid spends more than 2**20
-        # substeps in all (converging at 128 per step); R0 = 2 saturates
-        # at n / 2
+        # the benchmark's call on a 5 000-step grid, converging at 128
+        # substeps per step; R0 = 2 saturates at n / 2, so each pass stops
+        # at its fixed point well before t_end
         traj = integrate_sis(1e-3, 5.0, 400, 1.0, 10.0, 5000.0, 1.0, rel_tol=1e-12)
         assert traj.y[-1] == pytest.approx(200.0, rel=1e-9)
 
@@ -419,6 +512,23 @@ class TestIntegratePde:
         # dx ** 2 used to raise OverflowError, which names no argument
         with pytest.raises(ValueError, match=r"dx = 1e\+200 is too large"):
             integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=0.25, dx=1e200, d=d)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_dx_too_small_for_the_field_bound_rejected(self, scale):
+        # a pad cell between rows 1 and 2 used to overflow in the division
+        # by dx^2 (a RuntimeWarning) although no interior cell did; fields
+        # 1 000 times smaller fit the bound and run
+        active = np.ones((4, 4))
+        active[1, 2:] = (0.2, 0.0)
+        dx, d = math.sqrt(1 / 7e307), 1e-300
+        dt = dx * dx / (4 * d)
+        args = ((scale * active, np.zeros((4, 4))), 0.0, math.inf, dt, dt, dx, d)
+        if scale == 1.0:
+            with pytest.raises(ValueError, match=r"dx = 1\.19\d*e-154 is too small"):
+                integrate_pde(*args)
+        else:
+            assert np.isfinite(integrate_pde(*args).active[-1]).all()
 
     @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
     def test_empty_fields_rejected(self, shape):
