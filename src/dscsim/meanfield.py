@@ -53,6 +53,10 @@ def r0(p: float, n: int, r_star: float, s: float, g: float = 1.0) -> float:
     """
     if not s > 0:
         raise ValueError("area must be > 0")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if not g > 0:
+        raise ValueError(f"g must be > 0, got {g}")
     return g * p * n * math.pi * r_star ** 2 / s
 
 
@@ -224,6 +228,8 @@ def integrate_sis(
                         ("y0", y0), ("dt", dt), ("t_end", t_end)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not 0.0 <= y0 <= n:
         raise ValueError("y0 must be in [0, n]")
     if not 0.0 <= nu <= 1.0:
@@ -409,8 +415,8 @@ def integrate_pde(
                 f"bound 64 * {top} / dx^2 is not finite"
             )
     alpha = np.asarray(alpha_field, dtype=float)
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("alpha_field must be finite")
+    if not np.all((alpha >= 0) & np.isfinite(alpha)):
+        raise ValueError("alpha_field must be finite and non-negative")
     shape = a0.shape
     try:
         full = np.broadcast_to(alpha, shape)
@@ -538,7 +544,7 @@ def front_speed(trajectory: PdeTrajectory, level: float) -> float:
 def synchronization_check(alpha: float, tau_star: float, r_star: float, v_star: float) -> bool:
     """True iff the activation front can keep up with wind advection:
     alpha >= v_star**2 * tau_star / r_star**2."""
-    if alpha < 0 or tau_star <= 0 or r_star <= 0 or v_star < 0:
+    if not (alpha >= 0 and tau_star > 0 and r_star > 0 and v_star >= 0):
         raise ValueError("inputs must be positive (v_star may be zero)")
     return alpha >= v_star ** 2 * tau_star / r_star ** 2
 

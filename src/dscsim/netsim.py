@@ -16,11 +16,10 @@ One simulation step, synchronously:
 
   1. every active non-faulty sensor draws a uniform u from its own
      substream and broadcasts if u >= u*, i.e. if its reading reaches
-     c_star (environment.uniform_threshold); the substream's key is
-     derived in the step the sensor is first active at its start, its
-     values are drawn per 128-step block when the sensor first senses in
-     that block, and its t-th reading is the substream's t-th value
-     however late the key was derived or the block drawn;
+     c_star (environment.uniform_threshold); the substream's values
+     are drawn per 128-step block when the sensor first senses in that
+     block, and its t-th reading is the substream's t-th value however
+     late the block was drawn;
   2. active timers decrement; expired sensors go passive (permanent ones
      re-arm immediately);
   3. this step's messages activate recipients that are passive *after*
@@ -53,14 +52,14 @@ test at its range. Rounding is monotone, so that is the CSR neighbor_csr
 builds at that range, byte for byte. No drawn value changes: the placement and initial order
 are the ones a lone run draws, every member draws from its own failure
 and rotation streams as a lone run does, and a sensor's concentration
-stream stays keyed by (member seed, sensor index). The kernel pays for streams
-only where sensors sense. The stream store is indexed by sensor: row i
-holds sensor i's Philox key, derived (with every key new in that tick, in
-one rng.sensor_keys call) in the tick the sensor first senses, and its
-detection bits for one 128-step block, filled the first time the sensor
-senses in that block from one shared Philox set to its key and block
-counter. A row keeps only whether each uniform is >= its member's u*, the
-one thing the protocol reads.
+stream stays keyed by (member seed, sensor index). The stream store is
+indexed by sensor: row i holds sensor i's Philox key, derived with its
+seed's deployment (the seed's n keys in one rng.sensor_keys call), and its
+detection bits for one 128-step block. Only the fills are lazy: the kernel
+draws a stream only where its sensor senses, filling a row the first time
+the sensor senses in a block from one shared Philox set to its key and
+block counter. A row keeps only whether each uniform is >= its member's
+u*, the one thing the protocol reads.
 Every phase acts on index arrays: the sensing sensors, and the recipients
 of this step's messages, from which the wake-ups are taken. The active
 list is part of the Simulation's state: each tick senses it and rewrites
@@ -230,9 +229,9 @@ class Simulation:
     steps all members at once. spec is then one SensorSpec for every member
     or a sequence of one per seed; the members may differ in r_star and
     c_star but not in tau_star, and a seed may repeat. Each distinct seed's
-    placement, initial order and CSR are built once; each member keeps its
-    own failure, rotation and sensor streams, its own range and threshold,
-    so a member's trajectory is the one it gives alone.
+    placement, initial order, CSR and stream keys are built once; each
+    member keeps its own failure, rotation and sensor streams, its own range
+    and threshold, so a member's trajectory is the one it gives alone.
     """
 
     def __init__(
@@ -256,8 +255,9 @@ class Simulation:
         self._broadcast_used = np.zeros(m * n, dtype=bool)
         remaining, permanent = self.remaining.reshape(m, n), self.permanent.reshape(m, n)
         n_perm = config.permanent_count
-        # One deployment per distinct seed: its placement, its initial order
-        # and its CSR at the largest r_star among the seed's members.
+        # One deployment per distinct seed: its placement, its initial order,
+        # its CSR at the largest r_star among the seed's members and its
+        # sensors' stream keys.
         r_max = {}
         for seed, spec in zip(self.seeds, self.specs):
             r_max[seed] = max(r_max.get(seed, 0.0), spec.r_star)
@@ -265,10 +265,19 @@ class Simulation:
         for seed, r in r_max.items():
             positions = place_sensors(config, rng.substream(seed, rng.PLACEMENT))
             order = rng.substream(seed, rng.INITIAL_STATE).permutation(n)
-            deployments[seed] = (positions, *neighbor_csr(positions, r), order)
+            deployments[seed] = (positions, *neighbor_csr(positions, r), order,
+                                 rng.sensor_keys(seed, np.arange(n)))
+        # Sensor streams, row i for sensor i: _keys[i] is its Philox key and
+        # _detect[i] holds, for each step of sample block _block[i], whether
+        # its uniform is >= its member's u*. _block[i] is -1 until sensor i
+        # first senses; _sense fills a row for a block when it is first read.
+        self._keys = np.empty((m * n, 2), dtype=np.uint64)
+        self._detect = np.empty((m * n, _SAMPLE_BLOCK), dtype=bool)
+        self._block = np.full(m * n, -1, dtype=np.int64)
         degrees, neighbors = [], []
         for k, (seed, spec) in enumerate(zip(self.seeds, self.specs)):
-            positions, indptr, indices, order = deployments[seed]
+            positions, indptr, indices, order, keys = deployments[seed]
+            self._keys[k * n:(k + 1) * n] = keys
             degree = np.diff(indptr)
             if spec.r_star != r_max[seed]:
                 # neighbor_csr's own test. Rounding is monotone, so r*r <=
@@ -286,15 +295,7 @@ class Simulation:
         np.cumsum(np.concatenate(degrees), out=self.indptr[1:])
         self.indices = np.concatenate(neighbors)
 
-        # Sensor streams, row i for sensor i: _keys[i] is its Philox key and
-        # _detect[i] holds, for each step of sample block _block[i], whether
-        # its uniform is >= its member's u*. _block[i] is -1 until sensor i
-        # first senses; _sense derives a new sensor's key and fills its row
-        # in one call, so a row has a key exactly where _block >= 0.
         self._u_star = environment.uniform_threshold(model, [s.c_star for s in self.specs])
-        self._keys = np.empty((m * n, 2), dtype=np.uint64)
-        self._detect = np.empty((m * n, _SAMPLE_BLOCK), dtype=bool)
-        self._block = np.full(m * n, -1, dtype=np.int64)
         self._draw = np.random.Generator(np.random.Philox(0))
 
         period = config.rotation_period
@@ -308,9 +309,9 @@ class Simulation:
         self._active = None
 
     def _fill(self, sensors: np.ndarray, block: int) -> None:
-        """Detection bits of the given sensors, whose keys are derived, for
-        sample block `block`: steps block * _SAMPLE_BLOCK + 1 ..
-        (block + 1) * _SAMPLE_BLOCK, compared with each sensor's member's u*.
+        """Detection bits of the given sensors for sample block `block`:
+        steps block * _SAMPLE_BLOCK + 1 .. (block + 1) * _SAMPLE_BLOCK,
+        compared with each sensor's member's u*.
 
         Each sensor's uniforms are drawn from the shared Philox set to its
         key and to counter block * _SAMPLE_BLOCK // 4 with an empty buffer,
@@ -338,17 +339,11 @@ class Simulation:
         """Whether this step's reading reaches its member's c_star at each
         sensing sensor.
 
-        A sensor sensing for the first time gets its stream key here (all of
-        this tick's new keys in one rng.sensor_keys call), and a sensor's row
-        is filled for a sample block the first time it senses in that block.
+        A sensor's row is filled for a sample block the first time it senses
+        in that block; its key came with its seed's deployment.
         """
         block, pos = divmod(self.t - 1, _SAMPLE_BLOCK)
         stale = sensing[self._block[sensing] != block]
-        new = stale[self._block[stale] < 0]
-        if new.size:
-            n = self.config.n
-            self._keys[new] = rng.sensor_keys([self.seeds[k] for k in (new // n).tolist()],
-                                              new % n)
         if stale.size:
             self._fill(stale, block)
         return self._detect[sensing, pos]

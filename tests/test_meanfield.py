@@ -105,6 +105,19 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="subcritical"):
             relaxation_time(r0_value, 5.0)
 
+    @pytest.mark.parametrize("p, g, message", [
+        (-0.5, 1.0, r"p must be in \[0, 1\], got -0.5"),
+        (1.5, 1.0, r"p must be in \[0, 1\], got 1.5"),
+        (math.nan, 1.0, r"p must be in \[0, 1\], got nan"),
+        (0.5, 0.0, "g must be > 0, got 0.0"),
+        (0.5, -1.0, "g must be > 0, got -1.0"),
+        (0.5, math.nan, "g must be > 0, got nan"),
+    ])
+    def test_r0_rejects_p_outside_unit_interval_and_nonpositive_g(self, p, g, message):
+        # r0(-0.5, 400, 40.0, 1e6) used to return -1.005, and r0(nan, ...) NaN
+        with pytest.raises(ValueError, match=message):
+            r0(p, 400, 40.0, 1e6, g)
+
     def test_theta_scaling_laws(self):
         # theta = 1/R0 scales as 1/r*^2, 1/n, 1/p: evaluate at doubled arguments
         p, n, r, s = 0.4, 900, 55.0, 1e6
@@ -326,6 +339,16 @@ class TestIntegrateSis:
         with pytest.raises(ValueError, match="tau_star must be > 0"):
             integrate_sis(**dict(self.SIS_ARGS, tau_star=tau_star))
 
+    @pytest.mark.parametrize("alpha", [-1e-3, -5e-324])
+    def test_negative_alpha_rejected(self, alpha):
+        # integrate_sis(-1e-3, ...) used to return a decaying trajectory
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            integrate_sis(alpha, 5.0, 400.0, 1.0, 10.0, 10.0, 1.0)
+
+    def test_zero_alpha_of_either_sign_accepted(self):
+        plus, minus = (integrate_sis(**dict(self.SIS_ARGS, alpha=a)) for a in (0.0, -0.0))
+        assert plus.y.tobytes() == minus.y.tobytes()
+
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-8, math.nan])
     def test_nonpositive_rel_tol_rejected(self, rel_tol):
         with pytest.raises(ValueError, match="rel_tol"):
@@ -447,6 +470,23 @@ class TestIntegratePde:
             integrate_pde(seeded_fields(), alpha, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
         with pytest.raises(ValueError, match="alpha_field must be finite"):
             integrate_pde(seeded_fields(), bad, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
+
+    def test_negative_alpha_rejected(self):
+        # alpha_field = -0.5 used to run to completion
+        alpha = np.full((8, 30), 0.4)
+        alpha[3, 7] = -1e-3
+        with pytest.raises(ValueError, match="alpha_field must be finite and non-negative"):
+            integrate_pde(seeded_fields(), alpha, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
+        with pytest.raises(ValueError, match="alpha_field must be finite and non-negative"):
+            integrate_pde(seeded_fields(), -0.5, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
+
+    def test_negative_zero_alpha_accepted(self):
+        alpha = np.full((8, 30), 0.4)
+        alpha[3, 7] = -0.0
+        plus = integrate_pde(seeded_fields(), np.abs(alpha), 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
+        minus = integrate_pde(seeded_fields(), alpha, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
+        assert np.array_equal(minus.active, plus.active)
+        assert np.array_equal(minus.passive, plus.passive)
 
     @pytest.mark.parametrize("shape", [(2, 8, 30), (9, 30), (8, 29), (8,)])
     def test_alpha_field_must_fit_the_grid(self, shape):
@@ -838,6 +878,12 @@ class TestFrontTracking:
 class TestSynchronization:
     def test_no_wind_always_synchronized(self):
         assert synchronization_check(1e-9, 5.0, 40.0, 0.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 5.0, 40.0, 1.0), (-1e-9, 5.0, 40.0, 1.0)])
+    def test_nan_or_negative_alpha_rejected(self, args):
+        # synchronization_check(nan, 5, 40.0, 1.0) used to return False
+        with pytest.raises(ValueError, match="inputs must be positive"):
+            synchronization_check(*args)
 
     def test_reference_cases(self):
         # threshold v*^2 tau / r*^2: 0.2^2*5/1600 = 1.25e-4; 1^2*5/1600 = 3.125e-3

@@ -435,17 +435,16 @@ def _assert_eager_readings(seen, sim, steps):
 
 
 def _counting_keys(monkeypatch):
-    """Collect every (seed, sensor) pair whose stream key is derived."""
-    built = []
+    """Collect (seed, sensors) for every rng.sensor_keys call."""
+    calls = []
     original = rng.sensor_keys
 
-    def counting(seeds, sensors):
-        seeds = list(seeds)
-        built.extend(zip(seeds, np.asarray(sensors).tolist()))
-        return original(seeds, sensors)
+    def counting(seed, sensors):
+        calls.append((seed, np.asarray(sensors).tolist()))
+        return original(seed, sensors)
 
     monkeypatch.setattr(rng, "sensor_keys", counting)
-    return built
+    return calls
 
 
 # Seeds whose 32-bit word count changes, or that fill or overflow the
@@ -463,26 +462,30 @@ class TestSensorKeys:
         min_size=1, max_size=12))
     @example(pairs=[(s, i) for s in _EDGE_SEEDS for i in (0, 2**32 - 1)])
     def test_keys_are_the_spawned_seed_sequence_state(self, pairs):
-        seeds, sensors = zip(*pairs)
-        keys = rng.sensor_keys(seeds, np.array(sensors, dtype=np.int64))
-        assert keys.dtype == np.uint64 and keys.shape == (len(pairs), 2)
-        for (seed, i), key in zip(pairs, keys):
-            ss = np.random.SeedSequence(seed, spawn_key=(2, i))  # 2: rng.ENVIRONMENT
-            assert key.tolist() == ss.generate_state(2, np.uint64).tolist(), (seed, i)
+        by_seed = {}
+        for seed, i in pairs:
+            by_seed.setdefault(seed, []).append(i)
+        for seed, sensors in by_seed.items():
+            keys = rng.sensor_keys(seed, np.array(sensors, dtype=np.int64))
+            assert keys.dtype == np.uint64 and keys.shape == (len(sensors), 2)
+            for i, key in zip(sensors, keys):
+                ss = np.random.SeedSequence(seed, spawn_key=(2, i))  # 2: rng.ENVIRONMENT
+                assert key.tolist() == ss.generate_state(2, np.uint64).tolist(), (seed, i)
 
     @pytest.mark.parametrize("sensor", [-1, 2**32, 2**63 - 1, 2**64, -2**64])
     def test_index_outside_one_word_rejected(self, sensor):
         # numpy would encode such an index in more than one word, or not at all.
         with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            rng.sensor_keys([0, 1], [3, sensor])
+            rng.sensor_keys(1, [3, sensor])
 
     def test_no_sensors_give_no_keys(self):
-        assert rng.sensor_keys([], []).shape == (0, 2)
+        assert rng.sensor_keys(0, []).shape == (0, 2)
 
 
 class TestLazyStreams:
-    """A sensor's sample stream is built when it first senses, with the
-    readings an eagerly built stream would give."""
+    """A sensor's stream key comes with its seed's deployment; a block of its
+    readings is drawn when it first senses in that block, with the readings
+    an eagerly built stream would give."""
 
     @pytest.mark.parametrize("seed, sensor", [(0, 0), (5, 17), (2**40 + 3, 399)])
     def test_sensor_stream_is_the_spawned_philox_stream(self, seed, sensor):
@@ -533,30 +536,47 @@ class TestLazyStreams:
         assert any(t > 2 * _SAMPLE_BLOCK for t in late)  # after the second block
         _assert_eager_readings(seen, sim, steps)
 
-    def test_streams_built_once_and_only_for_sensors_that_sense(self, monkeypatch):
+    def test_keys_derived_once_while_built(self, monkeypatch):
         seen = _record_sensing(monkeypatch)
-        built = _counting_keys(monkeypatch)
+        calls = _counting_keys(monkeypatch)
         cfg = paper_config(seed=25, delta=0.01, rotation_period=15)
-        run(cfg, SPEC40, REFERENCE, 300)
-        ever_active = {(cfg.seed, i) for i in _first_active(seen)}
-        assert len(built) == len(set(built))
-        assert set(built) == ever_active
-        assert 0 < len(ever_active) < cfg.n
+        sim = Simulation(cfg, SPEC40, REFERENCE)
+        expected = [(25, list(range(cfg.n)))]
+        assert calls == expected
+        for _ in range(300):
+            sim.step()
+        assert calls == expected  # no tick derives a key
+        assert 0 < len(_first_active(seen)) < cfg.n
+        _assert_eager_readings(seen, sim, 300)
 
-    def test_union_streams_built_once_and_only_for_sensors_that_sense(self, monkeypatch):
+    def test_union_keys_derived_once_per_distinct_seed_while_built(self, monkeypatch):
         # Sensor k * n + i of the union is sensor i of the member at seeds[k].
         seen = _record_sensing(monkeypatch)
-        built = _counting_keys(monkeypatch)
+        calls = _counting_keys(monkeypatch)
         cfg = paper_config(delta=0.01, rotation_period=15)
-        sim = Simulation(cfg, SPEC40, REFERENCE, seeds=(25, 26, 9))
+        sim = Simulation(cfg, SPEC40, REFERENCE, seeds=(25, 26, 25, 9))
+        expected = [(seed, list(range(cfg.n))) for seed in (25, 26, 9)]
+        assert calls == expected
         for _ in range(300):
             sim._advance()
-        ever_active = {(sim.seeds[i // cfg.n], i % cfg.n) for i in _first_active(seen)}
-        assert len(built) == len(set(built))
-        assert set(built) == ever_active
-        for seed in sim.seeds:
-            assert 0 < sum(s == seed for s, _ in ever_active) < cfg.n
+        assert calls == expected  # no tick derives a key
+        ever_active = _first_active(seen)
+        for k in range(len(sim.seeds)):
+            assert 0 < sum(i // cfg.n == k for i in ever_active) < cfg.n
         _assert_eager_readings(seen, sim, 300)
+
+    def test_every_member_holds_its_seeds_keys(self):
+        # Seeds 25 and 26 repeat, each with a member below its largest r_star.
+        cfg = paper_config(delta=0.01)
+        seeds = (25, 26, 25, 9, 26)
+        specs = [replace(SPEC40, r_star=r, c_star=c)
+                 for r, c in ((40.0, 150.0), (30.0, 165.0), (20.0, 150.0), (40.0, 135.0),
+                              (45.0, 150.0))]
+        sim = Simulation(cfg, specs, REFERENCE, seeds=seeds)
+        n = cfg.n
+        for k, seed in enumerate(seeds):
+            expected = rng.sensor_keys(seed, np.arange(n))
+            assert sim._keys[k * n:(k + 1) * n].tobytes() == expected.tobytes(), k
 
     def test_rows_filled_once_per_block_and_only_when_read(self, monkeypatch):
         seen = _record_sensing(monkeypatch)
