@@ -75,6 +75,10 @@ def alpha_from_sim(plateau_active_fraction: float, tau_star: float, n: int) -> f
         raise ValueError(
             f"plateau must be in (0, 1), got {plateau_active_fraction}"
         )
+    if not tau_star > 0:
+        raise ValueError(f"tau_star must be > 0, got {tau_star}")
+    if not n > 0:
+        raise ValueError(f"n must be > 0, got {n}")
     return 1.0 / (tau_star * n * (1.0 - plateau_active_fraction))
 
 

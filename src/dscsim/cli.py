@@ -148,14 +148,21 @@ _HANDLERS = {
 def dispatch(subcommand: str, config: ExperimentConfig, out_dir, jobs: int = 1, **kwargs) -> int:
     """Run one subcommand against a parsed config; returns the exit status.
 
+    jobs must be an integer >= 1, and 1 for a subcommand that takes no
+    --jobs.
+
     Every subcommand also writes a manifest.json with the resolved config
     and versions (plus grid details for sweep), so outputs are
     self-describing.
     """
     if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
+    if not hasattr(jobs, "__index__"):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs != 1 and subcommand not in _JOBS_SUBCOMMANDS:
+        raise ValueError(f"{subcommand} takes no jobs, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     extras = _HANDLERS[subcommand](config, out, jobs, **kwargs) or {}

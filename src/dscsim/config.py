@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import get_type_hints
 
 from .environment import ConcentrationModel
 from .netsim import NetworkConfig
@@ -126,13 +127,13 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-_SECTION_TYPES = {
-    "environment": ConcentrationModel,
-    "sensor": SensorSpec,
-    "network": NetworkConfig,
-    "run": RunSettings,
-    "meanfield": MeanFieldSettings,
-    "pde": PdeSettings,
+# The sections, in ExperimentConfig's field order: every field whose type is
+# a dataclass. A section whose field has no default is required.
+_HINTS = get_type_hints(ExperimentConfig)
+_SECTIONS = [f for f in fields(ExperimentConfig) if is_dataclass(_HINTS[f.name])]
+_SECTION_TYPES = {f.name: _HINTS[f.name] for f in _SECTIONS}
+_REQUIRED_SECTIONS = {
+    f.name for f in _SECTIONS if f.default is MISSING and f.default_factory is MISSING
 }
 
 # Field annotation (a string under postponed evaluation) -> converter.
@@ -209,7 +210,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     built = {}
     for section, cls in _SECTION_TYPES.items():
-        if section in ("environment", "sensor", "network") and not parser.has_section(section):
+        if section in _REQUIRED_SECTIONS and not parser.has_section(section):
             raise ValueError(f"missing required section [{section}]")
         built[section] = cls(**_section_kwargs(parser, section))
     return ExperimentConfig(sweep=_parse_sweep(parser), **built)

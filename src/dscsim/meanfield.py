@@ -57,6 +57,10 @@ def r0(p: float, n: int, r_star: float, s: float, g: float = 1.0) -> float:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if not g > 0:
         raise ValueError(f"g must be > 0, got {g}")
+    if not n >= 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 < r_star < math.inf:
+        raise ValueError(f"r_star must be finite and > 0, got {r_star}")
     return g * p * n * math.pi * r_star ** 2 / s
 
 
@@ -86,6 +90,8 @@ def relaxation_time(r0_value: float, tau_star: float) -> float:
     """Time scale tau_star / (R0 - 1) to reach the supercritical steady state."""
     if not r0_value > 1.0:  # NaN fails too
         raise ValueError(f"subcritical: R0 = {r0_value} is not > 1, never saturates")
+    if not tau_star > 0:
+        raise ValueError(f"tau_star must be > 0, got {tau_star}")
     return tau_star / (r0_value - 1.0)
 
 

@@ -45,14 +45,14 @@ block-diagonal neighbor CSR at each member's own r_star, and one step
 kernel advances all of them per tick, reducing the populations member by
 member. A sweep over r_star or c_star is thus one union (or one per
 worker), not one per grid point. The members of one seed share its
-deployment: the union places the seed's sensors, draws its initial order
-and builds its CSR once, at the largest r_star among them, and a member
-at a smaller r_star keeps the pairs that pass neighbor_csr's own distance
-test at its range. Rounding is monotone, so that is the CSR neighbor_csr
-builds at that range, byte for byte. No drawn value changes: the placement and initial order
-are the ones a lone run draws, every member draws from its own failure
-and rotation streams as a lone run does, and a sensor's concentration
-stream stays keyed by (member seed, sensor index). The stream store is
+deployment and failure stream: the union places the seed's sensors,
+draws its initial order, builds its CSR at its members' largest r_star
+and squares each pair's distance once, and every member selects the pairs
+within its own range (rounding is monotone, so that is neighbor_csr's CSR
+at that range, byte for byte). No drawn value changes: a member reads the
+placement, initial order and failure draws a lone run draws, draws from
+its own rotation stream, and its sensors' concentration streams stay
+keyed by (member seed, sensor index). The stream store is
 indexed by sensor: row i holds sensor i's Philox key, derived with its
 seed's deployment (the seed's n keys in one rng.sensor_keys call), and its
 detection bits for one 128-step block. Only the fills are lazy: the kernel
@@ -229,9 +229,10 @@ class Simulation:
     steps all members at once. spec is then one SensorSpec for every member
     or a sequence of one per seed; the members may differ in r_star and
     c_star but not in tau_star, and a seed may repeat. Each distinct seed's
-    placement, initial order, CSR and stream keys are built once; each
-    member keeps its own failure, rotation and sensor streams, its own range
-    and threshold, so a member's trajectory is the one it gives alone.
+    placement, initial order, CSR pairs with their squared distances, stream
+    keys and failure stream are built once; each member selects its pairs
+    at its own range and keeps its own rotation stream and threshold, so
+    its trajectory is the one it gives alone.
     """
 
     def __init__(
@@ -255,42 +256,34 @@ class Simulation:
         self._broadcast_used = np.zeros(m * n, dtype=bool)
         remaining, permanent = self.remaining.reshape(m, n), self.permanent.reshape(m, n)
         n_perm = config.permanent_count
-        # One deployment per distinct seed: its placement, its initial order,
-        # its CSR at the largest r_star among the seed's members and its
-        # sensors' stream keys.
-        r_max = {}
-        for seed, spec in zip(self.seeds, self.specs):
-            r_max[seed] = max(r_max.get(seed, 0.0), spec.r_star)
-        deployments = {}
-        for seed, r in r_max.items():
-            positions = place_sensors(config, rng.substream(seed, rng.PLACEMENT))
-            order = rng.substream(seed, rng.INITIAL_STATE).permutation(n)
-            deployments[seed] = (positions, *neighbor_csr(positions, r), order,
-                                 rng.sensor_keys(seed, np.arange(n)))
+        members: dict[int, list[int]] = {}
+        for k, seed in enumerate(self.seeds):
+            members.setdefault(seed, []).append(k)
         # Sensor streams, row i for sensor i: _keys[i] is its Philox key and
         # _detect[i] holds, for each step of sample block _block[i], whether
         # its uniform is >= its member's u*. _block[i] is -1 until sensor i
         # first senses; _sense fills a row for a block when it is first read.
-        self._keys = np.empty((m * n, 2), dtype=np.uint64)
+        keys = {seed: rng.sensor_keys(seed, np.arange(n)) for seed in members}
+        self._keys = np.concatenate([keys[seed] for seed in self.seeds])
         self._detect = np.empty((m * n, _SAMPLE_BLOCK), dtype=bool)
         self._block = np.full(m * n, -1, dtype=np.int64)
-        degrees, neighbors = [], []
-        for k, (seed, spec) in enumerate(zip(self.seeds, self.specs)):
-            positions, indptr, indices, order, keys = deployments[seed]
-            self._keys[k * n:(k + 1) * n] = keys
-            degree = np.diff(indptr)
-            if spec.r_star != r_max[seed]:
-                # neighbor_csr's own test. Rounding is monotone, so r*r <=
-                # r_max*r_max and this keeps neighbor_csr(positions, r_star).
-                rows = np.repeat(np.arange(n), degree)
-                x, y = positions.T
-                dx, dy = x[indices] - x[rows], y[indices] - y[rows]
-                keep = dx**2 + dy**2 <= spec.r_star * spec.r_star
-                degree, indices = np.bincount(rows[keep], minlength=n), indices[keep]
-            degrees.append(degree)
-            neighbors.append(indices + k * n)
-            permanent[k, order[:n_perm]] = True
-            remaining[k, order[: n_perm + config.initial_active]] = self.tau_star
+        # One deployment per distinct seed: placement, initial order and CSR
+        # pairs at its members' largest r_star, squared as neighbor_csr does.
+        # Rounding is monotone, so a member's pairs in range are its lone CSR.
+        degrees, neighbors = [None] * m, [None] * m
+        for seed, ks in members.items():
+            positions = place_sensors(config, rng.substream(seed, rng.PLACEMENT))
+            order = rng.substream(seed, rng.INITIAL_STATE).permutation(n)
+            indptr, indices = neighbor_csr(positions, max(self.specs[k].r_star for k in ks))
+            rows = np.repeat(np.arange(n), np.diff(indptr))
+            x, y = positions.T
+            d2 = (x[indices] - x[rows])**2 + (y[indices] - y[rows])**2
+            for k in ks:
+                keep = d2 <= self.specs[k].r_star * self.specs[k].r_star
+                degrees[k] = np.bincount(rows[keep], minlength=n)
+                neighbors[k] = indices[keep] + k * n
+                permanent[k, order[:n_perm]] = True
+                remaining[k, order[: n_perm + config.initial_active]] = self.tau_star
         self.indptr = np.zeros(m * n + 1, dtype=np.int64)
         np.cumsum(np.concatenate(degrees), out=self.indptr[1:])
         self.indices = np.concatenate(neighbors)
@@ -300,9 +293,12 @@ class Simulation:
 
         period = config.rotation_period
         self.rotation_period = 10 * self.tau_star if period is None else period
-        # Failure and rotation streams exist only where _advance draws them.
+        # Streams exist only where _advance draws them. A seed's members share
+        # its failure stream; a rotation reads its own member's faulty set.
         failing, rotating = config.failure_rate > 0.0, n_perm and self.rotation_period
-        self._fail_rngs = [rng.substream(s, rng.FAILURE) for s in self.seeds if failing]
+        self._fail_rngs = [rng.substream(s, rng.FAILURE) for s in members if failing]
+        row = {seed: i for i, seed in enumerate(members)}
+        self._fail_row = np.array([row[seed] for seed in self.seeds])
         self._rotate_rngs = [rng.substream(s, rng.ROTATION) for s in self.seeds if rotating]
         self.t = 0
         # The sensors active after tick t, each once; None: read the timers.
@@ -405,12 +401,14 @@ class Simulation:
         np.not_equal(wake[1:], wake[:-1], out=first[1:])
         active = np.concatenate((staying, wake[first]))
 
-        # Phase 4: failures (absorbing); each member draws n uniforms.
+        # Phase 4: failures (absorbing); each distinct seed draws n uniforms,
+        # which every member of the seed reads.
         if cfg.failure_rate > 0.0:
-            draws = np.empty((m, n))
+            draws = np.empty((len(self._fail_rngs), n))
             for gen, row in zip(self._fail_rngs, draws):
                 gen.random(out=row)
-            dying = (draws.ravel() < cfg.failure_rate) & (remaining != FAULTY)
+            failed = (draws < cfg.failure_rate)[self._fail_row].ravel()
+            dying = failed & (remaining != FAULTY)
             remaining[dying] = FAULTY
             self.permanent[dying] = False
             active = active[remaining[active] > 0]

@@ -58,10 +58,20 @@ class TestAlphaFromSim:
     def test_reference_value(self):
         assert alpha_from_sim(0.5, 5.0, 400) == pytest.approx(1.0e-3, rel=1e-12)
 
-    @pytest.mark.parametrize("plateau", [0.0, 1.0])
-    def test_degenerate_plateaus_rejected(self, plateau):
-        with pytest.raises(ValueError):
-            alpha_from_sim(plateau, 5.0, 400)
+    @pytest.mark.parametrize("plateau, tau_star, n, message", [
+        (0.0, 5.0, 400, r"plateau must be in \(0, 1\), got 0.0"),
+        (1.0, 5.0, 400, r"plateau must be in \(0, 1\), got 1.0"),
+        # alpha_from_sim(0.5, -5, 400) used to return -0.001
+        (0.5, -5, 400, "tau_star must be > 0, got -5"),
+        (0.5, 0.0, 400, "tau_star must be > 0, got 0.0"),
+        (0.5, math.nan, 400, "tau_star must be > 0, got nan"),
+        (0.5, 5.0, -400, "n must be > 0, got -400"),
+        (0.5, 5.0, 0, "n must be > 0, got 0"),
+        (0.5, 5.0, math.nan, "n must be > 0, got nan"),
+    ])
+    def test_degenerate_arguments_rejected(self, plateau, tau_star, n, message):
+        with pytest.raises(ValueError, match=message):
+            alpha_from_sim(plateau, tau_star, n)
 
     @pytest.mark.parametrize("alpha", [6e-4, 1e-3, 5e-3])
     def test_inverts_steady_state_exactly(self, alpha):

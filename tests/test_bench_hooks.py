@@ -5,11 +5,13 @@ would break a traced benchmark run fails here first."""
 
 import importlib.util
 import inspect
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
-from dscsim import meanfield
+from dscsim import meanfield, netsim
 from dscsim.config import parse_config
+from dscsim.environment import ConcentrationModel
+from dscsim.sensor import SensorSpec
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -61,3 +63,28 @@ def test_tracer_reads_the_pde_step_count_and_fields():
         meanfield.run_pde(parse_config(CONFIG))
     assert tracer.spans["meanfield.integrate_pde"].calls == 1
     assert tracer.counts["meanfield.integrate_pde.steps"] == 48
+
+
+def test_tracer_counts_the_simulator_hooks():
+    # _on_step counts each traced step's sensors, messages and detections
+    # from its record; the union's repeated seed is placed and linked once.
+    config = netsim.NetworkConfig(n=60, width=300.0, height=300.0, initial_active=4,
+                                  delta=0.1, rotation_period=6, failure_rate=0.01, seed=3)
+    spec = SensorSpec(c_star=150.0, tau_star=4, r_star=60.0)
+    model = ConcentrationModel(c0=150.0)
+    with _tracer() as tracer:
+        records = netsim.run(config, spec, model, 40)
+        netsim.Simulation(config, [spec, replace(spec, r_star=30.0), spec], model,
+                          seeds=(3, 4, 3))
+    assert sum(r.messages_sent for r in records) > 0
+    assert records[-1].n_faulty > 0
+    counts = tracer.counts
+    assert counts["netsim.sensor_steps"] == sum(
+        r.n_active + r.n_passive + r.n_faulty for r in records)
+    assert counts["netsim.messages"] == sum(r.messages_sent for r in records)
+    assert counts["netsim.detections"] == sum(r.detections for r in records)
+    assert "netsim.conservation_violations" not in counts
+    assert tracer.spans["netsim.Simulation.step"].calls == 40
+    # One distinct seed in the run, two in the union.
+    assert tracer.spans["netsim.place_sensors"].calls == 3
+    assert tracer.spans["netsim.neighbor_csr"].calls == 3

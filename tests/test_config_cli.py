@@ -83,6 +83,12 @@ class TestParsing:
         with pytest.raises(ValueError, match="sensor"):
             parse_config("[environment]\nc0 = 1.0\n[network]\nn = 10\nwidth = 1\nheight = 1\n")
 
+    @pytest.mark.parametrize("section", ["environment", "sensor", "network"])
+    def test_each_section_without_a_default_is_required(self, section):
+        text = re.sub(rf"\[{section}\]\n(?:\w.*\n)*", "", MINIMAL)
+        with pytest.raises(ValueError, match=rf"missing required section \[{section}\]"):
+            parse_config(text)
+
     def test_unknown_key_is_a_hard_error(self):
         for extra in ("\n[run]\nstep_count = 10\n", "\n[meanfield]\nnu = 1.0\n"):
             with pytest.raises(ValueError, match="unknown key"):
@@ -458,6 +464,28 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 7" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("subcommand, jobs, message", [
+        # dispatch("simulate", ..., jobs=4) and dispatch("pde", ..., jobs=1.5)
+        # used to return 0
+        ("simulate", 4, "simulate takes no jobs, got 4"),
+        ("sample", 2, "sample takes no jobs, got 2"),
+        ("meanfield", 3, "meanfield takes no jobs, got 3"),
+        ("pde", 1.5, "jobs must be an integer, got 1.5"),
+        ("sweep", 2.0, "jobs must be an integer, got 2.0"),
+        ("analyze", "2", "jobs must be an integer, got '2'"),
+        ("simulate", 1.0, "jobs must be an integer, got 1.0"),
+        ("simulate", 0, "jobs must be >= 1, got 0"),
+    ])
+    def test_dispatch_rejects_jobs_it_cannot_use(self, tmp_path, subcommand, jobs, message):
+        with pytest.raises(ValueError, match=message):
+            cli.dispatch(subcommand, _BASE, tmp_path, jobs=jobs)
+        assert not any(tmp_path.iterdir())
+
+    def test_dispatch_accepts_jobs_on_pde(self, tmp_path):
+        config = parse_config(MINIMAL + "\n[pde]\nnx = 12\nny = 2\nt_end = 3.0\ndt = 0.0625\n")
+        assert cli.dispatch("pde", config, tmp_path, jobs=2) == 0
+        assert (tmp_path / "front.csv").exists()
 
     @pytest.mark.parametrize("subcommand", ["meanfield", "pde", "simulate"])
     def test_negative_seed_is_error_exit(self, tmp_path, config_file, capsys, subcommand):

@@ -100,23 +100,41 @@ class TestClosedForms:
     def test_relaxation_time_diverges_near_threshold(self):
         assert relaxation_time(1.0 + 1e-9, 5.0) > 1e9
 
-    @pytest.mark.parametrize("r0_value", [0.9, 1.0, -math.inf, math.nan])
-    def test_relaxation_subcritical_error(self, r0_value):
-        with pytest.raises(ValueError, match="subcritical"):
-            relaxation_time(r0_value, 5.0)
-
-    @pytest.mark.parametrize("p, g, message", [
-        (-0.5, 1.0, r"p must be in \[0, 1\], got -0.5"),
-        (1.5, 1.0, r"p must be in \[0, 1\], got 1.5"),
-        (math.nan, 1.0, r"p must be in \[0, 1\], got nan"),
-        (0.5, 0.0, "g must be > 0, got 0.0"),
-        (0.5, -1.0, "g must be > 0, got -1.0"),
-        (0.5, math.nan, "g must be > 0, got nan"),
+    @pytest.mark.parametrize("r0_value, tau_star, message", [
+        (0.9, 5.0, "subcritical"),
+        (1.0, 5.0, "subcritical"),
+        (-math.inf, 5.0, "subcritical"),
+        (math.nan, 5.0, "subcritical"),
+        # relaxation_time(2.0, -5.0) used to return -5.0
+        (2.0, -5.0, "tau_star must be > 0, got -5.0"),
+        (2.0, 0.0, "tau_star must be > 0, got 0.0"),
+        (2.0, math.nan, "tau_star must be > 0, got nan"),
     ])
-    def test_r0_rejects_p_outside_unit_interval_and_nonpositive_g(self, p, g, message):
+    def test_relaxation_time_rejects_subcritical_r0_and_nonpositive_tau(self, r0_value,
+                                                                      tau_star, message):
+        with pytest.raises(ValueError, match=message):
+            relaxation_time(r0_value, tau_star)
+
+    @pytest.mark.parametrize("p, n, r_star, g, message", [
+        (-0.5, 400, 40.0, 1.0, r"p must be in \[0, 1\], got -0.5"),
+        (1.5, 400, 40.0, 1.0, r"p must be in \[0, 1\], got 1.5"),
+        (math.nan, 400, 40.0, 1.0, r"p must be in \[0, 1\], got nan"),
+        (0.5, 400, 40.0, 0.0, "g must be > 0, got 0.0"),
+        (0.5, 400, 40.0, -1.0, "g must be > 0, got -1.0"),
+        (0.5, 400, 40.0, math.nan, "g must be > 0, got nan"),
+        # r0(0.3, -400, 40.0, 1e6) used to return -0.603, and
+        # r0(0.3, 400, -40.0, 1e6) +0.603
+        (0.3, -400, 40.0, 1.0, "n must be >= 0, got -400"),
+        (0.3, math.nan, 40.0, 1.0, "n must be >= 0, got nan"),
+        (0.3, 400, -40.0, 1.0, "r_star must be finite and > 0, got -40.0"),
+        (0.3, 400, 0.0, 1.0, "r_star must be finite and > 0, got 0.0"),
+        (0.3, 400, math.inf, 1.0, "r_star must be finite and > 0, got inf"),
+        (0.3, 400, math.nan, 1.0, "r_star must be finite and > 0, got nan"),
+    ])
+    def test_r0_rejects_each_bad_argument_naming_it(self, p, n, r_star, g, message):
         # r0(-0.5, 400, 40.0, 1e6) used to return -1.005, and r0(nan, ...) NaN
         with pytest.raises(ValueError, match=message):
-            r0(p, 400, 40.0, 1e6, g)
+            r0(p, n, r_star, 1e6, g)
 
     def test_theta_scaling_laws(self):
         # theta = 1/R0 scales as 1/r*^2, 1/n, 1/p: evaluate at doubled arguments

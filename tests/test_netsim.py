@@ -729,10 +729,15 @@ class TestUnion:
             return original(seed, *path)
 
         monkeypatch.setattr(rng, "substream", spying)
-        seeds = (3, 4, 9)
-        Simulation(paper_config(n=50, **options), SPEC40, REFERENCE, seeds=seeds)
-        domains = {rng.PLACEMENT, rng.INITIAL_STATE} | extra
-        assert sorted(built) == sorted((s, d) for s in seeds for d in domains)
+        # A seed's members share its deployment and failure stream; each
+        # member has its own rotation stream.
+        per_seed = {rng.PLACEMENT, rng.INITIAL_STATE} | (extra - {rng.ROTATION})
+        per_member = extra & {rng.ROTATION}
+        for seeds in ((3, 4, 9), (3, 4, 3, 3)):
+            built.clear()
+            Simulation(paper_config(n=50, **options), SPEC40, REFERENCE, seeds=seeds)
+            assert sorted(built) == sorted([(s, d) for s in set(seeds) for d in per_seed]
+                                           + [(s, d) for s in seeds for d in per_member])
 
     def test_union_needs_a_seed_and_has_no_single_record(self):
         with pytest.raises(ValueError, match="at least one seed"):
@@ -765,8 +770,9 @@ _TENTH_LATTICE = np.array([(0.1 * i, 0.1 * j) for i in range(9) for j in range(9
 class TestSharedDeployment:
     """A union builds each distinct seed's placement, initial order and
     neighbor CSR once, the CSR at the largest range among that seed's
-    members, and filters every other member's CSR from it with
-    neighbor_csr's own test."""
+    members, with each pair's squared distance in neighbor_csr's own
+    expression; every member selects from that one list the pairs within
+    its own range."""
 
     @pytest.mark.parametrize("ranges", [
         (0.1, 0.3, 0.2, 0.30000000000000004, 0.5, 0.1),
