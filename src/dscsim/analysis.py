@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import environment, meanfield, netsim, sensor
+from .checks import check_real
 from .config import ExperimentConfig, apply_override, sweep_points
 from .environment import ConcentrationModel
 
@@ -47,8 +48,9 @@ def extract_plateau(
     y = np.asarray(trajectory, dtype=float)
     if y.size < _MIN_POINTS:
         raise ValueError(f"trajectory too short: {y.size} < {_MIN_POINTS} points")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
+    if not np.isfinite(y).all():
+        raise ValueError("trajectory values must be finite")
+    check_real("tail_fraction", tail_fraction, gt=0, le=1)
     k = max(1, int(np.ceil(y.size * tail_fraction)))
     tail = y[-k:]
     mean = float(tail.mean())
@@ -71,14 +73,9 @@ def alpha_from_sim(plateau_active_fraction: float, tau_star: float, n: int) -> f
     alpha_s = 1 / (tau_star * n * (1 - plateau)). Only meaningful for a
     genuinely supercritical plateau in (0, 1).
     """
-    if not 0.0 < plateau_active_fraction < 1.0:
-        raise ValueError(
-            f"plateau must be in (0, 1), got {plateau_active_fraction}"
-        )
-    if not tau_star > 0:
-        raise ValueError(f"tau_star must be > 0, got {tau_star}")
-    if not n > 0:
-        raise ValueError(f"n must be > 0, got {n}")
+    check_real("plateau_active_fraction", plateau_active_fraction, gt=0, lt=1)
+    check_real("tau_star", tau_star, gt=0)
+    check_real("n", n, gt=0)
     return 1.0 / (tau_star * n * (1.0 - plateau_active_fraction))
 
 
@@ -103,8 +100,9 @@ def fit_power_law(xs, ys) -> FitResult:
     """Ordinary least squares on (log x, log y)."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    if x.size < 3 or y.size != x.size:
-        raise ValueError("need at least 3 matching (x, y) points")
+    if x.ndim != 1 or x.shape != y.shape or x.size < 3:
+        raise ValueError(f"xs and ys must be 1-D with one length >= 3, got shapes {x.shape} "
+                         f"and {y.shape}")
     if not np.all((x > 0) & (x < np.inf) & (y > 0) & (y < np.inf)):  # NaN fails too
         raise ValueError("power-law fit requires finite positive data")
     lx, ly = np.log(x), np.log(y)

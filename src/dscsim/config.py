@@ -20,9 +20,10 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
+from .checks import check_integer, check_real
 from .environment import ConcentrationModel
 from .netsim import NetworkConfig
-from .sensor import SensorSpec, check_integer
+from .sensor import SensorSpec
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,7 @@ class RunSettings:
     def __post_init__(self):
         check_integer("steps", self.steps, 1)
         check_integer("n_seeds", self.n_seeds, 1)
-        if not 0.0 < self.tail_fraction <= 1.0:
-            raise ValueError("tail_fraction must be in (0, 1]")
+        check_real("tail_fraction", self.tail_fraction, gt=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,9 @@ class MeanFieldSettings:
     v_star: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.g < math.inf:
-            raise ValueError("g must be finite and > 0")
-        if not 0 < self.t_detect < math.inf:
-            raise ValueError("t_detect must be finite and > 0")
-        if not 0 <= self.v_star < math.inf:
-            raise ValueError("v_star must be finite and >= 0")
+        check_real("g", self.g, gt=0)
+        check_real("t_detect", self.t_detect, gt=0)
+        check_real("v_star", self.v_star, ge=0)
 
 
 @dataclass(frozen=True)
@@ -77,21 +74,18 @@ class PdeSettings:
     record_every: int = 0
 
     def __post_init__(self):
-        for key in ("nx", "ny", "seed_columns", "record_every"):
-            check_integer(key, getattr(self, key))
-        if self.nx < 3 or self.ny < 1:
-            raise ValueError("grid must be at least 3 x 1 cells")
-        if self.dx <= 0 or self.t_end <= 0:
-            raise ValueError("dx and t_end must be > 0")
-        if not 0 < self.seed_columns <= self.nx:
-            raise ValueError("seed_columns must be in [1, nx]")
-        if not 0.0 < self.seed_level <= 1.0:
-            raise ValueError("seed_level must be in (0, 1]")
-        for key in ("dt", "diffusivity", "alpha", "record_every"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"{key} must be >= 0 (0 = derive)")
-        if not 0.0 <= self.level <= 1.0:
-            raise ValueError("level must be in [0, 1]")
+        check_integer("nx", self.nx, 3)
+        check_integer("ny", self.ny, 1)
+        check_integer("seed_columns", self.seed_columns, 1)
+        if self.seed_columns > self.nx:
+            raise ValueError(f"seed_columns must be <= nx = {self.nx}, got {self.seed_columns}")
+        check_integer("record_every", self.record_every, 0)
+        check_real("dx", self.dx, gt=0)
+        check_real("t_end", self.t_end, gt=0)
+        check_real("seed_level", self.seed_level, gt=0, le=1)
+        for key in ("dt", "diffusivity", "alpha"):
+            check_real(key, getattr(self, key), ge=0)
+        check_real("level", self.level, ge=0, le=1)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ mean is exactly c0 for any gamma > 2 and any omega.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checks import check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,9 @@ class ConcentrationModel:
     omega: float = 0.98
 
     def __post_init__(self):
-        if not 0 < self.c0 < math.inf:
-            raise ValueError(f"c0 must be finite and > 0, got {self.c0}")
-        if not 2 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and > 2, got {self.gamma}")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"omega must be in [0, 1], got {self.omega}")
+        check_real("c0", self.c0, gt=0)
+        check_real("gamma", self.gamma, gt=2)
+        check_real("omega", self.omega, ge=0, le=1)
 
 
 def atom_weight(model: ConcentrationModel) -> float:
@@ -123,6 +121,8 @@ def uniform_threshold(model: ConcentrationModel, c_star) -> np.ndarray:
     are not a step, i.e. the float quantile is not monotone there.
     """
     target = np.asarray(c_star, dtype=float).reshape(-1, 1)
+    if not np.all(target >= 0):  # NaN fails too
+        raise ValueError("c_star must be >= 0")
     below = np.full(target.shape, -1)  # the largest k known to read below c_star
     for step in 2 ** np.arange(53, -1, -1):
         k = np.minimum(below + step, _LATTICE - 1)
@@ -135,6 +135,5 @@ def uniform_threshold(model: ConcentrationModel, c_star) -> np.ndarray:
 
 def time_series(model: ConcentrationModel, steps: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. concentration series of the given length (one value per step)."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    check_integer("steps", steps, 1)
     return np.asarray(quantile(model, rng.random(steps)))

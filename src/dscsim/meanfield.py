@@ -30,18 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sensor
+from .checks import check_integer, check_real
 from .config import ExperimentConfig, resolve_pde
 from .sensor import SensorSpec
 
 
 def alpha_theory(spec: SensorSpec, s: float, p: float, g: float) -> float:
     """Contact rate alpha = g * pi * r_star**2 * p / (tau_star * s)."""
-    if not s > 0:
-        raise ValueError("area must be > 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    if not g > 0:
-        raise ValueError("g must be > 0")
+    check_real("s", s, gt=0)
+    check_real("p", p, ge=0, le=1)
+    check_real("g", g, gt=0)
     return g * math.pi * spec.r_star ** 2 * p / (spec.tau_star * s)
 
 
@@ -51,16 +49,11 @@ def r0(p: float, n: int, r_star: float, s: float, g: float = 1.0) -> float:
     The sampling time tau_star cancels: whether an epidemic is possible
     does not depend on how long individual sensors stay awake.
     """
-    if not s > 0:
-        raise ValueError("area must be > 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not g > 0:
-        raise ValueError(f"g must be > 0, got {g}")
-    if not n >= 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not 0 < r_star < math.inf:
-        raise ValueError(f"r_star must be finite and > 0, got {r_star}")
+    check_real("s", s, gt=0)
+    check_real("p", p, ge=0, le=1)
+    check_real("g", g, gt=0)
+    check_real("n", n, ge=0)
+    check_real("r_star", r_star, gt=0)
     return g * p * n * math.pi * r_star ** 2 / s
 
 
@@ -70,8 +63,8 @@ def logistic_solution(z0: float, b: float, t):
     Solves dz/dt = b z (1 - z) with z(0) = z0 in [0, 1]. b = 0 freezes z;
     b < 0 drives it to 0, b > 0 to 1.
     """
-    if not 0.0 <= z0 <= 1.0:
-        raise ValueError("z0 must be in [0, 1]")
+    check_real("z0", z0, ge=0, le=1)
+    check_real("b", b)
     t_arr = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):  # exp overflow -> inf denominator -> z = 0
         out = z0 / ((1.0 - z0) * np.exp(-b * t_arr) + z0)
@@ -80,18 +73,15 @@ def logistic_solution(z0: float, b: float, t):
 
 def steady_state(r0_value: float) -> tuple[float, float]:
     """Supercritical steady state: (active_fraction, theta) with theta = 1/R0."""
-    if not r0_value > 1.0:  # NaN fails too
-        raise ValueError(f"subcritical: R0 = {r0_value} is not > 1, no nonzero steady state")
+    check_real("r0_value", r0_value, gt=1)
     theta = 1.0 / r0_value
     return 1.0 - theta, theta
 
 
 def relaxation_time(r0_value: float, tau_star: float) -> float:
     """Time scale tau_star / (R0 - 1) to reach the supercritical steady state."""
-    if not r0_value > 1.0:  # NaN fails too
-        raise ValueError(f"subcritical: R0 = {r0_value} is not > 1, never saturates")
-    if not tau_star > 0:
-        raise ValueError(f"tau_star must be > 0, got {tau_star}")
+    check_real("r0_value", r0_value, gt=1)
+    check_real("tau_star", tau_star, gt=0)
     return tau_star / (r0_value - 1.0)
 
 
@@ -133,10 +123,14 @@ def info_gain_conditions(
     r_star: float,
 ) -> InfoGainReport:
     """Evaluate every information-gain condition; see InfoGainReport."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1) for the count thresholds, got {p}")
-    if t_detect <= 0 or tau_star <= 0 or n < 1 or s <= 0 or r_star <= 0:
-        raise ValueError("t_detect, tau_star, n, s and r_star must be positive")
+    check_real("theta", theta, ge=0)
+    check_real("delta", delta, ge=0, le=1)
+    check_real("p", p, gt=0, lt=1)  # the count thresholds divide by p (1 - p)
+    check_real("tau_star", tau_star, gt=0)
+    check_integer("n", n, 1)
+    check_real("t_detect", t_detect, gt=0)
+    check_real("s", s, gt=0)
+    check_real("r_star", r_star, gt=0)
     delta_min = tau_star / (p * n * t_detect)
     cell = s / (math.pi * r_star ** 2)
     return InfoGainReport(
@@ -230,20 +224,14 @@ def integrate_sis(
     the step map, and repeats it to t_end; the values are the ones the
     full pass would compute.
     """
-    for name, value in (("alpha", alpha), ("tau_star", tau_star), ("n", n),
-                        ("y0", y0), ("dt", dt), ("t_end", t_end)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not 0.0 <= y0 <= n:
-        raise ValueError("y0 must be in [0, n]")
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError("nu must be in [0, 1]")
-    if dt <= 0 or t_end <= 0 or tau_star <= 0:
-        raise ValueError("dt, t_end and tau_star must be > 0")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be > 0")
+    check_real("alpha", alpha, ge=0)
+    check_real("tau_star", tau_star, gt=0)
+    check_real("n", n, ge=0)
+    check_real("nu", nu, ge=0, le=1)
+    check_real("y0", y0, ge=0, le=n)
+    check_real("t_end", t_end, gt=0)
+    check_real("dt", dt, gt=0)
+    check_real("rel_tol", rel_tol, gt=0)
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt = {t_end} / {dt} steps is not finite")
 
@@ -394,19 +382,16 @@ def integrate_pde(
     for f in (a0, p0):
         if not np.all((f >= 0) & np.isfinite(f)):
             raise ValueError("initial fields must be finite and non-negative")
-    if not (math.isfinite(dx) and math.isfinite(d)):
-        raise ValueError("dx and d must be finite")
-    if dx <= 0 or d < 0:
-        raise ValueError("dx must be > 0 and d >= 0")
+    check_real("dx", dx, gt=0)
+    check_real("d", d, ge=0)
     if not math.isfinite(dx * dx):
         raise ValueError(f"dx = {dx} is too large: dx^2 is not finite")
-    if not (math.isfinite(dt) and math.isfinite(t_end)) or dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be finite and > 0")
+    check_real("dt", dt, gt=0)
+    check_real("t_end", t_end, gt=0)
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt = {t_end} / {dt} steps is not finite")
-    if not tau_star > 0:
-        raise ValueError("tau_star must be > 0 (inf turns off deactivation)")
-    sensor.check_integer("record_every", record_every, 1)
+    check_real("tau_star", tau_star, gt=0, le=math.inf)  # inf turns off deactivation
+    check_integer("record_every", record_every, 1)
     if d > 0:
         limit = dx ** 2 / (4.0 * d)
         if dt > limit * (1.0 + 1e-12):
@@ -518,6 +503,7 @@ def _crossing_position(profile: np.ndarray, level: float, dx: float) -> float | 
 def front_positions(trajectory: PdeTrajectory, level: float) -> np.ndarray:
     """Per-record x of the front (level crossing of the y-averaged
     active profile); NaN where the profile never reaches the level."""
+    check_real("level", level)
     out = np.empty(trajectory.times.size)
     for k, profile in enumerate(trajectory.profiles):
         pos = _crossing_position(profile, level, trajectory.dx)
@@ -550,8 +536,10 @@ def front_speed(trajectory: PdeTrajectory, level: float) -> float:
 def synchronization_check(alpha: float, tau_star: float, r_star: float, v_star: float) -> bool:
     """True iff the activation front can keep up with wind advection:
     alpha >= v_star**2 * tau_star / r_star**2."""
-    if not (alpha >= 0 and tau_star > 0 and r_star > 0 and v_star >= 0):
-        raise ValueError("inputs must be positive (v_star may be zero)")
+    check_real("alpha", alpha, ge=0)
+    check_real("tau_star", tau_star, gt=0)
+    check_real("r_star", r_star, gt=0)
+    check_real("v_star", v_star, ge=0)
     return alpha >= v_star ** 2 * tau_star / r_star ** 2
 
 

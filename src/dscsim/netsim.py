@@ -79,8 +79,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import environment, rng
+from .checks import check_integer, check_real
 from .environment import ConcentrationModel
-from .sensor import SensorSpec, check_integer
+from .sensor import SensorSpec
 
 # A faulty sensor's timer; an active one's is > 0, a passive one's 0.
 FAULTY = -1
@@ -123,18 +124,16 @@ class NetworkConfig:
 
     def __post_init__(self):
         check_integer("n", self.n, 1)
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
-            raise ValueError("region dimensions must be finite and > 0")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
+        check_real("width", self.width, gt=0)
+        check_real("height", self.height, gt=0)
+        check_real("delta", self.delta, ge=0, le=1)
         check_integer("initial_active", self.initial_active, 0)
         if self.permanent_count + self.initial_active > self.n:
             raise ValueError(
                 f"permanent sensors ({self.permanent_count}) plus initial_active "
                 f"({self.initial_active}) exceed n ({self.n})"
             )
-        if not 0.0 <= self.failure_rate <= 1.0:
-            raise ValueError(f"failure_rate must be in [0, 1], got {self.failure_rate}")
+        check_real("failure_rate", self.failure_rate, ge=0, le=1)
         if self.rotation_period is not None:
             check_integer("rotation_period", self.rotation_period, 0)
         check_integer("seed", self.seed)
@@ -183,11 +182,10 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
     a point is three runs of that order, one per column (a column's cells
     have consecutive ids), and its points are filtered by the exact test.
     """
-    if not r_star > 0:
-        raise ValueError(f"r_star must be > 0, got {r_star}")
+    check_real("r_star", r_star, gt=0)
     pos = np.asarray(positions, dtype=float)
-    if not np.isfinite(pos).all():
-        raise ValueError("positions must be finite")
+    if pos.ndim != 2 or pos.shape[1] != 2 or not np.isfinite(pos).all():
+        raise ValueError(f"positions must be finite and of shape (k, 2), got shape {pos.shape}")
     n = len(pos)
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)

@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import environment
+from .checks import check_integer, check_real
 from .environment import ConcentrationModel
-
-
-def check_integer(name: str, value, minimum: int | None = None) -> None:
-    """Reject a value without __index__ (50.0, 2.5, "3") or below minimum,
-    naming it; numpy integers pass."""
-    if not hasattr(value, "__index__") or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,17 +23,14 @@ class SensorSpec:
     r_star: float
 
     def __post_init__(self):
-        if not 0 <= self.c_star < math.inf:
-            raise ValueError(f"c_star must be finite and >= 0, got {self.c_star}")
+        check_real("c_star", self.c_star, ge=0)
         check_integer("tau_star", self.tau_star, 1)
-        if not 0 < self.r_star < math.inf:
-            raise ValueError(f"r_star must be finite and > 0, got {self.r_star}")
+        check_real("r_star", self.r_star, gt=0)
 
 
 def read(spec: SensorSpec, c: float) -> int:
     """Binary reading: 1 iff c >= c_star (boundary inclusive)."""
-    if not c >= 0:  # NaN fails too
-        raise ValueError("concentration must be >= 0")
+    check_real("c", c, ge=0)
     return 1 if c >= spec.c_star else 0
 
 

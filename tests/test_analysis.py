@@ -53,21 +53,30 @@ class TestExtractPlateau:
         with pytest.raises(ValueError):
             extract_plateau(np.ones(20), tail_fraction=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [slice(None), slice(5, 6)])
+    def test_non_finite_trajectory_rejected(self, bad, where):
+        # extract_plateau([nan] * 20) used to return (nan, nan)
+        traj = np.ones(20)
+        traj[where] = bad
+        with pytest.raises(ValueError, match="trajectory values must be finite"):
+            extract_plateau(traj)
+
 
 class TestAlphaFromSim:
     def test_reference_value(self):
         assert alpha_from_sim(0.5, 5.0, 400) == pytest.approx(1.0e-3, rel=1e-12)
 
     @pytest.mark.parametrize("plateau, tau_star, n, message", [
-        (0.0, 5.0, 400, r"plateau must be in \(0, 1\), got 0.0"),
-        (1.0, 5.0, 400, r"plateau must be in \(0, 1\), got 1.0"),
+        (0.0, 5.0, 400, r"plateau_active_fraction must be in \(0, 1\), got 0.0"),
+        (1.0, 5.0, 400, r"plateau_active_fraction must be in \(0, 1\), got 1.0"),
         # alpha_from_sim(0.5, -5, 400) used to return -0.001
-        (0.5, -5, 400, "tau_star must be > 0, got -5"),
-        (0.5, 0.0, 400, "tau_star must be > 0, got 0.0"),
-        (0.5, math.nan, 400, "tau_star must be > 0, got nan"),
-        (0.5, 5.0, -400, "n must be > 0, got -400"),
-        (0.5, 5.0, 0, "n must be > 0, got 0"),
-        (0.5, 5.0, math.nan, "n must be > 0, got nan"),
+        (0.5, -5, 400, "tau_star must be finite and > 0, got -5"),
+        (0.5, 0.0, 400, "tau_star must be finite and > 0, got 0.0"),
+        (0.5, math.nan, 400, "tau_star must be finite and > 0, got nan"),
+        (0.5, 5.0, -400, "n must be finite and > 0, got -400"),
+        (0.5, 5.0, 0, "n must be finite and > 0, got 0"),
+        (0.5, 5.0, math.nan, "n must be finite and > 0, got nan"),
     ])
     def test_degenerate_arguments_rejected(self, plateau, tau_star, n, message):
         with pytest.raises(ValueError, match=message):
@@ -153,9 +162,16 @@ class TestFitPowerLaw:
             fit_power_law(data["x"], data["y"])
         assert capfd.readouterr().err == ""
 
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            fit_power_law([1.0, 2.0], [1.0, 2.0])
+    @pytest.mark.parametrize("xs, ys", [
+        ([1.0, 2.0], [1.0, 2.0]),
+        # 2-D inputs used to raise LinAlgError: Incompatible dimensions
+        ([[1.0, 2.0, 4.0]], [[2.0, 8.0, 32.0]]),
+        ([1.0, 2.0, 4.0], [[2.0], [8.0], [32.0]]),
+        ([[1.0], [2.0], [4.0]], [2.0, 8.0, 32.0]),
+    ])
+    def test_too_few_points_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="xs and ys must be 1-D with one length >= 3"):
+            fit_power_law(xs, ys)
 
 
 class TestKsDistance:

@@ -1,0 +1,216 @@
+"""Every real argument is checked by one rule, dscsim.checks.check_real.
+
+ROWS holds one row per real parameter of the public functions and of the
+config dataclasses, with the interval it accepts. For each row the table
+tries NaN, -inf, +inf (unless the interval is closed there) and the value
+just outside each finite bound, and expects a ValueError that names the
+parameter, its interval and the value; every closed bound must pass.
+test_every_real_parameter_has_a_row keeps the table complete.
+"""
+
+import dataclasses
+import inspect
+import math
+import re
+from typing import get_type_hints
+
+import numpy as np
+import pytest
+
+import dscsim
+from dscsim.config import ExperimentConfig, MeanFieldSettings, PdeSettings, RunSettings
+
+SPEC = dscsim.SensorSpec(c_star=154.5, tau_star=5, r_star=40.0)
+# A step front one cell further right at every record: speed 1 cell per time.
+STEPS = dscsim.PdeTrajectory(times=np.arange(6.0), active=[], passive=[], dx=1.0,
+                             profiles=np.array([np.arange(10) < k + 2 for k in range(6)], float))
+
+# Keyword arguments at which each callable succeeds.
+VALID = {
+    dscsim.extract_plateau: dict(trajectory=np.ones(20), tail_fraction=0.25),
+    dscsim.alpha_from_sim: dict(plateau_active_fraction=0.5, tau_star=5.0, n=400),
+    dscsim.ConcentrationModel: dict(c0=150.0),
+    dscsim.alpha_theory: dict(spec=SPEC, s=1e6, p=0.5, g=1.0),
+    dscsim.r0: dict(p=0.5, n=400, r_star=40.0, s=1e6, g=1.0),
+    dscsim.logistic_solution: dict(z0=0.1, b=0.5, t=1.0),
+    dscsim.steady_state: dict(r0_value=2.0),
+    dscsim.relaxation_time: dict(r0_value=2.0, tau_star=5.0),
+    dscsim.info_gain_conditions: dict(theta=0.5, delta=0.1, p=0.5, tau_star=5.0, n=400,
+                                      t_detect=100.0, s=1e6, r_star=40.0),
+    dscsim.integrate_sis: dict(alpha=1e-3, tau_star=5.0, n=400.0, nu=1.0, y0=0.0, t_end=10.0,
+                               dt=1.0),
+    dscsim.integrate_pde: dict(fields=(np.full((2, 5), 0.2), np.full((2, 5), 0.8)),
+                               alpha_field=0.4, tau_star=5.0, t_end=1.0, dt=0.25, dx=1.0, d=0.1),
+    dscsim.front_positions: dict(trajectory=STEPS, level=0.5),
+    dscsim.front_speed: dict(trajectory=STEPS, level=0.5),
+    dscsim.synchronization_check: dict(alpha=1e-3, tau_star=5.0, r_star=40.0, v_star=0.0),
+    dscsim.NetworkConfig: dict(n=10, width=100.0, height=100.0, initial_active=0),
+    dscsim.neighbor_csr: dict(positions=np.zeros((3, 2)), r_star=40.0),
+    dscsim.SensorSpec: dict(c_star=154.5, tau_star=5, r_star=40.0),
+    dscsim.read: dict(spec=SPEC, c=100.0),
+    RunSettings: {},
+    MeanFieldSettings: {},
+    PdeSettings: {},
+}
+
+# (callable, parameter, interval); bounds are written as the message prints them.
+ROWS = [
+    (dscsim.extract_plateau, "tail_fraction", "(0, 1]"),
+    (dscsim.alpha_from_sim, "plateau_active_fraction", "(0, 1)"),
+    (dscsim.alpha_from_sim, "tau_star", "(0, inf)"),
+    (dscsim.alpha_from_sim, "n", "(0, inf)"),
+    (dscsim.ConcentrationModel, "c0", "(0, inf)"),
+    (dscsim.ConcentrationModel, "gamma", "(2, inf)"),
+    (dscsim.ConcentrationModel, "omega", "[0, 1]"),
+    (dscsim.alpha_theory, "s", "(0, inf)"),
+    (dscsim.alpha_theory, "p", "[0, 1]"),
+    (dscsim.alpha_theory, "g", "(0, inf)"),
+    (dscsim.r0, "p", "[0, 1]"),
+    (dscsim.r0, "n", "[0, inf)"),
+    (dscsim.r0, "r_star", "(0, inf)"),
+    (dscsim.r0, "s", "(0, inf)"),
+    (dscsim.r0, "g", "(0, inf)"),
+    (dscsim.logistic_solution, "z0", "[0, 1]"),
+    (dscsim.logistic_solution, "b", "(-inf, inf)"),
+    (dscsim.steady_state, "r0_value", "(1, inf)"),
+    (dscsim.relaxation_time, "r0_value", "(1, inf)"),
+    (dscsim.relaxation_time, "tau_star", "(0, inf)"),
+    (dscsim.info_gain_conditions, "theta", "[0, inf)"),
+    (dscsim.info_gain_conditions, "delta", "[0, 1]"),
+    (dscsim.info_gain_conditions, "p", "(0, 1)"),
+    (dscsim.info_gain_conditions, "tau_star", "(0, inf)"),
+    (dscsim.info_gain_conditions, "t_detect", "(0, inf)"),
+    (dscsim.info_gain_conditions, "s", "(0, inf)"),
+    (dscsim.info_gain_conditions, "r_star", "(0, inf)"),
+    (dscsim.integrate_sis, "alpha", "[0, inf)"),
+    (dscsim.integrate_sis, "tau_star", "(0, inf)"),
+    (dscsim.integrate_sis, "n", "[0, inf)"),
+    (dscsim.integrate_sis, "nu", "[0, 1]"),
+    (dscsim.integrate_sis, "y0", "[0, 400.0]"),
+    (dscsim.integrate_sis, "t_end", "(0, inf)"),
+    (dscsim.integrate_sis, "dt", "(0, inf)"),
+    (dscsim.integrate_sis, "rel_tol", "(0, inf)"),
+    (dscsim.integrate_pde, "tau_star", "(0, inf]"),
+    (dscsim.integrate_pde, "t_end", "(0, inf)"),
+    (dscsim.integrate_pde, "dt", "(0, inf)"),
+    (dscsim.integrate_pde, "dx", "(0, inf)"),
+    (dscsim.integrate_pde, "d", "[0, inf)"),
+    (dscsim.front_positions, "level", "(-inf, inf)"),
+    (dscsim.front_speed, "level", "(-inf, inf)"),
+    (dscsim.synchronization_check, "alpha", "[0, inf)"),
+    (dscsim.synchronization_check, "tau_star", "(0, inf)"),
+    (dscsim.synchronization_check, "r_star", "(0, inf)"),
+    (dscsim.synchronization_check, "v_star", "[0, inf)"),
+    (dscsim.NetworkConfig, "width", "(0, inf)"),
+    (dscsim.NetworkConfig, "height", "(0, inf)"),
+    (dscsim.NetworkConfig, "delta", "[0, 1]"),
+    (dscsim.NetworkConfig, "failure_rate", "[0, 1]"),
+    (dscsim.neighbor_csr, "r_star", "(0, inf)"),
+    (dscsim.SensorSpec, "c_star", "[0, inf)"),
+    (dscsim.SensorSpec, "r_star", "(0, inf)"),
+    (dscsim.read, "c", "[0, inf)"),
+    (RunSettings, "tail_fraction", "(0, 1]"),
+    (MeanFieldSettings, "g", "(0, inf)"),
+    (MeanFieldSettings, "t_detect", "(0, inf)"),
+    (MeanFieldSettings, "v_star", "[0, inf)"),
+    (PdeSettings, "dx", "(0, inf)"),
+    (PdeSettings, "t_end", "(0, inf)"),
+    (PdeSettings, "dt", "[0, inf)"),
+    (PdeSettings, "diffusivity", "[0, inf)"),
+    (PdeSettings, "alpha", "[0, inf)"),
+    (PdeSettings, "seed_level", "(0, 1]"),
+    (PdeSettings, "level", "[0, 1]"),
+]
+
+
+def _bounds(interval):
+    low, high = (float(b) for b in interval[1:-1].split(", "))
+    return low, interval[0] == "[", high, interval[-1] == "]"
+
+
+def _described(interval):
+    """The interval as check_real words it."""
+    low, high = interval[1:-1].split(", ")
+    if interval.endswith("inf)"):
+        relation = ">=" if interval[0] == "[" else ">"
+        return "finite" if low == "-inf" else f"finite and {relation} {low}"
+    return f"in {interval}"
+
+
+def _outside(interval):
+    """NaN, the infinities the interval excludes, and the floats just
+    outside its finite bounds."""
+    low, low_closed, high, high_closed = _bounds(interval)
+    values = [math.nan, -math.inf] + ([] if high_closed and high == math.inf else [math.inf])
+    if low > -math.inf:
+        values.append(math.nextafter(low, -math.inf) if low_closed else low)
+    if high < math.inf:
+        values.append(math.nextafter(high, math.inf) if high_closed else high)
+    return values
+
+
+def _call(target, **changed):
+    return target(**{**VALID[target], **changed})
+
+
+REJECTED = [(target, param, interval, value) for target, param, interval in ROWS
+            for value in _outside(interval)]
+
+
+@pytest.mark.parametrize(
+    "target, param, interval, value", REJECTED,
+    ids=[f"{t.__name__}-{p}-{v}" for t, p, _, v in REJECTED],
+)
+def test_value_outside_the_interval_rejected_naming_it(target, param, interval, value):
+    message = f"^{param} must be {re.escape(_described(interval))}, got {re.escape(str(value))}$"
+    with pytest.raises(ValueError, match=message):
+        _call(target, **{param: value})
+
+
+def _closed_bounds(interval):
+    low, low_closed, high, high_closed = _bounds(interval)
+    return [bound for bound, closed in ((low, low_closed), (high, high_closed)) if closed]
+
+
+ACCEPTED = [(target, param, value) for target, param, interval in ROWS
+            for value in _closed_bounds(interval)]
+# Open above: meanfield_report passes theta = 1 / R0, above 1 when subcritical.
+ACCEPTED.append((dscsim.info_gain_conditions, "theta", 2.0))
+
+
+@pytest.mark.parametrize("target, param, value", ACCEPTED,
+                         ids=[f"{t.__name__}-{p}-{v}" for t, p, v in ACCEPTED])
+def test_closed_bound_accepted(target, param, value):
+    _call(target, **{param: value})
+
+
+@pytest.mark.parametrize("n", [2.5, 0, math.nan])
+def test_info_gain_counts_sensors_in_integers(n):
+    # info_gain_conditions(..., n=2.5) used to be evaluated
+    with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {n}$"):
+        _call(dscsim.info_gain_conditions, n=n)
+
+
+def _real_parameters():
+    """(callable, parameter) for every float-annotated parameter of a function
+    in dscsim.__all__ and every float field of a config section."""
+    found = set()
+    for name in dscsim.__all__:
+        obj = getattr(dscsim, name)
+        if inspect.isfunction(obj):
+            found |= {(obj, p.name) for p in inspect.signature(obj).parameters.values()
+                      if p.annotation in ("float", float)}
+    sections = [t for t in get_type_hints(ExperimentConfig).values() if dataclasses.is_dataclass(t)]
+    for cls in sections:
+        found |= {(cls, f.name) for f in dataclasses.fields(cls) if f.type in ("float", float)}
+    return found
+
+
+def test_every_real_parameter_has_a_row():
+    missing = _real_parameters() - {(target, param) for target, param, _ in ROWS}
+    assert sorted(f"{t.__name__}.{p}" for t, p in missing) == []
+
+
+def test_every_row_has_valid_arguments():
+    for target, _, _ in ROWS:
+        _call(target)

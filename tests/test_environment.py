@@ -204,9 +204,11 @@ class TestSampler:
         assert abs(zero_frac - 0.02) <= 0.002
         assert analysis.ks_distance(series, REFERENCE) < 0.005
 
-    def test_time_series_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            time_series(REFERENCE, 0, rng.sensor_stream(0, 0))
+    @pytest.mark.parametrize("steps", [0, 2.5])
+    def test_time_series_rejects_zero_steps(self, steps):
+        # time_series(model, 2.5, gen) used to raise numpy's TypeError
+        with pytest.raises(ValueError, match=f"steps must be an integer >= 1, got {steps}"):
+            time_series(REFERENCE, steps, rng.sensor_stream(0, 0))
 
     def test_time_series_seeded_determinism(self):
         a = time_series(REFERENCE, 257, rng.sensor_stream(11, 4))
@@ -266,6 +268,12 @@ class TestUniformThreshold:
         assert got.tolist() == [uniform_threshold(REFERENCE, [c])[0] for c in c_star]
         assert got[0] == 0.0 and got[-1] == 1.0
         assert uniform_threshold(REFERENCE, []).shape == (0,)
+
+    @pytest.mark.parametrize("c_star", [[math.nan], [154.5, math.nan], [-1e-300], -1.0])
+    def test_nan_or_negative_threshold_rejected(self, c_star):
+        # [nan] used to raise ArithmeticError, blaming the quantile
+        with pytest.raises(ValueError, match="c_star must be >= 0"):
+            uniform_threshold(REFERENCE, c_star)
 
     def test_non_monotone_quantile_is_an_error(self, monkeypatch):
         (u_star,) = uniform_threshold(REFERENCE, [154.5])

@@ -90,7 +90,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("r0_value", [1.0, 0.5, -math.inf, math.nan])
     def test_steady_state_subcritical_error(self, r0_value):
-        with pytest.raises(ValueError, match="subcritical"):
+        with pytest.raises(ValueError, match=f"^r0_value must be finite and > 1, got {r0_value}$"):
             steady_state(r0_value)
 
     def test_relaxation_time_values(self):
@@ -101,14 +101,14 @@ class TestClosedForms:
         assert relaxation_time(1.0 + 1e-9, 5.0) > 1e9
 
     @pytest.mark.parametrize("r0_value, tau_star, message", [
-        (0.9, 5.0, "subcritical"),
-        (1.0, 5.0, "subcritical"),
-        (-math.inf, 5.0, "subcritical"),
-        (math.nan, 5.0, "subcritical"),
+        (0.9, 5.0, "r0_value must be finite and > 1, got 0.9"),
+        (1.0, 5.0, "r0_value must be finite and > 1, got 1.0"),
+        (-math.inf, 5.0, "r0_value must be finite and > 1, got -inf"),
+        (math.nan, 5.0, "r0_value must be finite and > 1, got nan"),
         # relaxation_time(2.0, -5.0) used to return -5.0
-        (2.0, -5.0, "tau_star must be > 0, got -5.0"),
-        (2.0, 0.0, "tau_star must be > 0, got 0.0"),
-        (2.0, math.nan, "tau_star must be > 0, got nan"),
+        (2.0, -5.0, "tau_star must be finite and > 0, got -5.0"),
+        (2.0, 0.0, "tau_star must be finite and > 0, got 0.0"),
+        (2.0, math.nan, "tau_star must be finite and > 0, got nan"),
     ])
     def test_relaxation_time_rejects_subcritical_r0_and_nonpositive_tau(self, r0_value,
                                                                       tau_star, message):
@@ -119,13 +119,13 @@ class TestClosedForms:
         (-0.5, 400, 40.0, 1.0, r"p must be in \[0, 1\], got -0.5"),
         (1.5, 400, 40.0, 1.0, r"p must be in \[0, 1\], got 1.5"),
         (math.nan, 400, 40.0, 1.0, r"p must be in \[0, 1\], got nan"),
-        (0.5, 400, 40.0, 0.0, "g must be > 0, got 0.0"),
-        (0.5, 400, 40.0, -1.0, "g must be > 0, got -1.0"),
-        (0.5, 400, 40.0, math.nan, "g must be > 0, got nan"),
+        (0.5, 400, 40.0, 0.0, "g must be finite and > 0, got 0.0"),
+        (0.5, 400, 40.0, -1.0, "g must be finite and > 0, got -1.0"),
+        (0.5, 400, 40.0, math.nan, "g must be finite and > 0, got nan"),
         # r0(0.3, -400, 40.0, 1e6) used to return -0.603, and
         # r0(0.3, 400, -40.0, 1e6) +0.603
-        (0.3, -400, 40.0, 1.0, "n must be >= 0, got -400"),
-        (0.3, math.nan, 40.0, 1.0, "n must be >= 0, got nan"),
+        (0.3, -400, 40.0, 1.0, "n must be finite and >= 0, got -400"),
+        (0.3, math.nan, 40.0, 1.0, "n must be finite and >= 0, got nan"),
         (0.3, 400, -40.0, 1.0, "r_star must be finite and > 0, got -40.0"),
         (0.3, 400, 0.0, 1.0, "r_star must be finite and > 0, got 0.0"),
         (0.3, 400, math.inf, 1.0, "r_star must be finite and > 0, got inf"),
@@ -349,18 +349,20 @@ class TestIntegrateSis:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["alpha", "tau_star", "n", "y0", "dt", "t_end"])
     def test_non_finite_input_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        # y0's interval [0, n] is bounded, so its message states the bounds
+        expected = r"in \[0, 400.0\]" if name == "y0" else "finite and >=? 0"
+        with pytest.raises(ValueError, match=f"^{name} must be {expected}, got {value}$"):
             integrate_sis(**dict(self.SIS_ARGS, **{name: value}))
 
     @pytest.mark.parametrize("tau_star", [0.0, -5.0])
     def test_nonpositive_tau_star_rejected(self, tau_star):
-        with pytest.raises(ValueError, match="tau_star must be > 0"):
+        with pytest.raises(ValueError, match="tau_star must be finite and > 0"):
             integrate_sis(**dict(self.SIS_ARGS, tau_star=tau_star))
 
     @pytest.mark.parametrize("alpha", [-1e-3, -5e-324])
     def test_negative_alpha_rejected(self, alpha):
         # integrate_sis(-1e-3, ...) used to return a decaying trajectory
-        with pytest.raises(ValueError, match="alpha must be >= 0"):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
             integrate_sis(alpha, 5.0, 400.0, 1.0, 10.0, 10.0, 1.0)
 
     def test_zero_alpha_of_either_sign_accepted(self):
@@ -544,7 +546,8 @@ class TestIntegratePde:
 
     @pytest.mark.parametrize("dx, d", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5)])
     def test_grid_spacing_positive_and_diffusivity_non_negative(self, dx, d):
-        with pytest.raises(ValueError, match="dx must be > 0 and d >= 0"):
+        message = "dx must be finite and > 0" if dx <= 0 else "d must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
             integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=0.25, dx=dx, d=d)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
@@ -900,7 +903,7 @@ class TestSynchronization:
     @pytest.mark.parametrize("args", [(math.nan, 5.0, 40.0, 1.0), (-1e-9, 5.0, 40.0, 1.0)])
     def test_nan_or_negative_alpha_rejected(self, args):
         # synchronization_check(nan, 5, 40.0, 1.0) used to return False
-        with pytest.raises(ValueError, match="inputs must be positive"):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
             synchronization_check(*args)
 
     def test_reference_cases(self):

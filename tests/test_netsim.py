@@ -216,6 +216,12 @@ class TestNeighborSearch:
         with pytest.raises(ValueError, match="positions"):
             neighbor_csr(pos, 40.0)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3,), (3, 1), (2, 3, 2), ()])
+    def test_positions_must_be_k_by_2(self, shape):
+        # (3, 3) and 1-D positions used to fail with "too many values to unpack"
+        with pytest.raises(ValueError, match=r"positions must be .* of shape \(k, 2\)"):
+            neighbor_csr(np.zeros(shape), 40.0)
+
     def test_cell_table_stays_linear_in_points(self):
         # Cells r_star wide would number 1e30 on a 1e6 m square at r_star =
         # 1e-9; the table is bounded by the points instead. Only the copied

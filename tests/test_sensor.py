@@ -61,7 +61,7 @@ class TestRead:
     @pytest.mark.parametrize("c_star", [0.0, 100.0])
     def test_negative_or_nan_rejected(self, c, c_star):
         spec = SensorSpec(c_star=c_star, tau_star=5, r_star=10.0)
-        with pytest.raises(ValueError, match="concentration must be >= 0"):
+        with pytest.raises(ValueError, match="c must be finite and >= 0"):
             read(spec, c)
 
     def test_degenerate_zero_threshold_always_fires(self):
