@@ -76,7 +76,10 @@ def alpha_from_sim(plateau_active_fraction: float, tau_star: float, n: int) -> f
     check_real("plateau_active_fraction", plateau_active_fraction, gt=0, lt=1)
     check_real("tau_star", tau_star, gt=0)
     check_real("n", n, gt=0)
-    return 1.0 / (tau_star * n * (1.0 - plateau_active_fraction))
+    scale = tau_star * n * (1.0 - plateau_active_fraction)
+    # 1 / scale overflows at and below 2**-1024; an infinite scale is rejected too
+    check_real("tau_star * n * (1 - plateau_active_fraction)", scale, gt=2.0 ** -1024)
+    return 1.0 / scale
 
 
 def calibrate_g(pairs) -> float:

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, environment, meanfield, netsim, rng
+from .checks import check_integer
 from .config import (
     ExperimentConfig,
     apply_override,
@@ -157,10 +158,7 @@ def dispatch(subcommand: str, config: ExperimentConfig, out_dir, jobs: int = 1, 
     """
     if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    if not hasattr(jobs, "__index__"):
-        raise ValueError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_integer("jobs", jobs, 1)
     if jobs != 1 and subcommand not in _JOBS_SUBCOMMANDS:
         raise ValueError(f"{subcommand} takes no jobs, got {jobs}")
     out = Path(out_dir)

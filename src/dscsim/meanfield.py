@@ -40,6 +40,7 @@ def alpha_theory(spec: SensorSpec, s: float, p: float, g: float) -> float:
     check_real("s", s, gt=0)
     check_real("p", p, ge=0, le=1)
     check_real("g", g, gt=0)
+    check_real("r_star ** 2", spec.r_star * spec.r_star)  # ** raises OverflowError
     return g * math.pi * spec.r_star ** 2 * p / (spec.tau_star * s)
 
 
@@ -54,6 +55,7 @@ def r0(p: float, n: int, r_star: float, s: float, g: float = 1.0) -> float:
     check_real("g", g, gt=0)
     check_real("n", n, ge=0)
     check_real("r_star", r_star, gt=0)
+    check_real("r_star ** 2", r_star * r_star)  # ** raises OverflowError
     return g * p * n * math.pi * r_star ** 2 / s
 
 
@@ -131,6 +133,10 @@ def info_gain_conditions(
     check_real("t_detect", t_detect, gt=0)
     check_real("s", s, gt=0)
     check_real("r_star", r_star, gt=0)
+    # n_threshold's quotient, the larger count: 0 where r_star * r_star
+    # overflows (r_star ** 2 raises there), inf where the cell area underflows
+    check_real("s / (pi r_star^2 p (1 - p))", s / (math.pi * r_star * r_star) / (p * (1.0 - p)),
+               gt=0)
     delta_min = tau_star / (p * n * t_detect)
     cell = s / (math.pi * r_star ** 2)
     return InfoGainReport(
@@ -163,6 +169,14 @@ def _equal_widths(times) -> bool:
     """True when every interval of the grid `times` has the same width."""
     widths = np.diff(times)
     return bool((widths == widths[0]).all())
+
+
+def _to_float(name: str, value) -> float:
+    """value as a float; an int beyond the float range is rejected, naming it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the float range, got {value}") from None
 
 
 def _sis_pass(alpha, tau_star, n, nu, y0, times: list, equal_widths: bool,
@@ -223,6 +237,11 @@ def integrate_sis(
     first interval that ends bitwise on its start value, a fixed point of
     the step map, and repeats it to t_end; the values are the ones the
     full pass would compute.
+
+    The passes work on floats: tau_star, n and nu are converted once, after
+    the checks. An int up to 2**53 converts exactly, so its bytes are the
+    int's; a larger one rounds there, and one past the float range is
+    rejected, naming it.
     """
     check_real("alpha", alpha, ge=0)
     check_real("tau_star", tau_star, gt=0)
@@ -234,6 +253,8 @@ def integrate_sis(
     check_real("rel_tol", rel_tol, gt=0)
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt = {t_end} / {dt} steps is not finite")
+    # an int operand takes every stage off CPython's float fast path
+    tau_star, n, nu = _to_float("tau_star", tau_star), _to_float("n", n), float(nu)
 
     m = max(1, round(t_end / dt))
     times = np.arange(m + 1) * dt
@@ -258,9 +279,11 @@ def integrate_sis(
 
 
 # Views of a zeroed (2, R, nx + 2) buffer: R = rows + 2 with pad rows, R = 1
-# on one row. pads pairs each pad with its edge; span runs flat from the first
-# interior cell to the last, and up, down, left, right are its neighbors.
-_Padded = namedtuple("_Padded", "grid interior pads span up down left right")
+# on one row. fields holds its two per-field (R, nx + 2) views, built once so
+# that no stencil call slices grid. pads pairs each pad with its edge; span
+# runs flat from the first interior cell to the last, and up, down, left,
+# right are its neighbors.
+_Padded = namedtuple("_Padded", "grid fields interior pads span up down left right")
 
 
 def _padded(rows: int, nx: int) -> _Padded:
@@ -270,36 +293,45 @@ def _padded(rows: int, nx: int) -> _Padded:
     if r0:
         pads.append((grid[:, ::rows + 1], grid[:, 1:rows + 1:rows - 1]))
     flat, start = grid.reshape(-1), r0 * w + 1
-    return _Padded(grid, grid[:, r0:r0 + rows, 1:-1], pads, *(
+    return _Padded(grid, tuple(grid), grid[:, r0:r0 + rows, 1:-1], pads, *(
         flat[start + s:flat.size - start + s] for s in (0, -r0 * w, r0 * w, -1, 1)))
 
 
-def _pde_rhs(src, dst, lap, alpha, decay: float, d: float, dx2: float) -> None:
+def _scalars(*values) -> list[np.ndarray]:
+    """Each value as a 0-d float64 array. As a ufunc operand it gives the
+    same IEEE operation as a Python float, without numpy converting the
+    float on every call of the stencil's small arrays."""
+    return [np.array(v, dtype=float) for v in values]
+
+
+def _pde_rhs(src, dst, lap, alpha, decay, d, dx2, four) -> None:
     """Write the time derivative of the stacked fields src = (a, p) into dst,
     once src's pads hold their edge cells (zero flux); lap is a work buffer.
     Per cell, in this order and rounded at every step,
 
         react = alpha * a * p - decay * a
-        lap(f) = (up + down + left + right - 4 f) / dx2
+        lap(f) = (up + down + left + right - four * f) / dx2
         out = (d * lap(a) + react, d * lap(p) - react)
-    """
+
+    alpha is a 0-d or a padded float64 array; decay, d, dx2 and four (4.0)
+    are 0-d float64 arrays, see _scalars."""
     for pad, edge in src.pads:
-        np.copyto(pad, edge)
+        pad[...] = edge
     total = lap.span
     np.add(src.up, src.down, out=total)
     total += src.left
     total += src.right
-    np.multiply(src.span, 4.0, out=dst.span)
+    np.multiply(src.span, four, out=dst.span)
     total -= dst.span
     total /= dx2
     total *= d
-    (a, p), (out, react) = src.grid, dst.grid
+    (a, p), (out, react), (lap_a, lap_p) = src.fields, dst.fields, lap.fields
     np.multiply(a, alpha, out=react)
     react *= p
     np.multiply(a, decay, out=out)
     react -= out
-    np.add(lap.grid[0], react, out=out)
-    np.subtract(lap.grid[1], react, out=react)
+    np.add(lap_a, react, out=out)
+    np.subtract(lap_p, react, out=react)
 
 
 def _y_invariant(*arrays: np.ndarray) -> bool:
@@ -418,7 +450,7 @@ def integrate_pde(
         alpha = np.pad(full[:rows], [(int(rows > 1),) * 2, (1, 1)], mode="edge")
     # 1 / tau_star is 0.0 at tau_star = inf. d * lap is zero at d = 0 for any
     # finite lap; a unit dx2 there keeps lap finite when dx * dx underflows.
-    work = (alpha, 1.0 / tau_star, d, dx * dx if d > 0 else 1.0)
+    work = (alpha, *_scalars(1.0 / tau_star, d, dx * dx if d > 0 else 1.0, 4.0))
 
     # u holds (a, p); each RK4 stage is computed in place as
     #   k1 = rhs(u), k2 = rhs(u + (dt/2) k1), k3 = rhs(u + (dt/2) k2),
@@ -428,7 +460,7 @@ def integrate_pde(
     u, stage, k, acc = (v.grid for v in views[:4])
     vu.interior[0], vu.interior[1] = a0[:rows], p0[:rows]
     interiors = list(vu.interior)
-    half, sixth = 0.5 * dt, dt / 6.0
+    half, whole, two, sixth = _scalars(0.5 * dt, dt, 2.0, dt / 6.0)
     n_steps = max(1, round(t_end / dt))
     times, profiles, snaps_a, snaps_p = [], [], [], []
 
@@ -446,11 +478,11 @@ def integrate_pde(
     for step in range(1, n_steps + 1):
         _pde_rhs(vu, vacc, vlap, *work)
         np.multiply(acc, half, out=stage)
-        for h in (half, dt):
+        for h in (half, whole):
             stage += u
             _pde_rhs(vstage, vk, vlap, *work)
             np.multiply(k, h, out=stage)
-            k *= 2.0
+            k *= two
             acc += k
         stage += u
         _pde_rhs(vstage, vk, vlap, *work)

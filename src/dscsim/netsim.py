@@ -126,6 +126,7 @@ class NetworkConfig:
         check_integer("n", self.n, 1)
         check_real("width", self.width, gt=0)
         check_real("height", self.height, gt=0)
+        check_real("width * height", self.area, gt=0)  # no overflow, no underflow
         check_real("delta", self.delta, ge=0, le=1)
         check_integer("initial_active", self.initial_active, 0)
         if self.permanent_count + self.initial_active > self.n:

@@ -1,6 +1,7 @@
 """Plateau extraction, calibration, power-law fits, and the KS check."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,9 @@ class TestAlphaFromSim:
         (0.5, 5.0, -400, "n must be finite and > 0, got -400"),
         (0.5, 5.0, 0, "n must be finite and > 0, got 0"),
         (0.5, 5.0, math.nan, "n must be finite and > 0, got nan"),
+        # alpha_from_sim(0.5, 1e-320, 1) used to return inf
+        (0.5, 1e-320, 1, r"tau_star \* n \* \(1 - plateau_active_fraction\) must be "
+                         r"finite and > 5.56\d*e-309, got 5e-321"),
     ])
     def test_degenerate_arguments_rejected(self, plateau, tau_star, n, message):
         with pytest.raises(ValueError, match=message):
@@ -211,6 +215,8 @@ class TestKsDistance:
             ks_distance(samples, REFERENCE)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 SWEEP_CONFIG = """\
 [environment]
 c0 = 150.0
@@ -254,6 +260,19 @@ class TestSweepBridge:
         monkeypatch.setattr(netsim, "run_members", unreachable)
         with pytest.raises(ValueError, match=r"run.steps must be >= 10 .*, got (9|5)$"):
             sweep(parse_config(text))
+
+    def test_sweep_rejects_an_infinite_area_before_running(self, monkeypatch):
+        # demo-sparse at width = height = 1e200, reached through a sweep point
+        text = (CONFIGS / "demo-sparse.ini").read_text(encoding="utf-8")
+        config = parse_config(text.replace("height = 1000.0", "height = 1e200")
+                              + "network.width = 1e200\n")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(netsim, "run_members", unreachable)
+        with pytest.raises(ValueError, match=r"width \* height must be finite and > 0, got inf"):
+            sweep(config)
 
     def test_analyze_sweep_groups_points(self):
         header = ["point", "sensor.r_star", *SWEEP_COLUMNS]

@@ -453,7 +453,7 @@ class TestCli:
     def test_jobs_below_one_is_error_exit(self, tmp_path, config_file, capsys, jobs):
         argv = ["sweep", "--config", str(config_file), "--out", str(tmp_path), "--jobs", jobs]
         assert cli.main(argv) == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert f"jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("subcommand", ["sample", "simulate", "meanfield"])
@@ -471,11 +471,11 @@ class TestCli:
         ("simulate", 4, "simulate takes no jobs, got 4"),
         ("sample", 2, "sample takes no jobs, got 2"),
         ("meanfield", 3, "meanfield takes no jobs, got 3"),
-        ("pde", 1.5, "jobs must be an integer, got 1.5"),
-        ("sweep", 2.0, "jobs must be an integer, got 2.0"),
-        ("analyze", "2", "jobs must be an integer, got '2'"),
-        ("simulate", 1.0, "jobs must be an integer, got 1.0"),
-        ("simulate", 0, "jobs must be >= 1, got 0"),
+        ("pde", 1.5, "jobs must be an integer >= 1, got 1.5"),
+        ("sweep", 2.0, "jobs must be an integer >= 1, got 2.0"),
+        ("analyze", "2", "jobs must be an integer >= 1, got '2'"),
+        ("simulate", 1.0, "jobs must be an integer >= 1, got 1.0"),
+        ("simulate", 0, "jobs must be an integer >= 1, got 0"),
     ])
     def test_dispatch_rejects_jobs_it_cannot_use(self, tmp_path, subcommand, jobs, message):
         with pytest.raises(ValueError, match=message):
@@ -498,7 +498,7 @@ class TestCli:
     def test_env_var_jobs_zero_is_error_exit(self, tmp_path, config_file, capsys, monkeypatch):
         monkeypatch.setenv("DSCSIM_JOBS", "0")
         assert cli.main(["sweep", "--config", str(config_file), "--out", str(tmp_path)]) == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert "jobs must be an integer >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, command, output", [
         pytest.param("DSCSIM_JOBS", "sweep", "sweep.csv", id="DSCSIM_JOBS"),

@@ -130,11 +130,19 @@ class TestClosedForms:
         (0.3, 400, 0.0, 1.0, "r_star must be finite and > 0, got 0.0"),
         (0.3, 400, math.inf, 1.0, "r_star must be finite and > 0, got inf"),
         (0.3, 400, math.nan, 1.0, "r_star must be finite and > 0, got nan"),
+        # r_star ** 2 used to raise a bare OverflowError
+        (1.0, 1e300, 1e200, 1.0, r"r_star \*\* 2 must be finite, got inf"),
     ])
     def test_r0_rejects_each_bad_argument_naming_it(self, p, n, r_star, g, message):
         # r0(-0.5, 400, 40.0, 1e6) used to return -1.005, and r0(nan, ...) NaN
         with pytest.raises(ValueError, match=message):
             r0(p, n, r_star, 1e6, g)
+
+    def test_alpha_theory_rejects_an_overflowing_range(self):
+        # r_star ** 2 used to raise a bare OverflowError
+        spec = SensorSpec(c_star=1.0, tau_star=5, r_star=1e200)
+        with pytest.raises(ValueError, match=r"r_star \*\* 2 must be finite, got inf"):
+            alpha_theory(spec, 1e6, 0.5, 1.0)
 
     def test_theta_scaling_laws(self):
         # theta = 1/R0 scales as 1/r*^2, 1/n, 1/p: evaluate at doubled arguments
@@ -204,6 +212,15 @@ class TestInfoGain:
         assert report.event_gain  # 0.2 < 0.5
         assert report.consistency  # delta_min = 5e-5 <= 0.8
 
+    @pytest.mark.parametrize("r_star, got", [
+        (1e-160, "inf"),  # used to fail in math.ceil(inf)
+        (1e200, "0.0"),  # used to raise OverflowError from r_star ** 2
+    ])
+    def test_counts_out_of_float_range_rejected(self, r_star, got):
+        with pytest.raises(ValueError, match=(
+                rf"s / \(pi r_star\^2 p \(1 - p\)\) must be finite and > 0, got {got}")):
+            info_gain_conditions(0.5, 0.01, 0.5, 5.0, 400, 100.0, 1e6, r_star)
+
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_p_rejected(self, p):
         with pytest.raises(ValueError):
@@ -239,7 +256,8 @@ def sis_pass_bytes(alpha, tau_star, n, nu, y0, dt, steps, substeps):
     """(_sis_pass, reference) bytes on integrate_sis's grid of `steps` dt."""
     times = np.arange(steps + 1) * dt
     grid = times.tolist()
-    got = meanfield._sis_pass(alpha, tau_star, n, nu, y0, grid,
+    # the floats that integrate_sis hands the pass; the reference keeps ints
+    got = meanfield._sis_pass(alpha, float(tau_star), float(n), float(nu), y0, grid,
                               meanfield._equal_widths(times), substeps)
     return got.tobytes(), reference_sis_pass(alpha, tau_star, n, nu, y0, grid, substeps).tobytes()
 
@@ -247,10 +265,10 @@ def sis_pass_bytes(alpha, tau_star, n, nu, y0, dt, steps, substeps):
 @st.composite
 def sis_cases(draw):
     n = draw(st.one_of(st.integers(1, 1000), st.floats(1.0, 1000.0)))
-    tau_star = draw(st.floats(0.5, 20.0))
+    tau_star = draw(st.one_of(st.integers(1, 20), st.floats(0.5, 20.0)))
     # alpha through R0 = alpha tau_star n, so that most runs settle in the grid
     alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0).map(lambda r: r / (tau_star * n))))
-    nu = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    nu = draw(st.one_of(st.sampled_from([0.0, 1.0, 0, 1]), st.floats(0.0, 1.0)))
     y0 = draw(st.one_of(st.sampled_from([0.0, -0.0, n]), st.floats(0.0, n)))
     dt = draw(st.sampled_from([1.0, 0.25, 0.1, 1 / 3]))
     return (alpha, tau_star, n, nu, y0, dt, draw(st.integers(1, 400)),
@@ -275,6 +293,10 @@ class TestSisFixedPoint:
     @given(case=sis_cases())
     # the benchmark's nu = 0.5 call at one substep: settles at interval 355
     @example(case=(1e-3, 5.0, 400, 0.5, 10.0, 1.0, 400, 1))
+    # n = 2**53, the largest int that converts exactly, with int tau_star
+    # and nu: the stages overshoot n and clamp to the int
+    @example(case=(20 / 2 ** 53, 20, 2 ** 53, 1, 1.0, 1.0, 60, 1))
+    @example(case=(3.0, 20, 2 ** 53, 0, 0, 1.0, 60, 1))
     def test_pass_matches_the_full_loop(self, case):
         got, expected = sis_pass_bytes(*case)
         assert got == expected
@@ -299,6 +321,45 @@ class TestSisFixedPoint:
         traj = integrate_sis(alpha, 5.0, 400.0, 0.7, 0.0, 1000 * dt, dt)
         assert traj.y.size == 1001 and not traj.y.any()
         assert alpha.calls == 4 * substeps
+
+
+class TestFloatOperands:
+    """The hot loops get float operands whatever the caller passes: an int
+    takes integrate_sis's stages off CPython's float fast path, and numpy
+    converts a Python float on every stencil call."""
+
+    def test_sis_pass_receives_floats(self, monkeypatch):
+        seen, original = [], meanfield._sis_pass
+
+        def spy(alpha, tau_star, n, nu, *rest):
+            seen.append((tau_star, n, nu))
+            return original(alpha, tau_star, n, nu, *rest)
+
+        monkeypatch.setattr(meanfield, "_sis_pass", spy)
+        ints = integrate_sis(1e-3, 5, 400, 1, 10, 50.0, 1.0)
+        assert seen and {type(x) for args in seen for x in args} == {float}
+        floats = integrate_sis(1e-3, 5.0, 400.0, 1.0, 10, 50.0, 1.0)
+        assert ints.y.tobytes() == floats.y.tobytes()
+
+    def test_int_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="n must be within the float range"):
+            integrate_sis(1e-3, 5.0, 10 ** 400, 1.0, 10.0, 50.0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.4, 1, np.linspace(0.1, 0.9, 30)])
+    @pytest.mark.parametrize("number", [int, float])
+    def test_pde_rhs_receives_float64_arrays(self, monkeypatch, alpha, number):
+        seen, original = [], meanfield._pde_rhs
+
+        def spy(src, dst, lap, *operands):
+            seen.append(operands)
+            original(src, dst, lap, *operands)
+
+        monkeypatch.setattr(meanfield, "_pde_rhs", spy)
+        integrate_pde(seeded_fields(), alpha, number(5), number(2), number(1), number(2),
+                      number(1))
+        assert len(seen) == 8
+        assert all(type(x) is np.ndarray and x.dtype == np.float64
+                   for operands in seen for x in operands)
 
 
 class TestIntegrateSis:

@@ -54,6 +54,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("width, height", [
         (math.inf, 10.0), (10.0, math.inf), (math.nan, 10.0), (10.0, math.nan), (-math.inf, 10.0),
+        (1e200, 1e200), (1e-200, 1e-200),  # width * height overflows, underflows
     ])
     def test_region_must_be_finite(self, width, height):
         with pytest.raises(ValueError, match="finite"):
