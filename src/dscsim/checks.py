@@ -14,15 +14,15 @@ def check_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def check_real(name: str, value, *, gt=-math.inf, ge=None, lt=math.inf, le=None) -> None:
-    """Reject a value outside the interval from gt (open) or ge (closed) to
-    lt (open) or le (closed), naming it, the interval and the value. An
-    omitted bound is open at infinity: NaN always fails, and +-inf fail
-    unless le=math.inf closes the interval there."""
+def check_real(name: str, value, *, gt=-math.inf, ge=None, lt=math.inf, le=None):
+    """Return a value inside the interval from gt (open) or ge (closed) to
+    lt (open) or le (closed); reject one outside it, naming it, the interval
+    and the value. An omitted bound is open at infinity: NaN always fails,
+    and +-inf fail unless le=math.inf closes the interval there."""
     low, high = gt if ge is None else ge, lt if le is None else le
     above = value > low if ge is None else value >= low
     if above and (value < high if le is None else value <= high):
-        return
+        return value
     if le is not None or high < math.inf:
         interval = f"in {'(' if ge is None else '['}{low}, {high}{')' if le is None else ']'}"
     elif low > -math.inf:

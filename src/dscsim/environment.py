@@ -57,17 +57,28 @@ def atom_weight(model: ConcentrationModel) -> float:
     return 1.0 - model.omega
 
 
+def _scaled(model: ConcentrationModel, c) -> tuple[np.ndarray, np.ndarray]:
+    """c >= 0 and omega / (gamma - 2) * c / c0, as float arrays; a scaled
+    value that is not finite is rejected, naming c and c0."""
+    c_arr = np.asarray(c, dtype=float)
+    if not np.all(c_arr >= 0):  # NaN fails too
+        raise ValueError("concentration must be >= 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        z = model.omega / ((model.gamma - 2.0) * model.c0) * c_arr
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"c / c0 scaled by omega / (gamma - 2) must be finite, got "
+                         f"c = {float(c_arr.max())} and c0 = {model.c0}")
+    return c_arr, z
+
+
 def pdf_continuous(model: ConcentrationModel, c):
     """Density of the continuous (non-atom) part at concentration c >= 0.
 
     Integrates to omega over [0, inf); the atom carries the rest.
     """
-    c_arr = np.asarray(c, dtype=float)
-    if not np.all(c_arr >= 0):  # NaN fails too
-        raise ValueError("concentration must be >= 0")
+    c_arr, z = _scaled(model, c)
     g = model.gamma
-    scale = model.omega / ((g - 2.0) * model.c0)
-    out = (model.omega ** 2 / model.c0) * ((g - 1.0) / (g - 2.0)) * (1.0 + scale * c_arr) ** (-g)
+    out = (model.omega ** 2 / model.c0) * ((g - 1.0) / (g - 2.0)) * (1.0 + z) ** (-g)
     return out if c_arr.ndim else float(out)
 
 
@@ -76,12 +87,8 @@ def cdf(model: ConcentrationModel, c):
 
     Right-continuous; cdf(0) equals the atom weight 1 - omega.
     """
-    c_arr = np.asarray(c, dtype=float)
-    if not np.all(c_arr >= 0):  # NaN fails too
-        raise ValueError("concentration must be >= 0")
-    g = model.gamma
-    scale = model.omega / ((g - 2.0) * model.c0)
-    out = 1.0 - model.omega * (1.0 + scale * c_arr) ** (1.0 - g)
+    c_arr, z = _scaled(model, c)
+    out = 1.0 - model.omega * (1.0 + z) ** (1.0 - model.gamma)
     return out if c_arr.ndim else float(out)
 
 

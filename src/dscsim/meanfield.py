@@ -41,7 +41,8 @@ def alpha_theory(spec: SensorSpec, s: float, p: float, g: float) -> float:
     check_real("p", p, ge=0, le=1)
     check_real("g", g, gt=0)
     check_real("r_star ** 2", spec.r_star * spec.r_star)  # ** raises OverflowError
-    return g * math.pi * spec.r_star ** 2 * p / (spec.tau_star * s)
+    return check_real("alpha = g pi r_star^2 p / (tau_star s)",
+                      g * math.pi * spec.r_star ** 2 * p / (spec.tau_star * s), ge=0)
 
 
 def r0(p: float, n: int, r_star: float, s: float, g: float = 1.0) -> float:
@@ -56,7 +57,7 @@ def r0(p: float, n: int, r_star: float, s: float, g: float = 1.0) -> float:
     check_real("n", n, ge=0)
     check_real("r_star", r_star, gt=0)
     check_real("r_star ** 2", r_star * r_star)  # ** raises OverflowError
-    return g * p * n * math.pi * r_star ** 2 / s
+    return check_real("R0 = g p n pi r_star^2 / s", g * p * n * math.pi * r_star ** 2 / s, ge=0)
 
 
 def logistic_solution(z0: float, b: float, t):
@@ -133,21 +134,26 @@ def info_gain_conditions(
     check_real("t_detect", t_detect, gt=0)
     check_real("s", s, gt=0)
     check_real("r_star", r_star, gt=0)
-    # n_threshold's quotient, the larger count: 0 where r_star * r_star
-    # overflows (r_star ** 2 raises there), inf where the cell area underflows
-    check_real("s / (pi r_star^2 p (1 - p))", s / (math.pi * r_star * r_star) / (p * (1.0 - p)),
-               gt=0)
+    check_real("r_star ** 2", r_star * r_star, gt=0)  # ** raises OverflowError; a divisor
     delta_min = tau_star / (p * n * t_detect)
-    cell = s / (math.pi * r_star ** 2)
+    quotient = s / (math.pi * r_star ** 2) / (p * (1.0 - p))
     return InfoGainReport(
         dsc_superior=theta <= 1.0 - delta,
         epidemic_within_t=delta * p * n * t_detect / tau_star >= 1.0,
         delta_min=delta_min,
         consistency=delta_min <= 1.0 - theta,
         event_gain=theta < 1.0 - p,
-        n_threshold=math.ceil(cell / (p * (1.0 - p))),
-        n_star=math.ceil(4.0 / math.pi * s / r_star ** 2),
+        n_threshold=math.ceil(check_real("s / (pi r_star^2 p (1 - p))", quotient, gt=0)),
+        n_star=_n_star(s, r_star),
     )
+
+
+def _n_star(s: float, r_star: float) -> int:
+    """InfoGainReport.n_star, for any p; a ValueError names it when it is not
+    finite. The callers have checked that r_star ** 2 does not overflow."""
+    square = r_star ** 2
+    count = 4.0 / math.pi * s / square if square else math.inf
+    return math.ceil(check_real("n_star = (4 / pi) s / r_star^2", count, ge=0))
 
 
 @dataclass(frozen=True)
@@ -467,12 +473,12 @@ def integrate_pde(
     def record(step: int) -> None:
         # On the one-row path each record is that row broadcast to the grid;
         # the mean keeps numpy's reduction order over the full grid's rows.
-        a, p = (np.broadcast_to(f, shape) for f in vu.interior)
+        a = np.broadcast_to(vu.interior[0], shape)
         times.append(step * dt)
         profiles.append(a.mean(axis=0))
         if keep_fields:
             snaps_a.append(a.copy())
-            snaps_p.append(p.copy())
+            snaps_p.append(np.broadcast_to(vu.interior[1], shape).copy())
 
     record(0)
     for step in range(1, n_steps + 1):
@@ -490,7 +496,7 @@ def integrate_pde(
         acc *= sixth
         u += acc
         # per field, so that a NaN in one does not skip the other's clamp
-        for field, low in zip(interiors, vu.interior.min(axis=(1, 2)).tolist()):
+        for field, low in zip(interiors, np.minimum.reduce(vu.interior, axis=(1, 2)).tolist()):
             if low < 0:
                 np.maximum(field, 0.0, out=field)
         if step % record_every == 0 or step == n_steps:
@@ -517,30 +523,23 @@ def run_pde(config: ExperimentConfig) -> tuple[PdeTrajectory, float]:
     return trajectory, pde.level
 
 
-def _crossing_position(profile: np.ndarray, level: float, dx: float) -> float | None:
-    """Rightmost x (cell centers at (i + 1/2) dx) where the profile is at
-    `level`, linearly interpolated; None if the profile never reaches it."""
-    above = np.flatnonzero(profile >= level)
-    if above.size == 0:
-        return None
-    i = int(above[-1])
-    x_i = (i + 0.5) * dx
-    if i + 1 >= profile.size:
-        return x_i
-    drop = profile[i] - profile[i + 1]
-    frac = (profile[i] - level) / drop if drop > 0 else 0.0
-    return x_i + min(max(frac, 0.0), 1.0) * dx
-
-
 def front_positions(trajectory: PdeTrajectory, level: float) -> np.ndarray:
-    """Per-record x of the front (level crossing of the y-averaged
-    active profile); NaN where the profile never reaches the level."""
+    """Per-record x of the front, in one pass over the profiles: from the
+    center (i + 1/2) dx of the rightmost cell i at or above `level`, the
+    fraction (profile[i] - level) / drop of a cell on, clipped to [0, 1],
+    where drop = profile[i] - profile[i + 1] is positive (0 at the last
+    cell); NaN where the profile never reaches the level."""
     check_real("level", level)
-    out = np.empty(trajectory.times.size)
-    for k, profile in enumerate(trajectory.profiles):
-        pos = _crossing_position(profile, level, trajectory.dx)
-        out[k] = np.nan if pos is None else pos
-    return out
+    profiles, dx = np.asarray(trajectory.profiles, dtype=float), trajectory.dx
+    above = profiles >= level
+    last = profiles.shape[1] - 1
+    i = last - above[:, ::-1].argmax(axis=1)
+    rows = np.arange(len(profiles))
+    top = profiles[rows, i]
+    drop = top - profiles[rows, np.minimum(i + 1, last)]
+    frac = np.divide(top - level, drop, out=np.zeros_like(drop), where=drop > 0)
+    x = (i + 0.5) * dx + np.clip(frac, 0.0, 1.0) * dx
+    return np.where(above[rows, i], x, np.nan)
 
 
 def front_speed(trajectory: PdeTrajectory, level: float) -> float:
@@ -586,6 +585,7 @@ def meanfield_report(config: ExperimentConfig) -> dict:
     p = sensor.detection_probability(spec, model)
     alpha = alpha_theory(spec, s, p, mf.g)
     r0_value = r0(p, net.n, spec.r_star, s, mf.g)
+    theta = 1.0 / r0_value if r0_value else math.inf  # R0 = 0 where p = 0
     supercritical = r0_value > 1.0
     try:
         c_star_opt = sensor.optimal_threshold(model)
@@ -594,7 +594,7 @@ def meanfield_report(config: ExperimentConfig) -> dict:
     gain = None
     if 0.0 < p < 1.0:
         gain = info_gain_conditions(
-            theta=1.0 / r0_value,
+            theta=theta,
             delta=net.delta,
             p=p,
             tau_star=spec.tau_star,
@@ -607,11 +607,11 @@ def meanfield_report(config: ExperimentConfig) -> dict:
         "p": p,
         "alpha": alpha,
         "r0": r0_value,
-        "theta": 1.0 / r0_value if supercritical else None,
+        "theta": theta if supercritical else None,
         "relaxation_time": relaxation_time(r0_value, spec.tau_star) if supercritical else None,
         "delta_min": gain.delta_min if gain else None,
         "n_threshold": gain.n_threshold if gain else None,
-        "n_star": math.ceil(4.0 / math.pi * s / spec.r_star ** 2),
+        "n_star": _n_star(s, spec.r_star),
         "c_star_opt": c_star_opt,
         "synchronized": synchronization_check(alpha, spec.tau_star, spec.r_star, mf.v_star),
         "conditions": {

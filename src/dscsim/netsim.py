@@ -31,7 +31,7 @@ One simulation step, synchronously:
   5. every rotation_period steps the permanent set is re-drawn uniformly
      among the non-faulty sensors.
 
-Simulation.step counts the populations after the tick into its record.
+Simulation.step records the active list's size and counts the timers.
 
 Runs are reproducible: placement, initial selection, per-sensor
 concentration series, failures and reshuffles all derive from the single
@@ -152,7 +152,9 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class SimRecord:
-    """Per-step population counts and traffic."""
+    """Per-step population counts and traffic. n_active is the size of the
+    active list, n_passive and n_faulty count the timers at 0 and FAULTY:
+    the three sum to n only while the list and the timers agree."""
 
     step: int
     n_active: int
@@ -191,7 +193,10 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
     lo = pos.min(axis=0)
-    extent = float((pos.max(axis=0) - lo).max())
+    # in Python floats, which overflow to inf without a warning
+    extent = max(high - low for high, low in zip(pos.max(axis=0).tolist(), lo.tolist()))
+    if not math.isfinite(2.0 * extent * extent):  # bounds every dx**2 + dy**2 below
+        raise ValueError(f"positions must span a finite 2 * extent**2, got extent {extent}")
     # The 2**-16 margin exceeds the rounding error of the distance test and
     # of the cell arithmetic, so every accepted pair lies in the same or an
     # adjacent cell. Cells at least extent / (2 isqrt(n) + 2) wide keep the
@@ -433,13 +438,12 @@ class Simulation:
         if len(self.seeds) != 1:
             raise ValueError("step() advances one run; a union has no single record")
         broadcasting, detecting, active = self._advance()
-        cfg = self.config
-        # Only failures make sensors faulty.
-        n_faulty = int(np.count_nonzero(self.remaining == FAULTY)) if cfg.failure_rate > 0.0 else 0
+        n_faulty, n_passive, _ = np.bincount(  # timers FAULTY, 0 and > 0
+            np.minimum(self.remaining, 1) + 1, minlength=3).tolist()
         return SimRecord(
             step=self.t,
             n_active=active.size,
-            n_passive=cfg.n - active.size - n_faulty,
+            n_passive=n_passive,
             n_faulty=n_faulty,
             messages_sent=broadcasting.size,
             detections=detecting.size,

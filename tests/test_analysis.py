@@ -118,6 +118,11 @@ class TestCalibrateG:
         with pytest.raises(ValueError):
             calibrate_g([(0.0, 1e-4)])
 
+    @pytest.mark.parametrize("pairs", [[1e-4, 2e-4], [(1e-4, 2e-4, 3e-4)], [[(1e-4, 2e-4)]]])
+    def test_pairs_of_another_shape_rejected(self, pairs):
+        with pytest.raises(ValueError, match=r"pairs must be \(alpha_sim, alpha_theory\) tuples"):
+            calibrate_g(pairs)
+
     @pytest.mark.parametrize("pair", [
         (math.nan, 1e-4), (1e-4, math.nan), (math.inf, 1e-4), (1e-4, math.inf),
     ])

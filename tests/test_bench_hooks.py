@@ -88,3 +88,12 @@ def test_tracer_counts_the_simulator_hooks():
     # One distinct seed in the run, two in the union.
     assert tracer.spans["netsim.place_sensors"].calls == 3
     assert tracer.spans["netsim.neighbor_csr"].calls == 3
+    # A sensor dropped from the active list keeps its timer, so every later
+    # record counts one sensor short of n.
+    with _tracer() as tracer:
+        sim = netsim.Simulation(config, spec, model)
+        sim.step()
+        sim._active = sim._active[1:]
+        for _ in range(3):
+            sim.step()
+    assert tracer.counts["netsim.conservation_violations"] == 3

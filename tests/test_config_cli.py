@@ -482,6 +482,29 @@ class TestCli:
             cli.dispatch(subcommand, _BASE, tmp_path, jobs=jobs)
         assert not any(tmp_path.iterdir())
 
+    def test_dispatch_rejects_an_unknown_subcommand(self, tmp_path):
+        with pytest.raises(ValueError, match="^unknown subcommand 'plot'$"):
+            cli.dispatch("plot", _BASE, tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_main_without_a_config_is_error_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("DSCSIM_CONFIG", raising=False)
+        assert cli.main(["simulate", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "dscsim simulate: error: --config is required (or set DSCSIM_CONFIG)\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_analyze_reads_the_input_path(self, tmp_path, config_file):
+        default, given = tmp_path / "default", tmp_path / "given"
+        assert cli.main(["sweep", "--config", str(config_file), "--out", str(default)]) == 0
+        assert cli.main(["analyze", "--config", str(config_file), "--out", str(default)]) == 0
+        moved = tmp_path / "elsewhere.csv"
+        (default / "sweep.csv").rename(moved)
+        assert cli.main(["analyze", "--config", str(config_file), "--out", str(given),
+                         "--input", str(moved)]) == 0
+        assert (given / "analysis.json").read_bytes() == (default / "analysis.json").read_bytes()
+        assert not (given / "sweep.csv").exists()
+
     def test_dispatch_accepts_jobs_on_pde(self, tmp_path):
         config = parse_config(MINIMAL + "\n[pde]\nnx = 12\nny = 2\nt_end = 3.0\ndt = 0.0625\n")
         assert cli.dispatch("pde", config, tmp_path, jobs=2) == 0

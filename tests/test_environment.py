@@ -125,6 +125,13 @@ def test_nan_concentration_rejected(law, c):
         law(REFERENCE, c)
 
 
+@pytest.mark.parametrize("law", [cdf, pdf_continuous])
+def test_scaled_concentration_past_the_float_range_rejected(law):
+    # omega / (gamma - 2) * c / c0 used to overflow in multiply
+    with pytest.raises(ValueError, match=r"finite, got c = 1e\+308 and c0 = 1e-300$"):
+        law(ConcentrationModel(c0=1e-300), [1.0, 1e308])
+
+
 def _bisect_cdf_inverse(model, u, lo=0.0, hi=1e9, iters=200):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)

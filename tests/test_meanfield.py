@@ -132,6 +132,8 @@ class TestClosedForms:
         (0.3, 400, math.nan, 1.0, "r_star must be finite and > 0, got nan"),
         # r_star ** 2 used to raise a bare OverflowError
         (1.0, 1e300, 1e200, 1.0, r"r_star \*\* 2 must be finite, got inf"),
+        # the finished value used to be returned as inf
+        (1.0, 1e300, 1e10, 1e10, r"R0 = g p n pi r_star\^2 / s must be finite and >= 0, got inf"),
     ])
     def test_r0_rejects_each_bad_argument_naming_it(self, p, n, r_star, g, message):
         # r0(-0.5, 400, 40.0, 1e6) used to return -1.005, and r0(nan, ...) NaN
@@ -143,6 +145,13 @@ class TestClosedForms:
         spec = SensorSpec(c_star=1.0, tau_star=5, r_star=1e200)
         with pytest.raises(ValueError, match=r"r_star \*\* 2 must be finite, got inf"):
             alpha_theory(spec, 1e6, 0.5, 1.0)
+
+    def test_alpha_theory_rejects_an_overflowing_rate(self):
+        # alpha_theory used to return inf
+        spec = SensorSpec(c_star=1.0, tau_star=5, r_star=1e10)
+        with pytest.raises(ValueError, match=(
+                r"alpha = g pi r_star\^2 p / \(tau_star s\) must be finite and >= 0, got inf")):
+            alpha_theory(spec, 1e6, 0.5, 1e300)
 
     def test_theta_scaling_laws(self):
         # theta = 1/R0 scales as 1/r*^2, 1/n, 1/p: evaluate at doubled arguments
@@ -212,13 +221,16 @@ class TestInfoGain:
         assert report.event_gain  # 0.2 < 0.5
         assert report.consistency  # delta_min = 5e-5 <= 0.8
 
-    @pytest.mark.parametrize("r_star, got", [
-        (1e-160, "inf"),  # used to fail in math.ceil(inf)
-        (1e200, "0.0"),  # used to raise OverflowError from r_star ** 2
-    ])
-    def test_counts_out_of_float_range_rejected(self, r_star, got):
-        with pytest.raises(ValueError, match=(
-                rf"s / \(pi r_star\^2 p \(1 - p\)\) must be finite and > 0, got {got}")):
+    @pytest.mark.parametrize("r_star, message", [
+        # used to fail in math.ceil(inf)
+        (1e-160, r"s / \(pi r_star\^2 p \(1 - p\)\) must be finite and > 0, got inf"),
+        # used to raise OverflowError from r_star ** 2
+        (1e200, r"r_star \*\* 2 must be finite and > 0, got inf"),
+        # used to raise ZeroDivisionError
+        (1e-170, r"r_star \*\* 2 must be finite and > 0, got 0.0"),
+    ], ids=["1e-160", "1e+200", "1e-170"])
+    def test_counts_out_of_float_range_rejected(self, r_star, message):
+        with pytest.raises(ValueError, match=message):
             info_gain_conditions(0.5, 0.01, 0.5, 5.0, 400, 100.0, 1e6, r_star)
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
@@ -916,7 +928,50 @@ def front_trajectory(snaps, dx):
                                    passive=[], dx=dx, profiles=profiles)
 
 
+def reference_front_positions(trajectory, level):
+    """Per record: the rightmost cell at or above level, plus the clipped
+    linear fraction of a positive drop to the next cell."""
+    out = []
+    for profile in trajectory.profiles:
+        above = np.flatnonzero(profile >= level)
+        if above.size == 0:
+            out.append(np.nan)
+            continue
+        i = int(above[-1])
+        drop = profile[i] - profile[i + 1] if i + 1 < profile.size else 0.0
+        frac = (profile[i] - level) / drop if drop > 0 else 0.0
+        out.append((i + 0.5) * trajectory.dx + min(max(frac, 0.0), 1.0) * trajectory.dx)
+    return np.array(out)
+
+
 class TestFrontTracking:
+    def test_positions_are_the_per_record_reference(self):
+        gen = np.random.default_rng(4)
+        for trial in range(50):
+            profiles = gen.random((6, 9))
+            if trial % 2:  # ties and flat runs
+                profiles = np.round(profiles, 1)
+            traj = meanfield.PdeTrajectory(times=np.arange(6.0), active=[], passive=[],
+                                           dx=float(gen.uniform(0.1, 5.0)), profiles=profiles)
+            level = float(gen.random())
+            expected = reference_front_positions(traj, level)
+            assert front_positions(traj, level).tobytes() == expected.tobytes()
+
+    def test_rightmost_crossing_is_tracked(self):
+        # Two crossings; the front is the one furthest from the seed.
+        traj = front_trajectory([np.array([[1.0, 0.0, 1.0, 0.5, 0.0]])], dx=2.0)
+        assert front_positions(traj, 0.75).tolist() == [6.0]  # (2 + 1/2 + 1/2) dx
+
+    def test_crossing_at_the_last_cell_is_its_center(self):
+        traj = front_trajectory([np.full((2, 6), 0.8), np.full((2, 6), 0.1)], dx=3.0)
+        pos = front_positions(traj, 0.5)
+        assert pos[0] == 5.5 * 3.0 and np.isnan(pos[1])
+
+    def test_speed_needs_four_records(self):
+        traj = front_trajectory([seeded_fields()[0] for _ in range(3)], dx=5.0)
+        with pytest.raises(ValueError, match="trajectory too short to measure a front"):
+            front_speed(traj, 0.25)
+
     def test_stationary_front_speed_zero(self):
         snaps = [seeded_fields()[0] for _ in range(8)]
         traj = front_trajectory(snaps, dx=5.0)
@@ -955,6 +1010,40 @@ class TestFrontTracking:
         traj = front_trajectory(snaps, dx=1.0)
         with pytest.raises(ValueError, match="monotone"):
             front_speed(traj, 0.5)
+
+
+class TestMeanfieldReport:
+    CONFIG = """\
+[environment]
+c0 = 150.0
+{omega}
+[sensor]
+c_star = {c_star}
+tau_star = 5
+r_star = {r_star}
+
+[network]
+n = 400
+width = 1000.0
+height = 1000.0
+"""
+
+    def report(self, omega="", c_star=154.5, r_star=40.0):
+        text = self.CONFIG.format(omega=omega, c_star=c_star, r_star=r_star)
+        return meanfield.meanfield_report(parse_config(text))
+
+    @pytest.mark.parametrize("omega", [0.5, 0.3])
+    def test_no_optimal_threshold_at_omega_up_to_one_half(self, omega):
+        assert self.report(omega=f"omega = {omega}\n")["c_star_opt"] is None
+
+    # p = 0 at c* = 1e9, where the information-gain conditions are skipped;
+    # at 1e-170 r_star ** 2 underflows to 0.
+    @pytest.mark.parametrize("r_star", [1e-160, 1e-170])
+    def test_n_star_past_the_float_range_rejected_naming_it(self, r_star):
+        # used to raise OverflowError: cannot convert float infinity to integer
+        with pytest.raises(ValueError, match=(
+                r"^n_star = \(4 / pi\) s / r_star\^2 must be finite and >= 0, got inf$")):
+            self.report(c_star=1e9, r_star=r_star)
 
 
 class TestSynchronization:

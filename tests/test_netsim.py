@@ -217,6 +217,22 @@ class TestNeighborSearch:
         with pytest.raises(ValueError, match="positions"):
             neighbor_csr(pos, 40.0)
 
+    def test_no_points_no_edges(self):
+        indptr, indices = neighbor_csr(np.zeros((0, 2)), 40.0)
+        assert indptr.tolist() == [0] and indices.size == 0
+
+    @pytest.mark.parametrize("positions", [
+        [[0.0, 0.0], [1e200, 1e200], [-1e200, 5.0]],  # used to overflow in square
+        [[0.0, 0.0], [1e154, 1e154]],  # each square is finite, their sum is not
+    ])
+    def test_extent_whose_squares_overflow_rejected(self, positions):
+        with pytest.raises(ValueError, match=r"positions must span a finite 2 \* extent\*\*2"):
+            neighbor_csr(positions, 1.0)
+
+    def test_largest_extent_accepted(self):
+        indptr, indices = neighbor_csr([[0.0, 0.0], [9e153, 9e153]], 1.3e154)
+        assert indptr.tolist() == [0, 1, 2] and indices.tolist() == [1, 0]
+
     @pytest.mark.parametrize("shape", [(3, 3), (3,), (3, 1), (2, 3, 2), ()])
     def test_positions_must_be_k_by_2(self, shape):
         # (3, 3) and 1-D positions used to fail with "too many values to unpack"
@@ -287,6 +303,23 @@ class TestStepSemantics:
         faulty = [r.n_faulty for r in records]
         assert all(a <= b for a, b in zip(faulty, faulty[1:]))  # absorbing
         assert faulty[-1] > 0
+
+    def test_record_counts_the_active_list_and_the_timers(self):
+        cfg = NetworkConfig(n=150, width=400.0, height=400.0, delta=0.1, rotation_period=20,
+                            initial_active=5, failure_rate=0.01, seed=8)
+        sim = Simulation(cfg, SPEC40, REFERENCE)
+        for _ in range(100):
+            record = sim.step()
+            timers = sim.remaining
+            assert record.n_active == sim._active.size == np.count_nonzero(timers > 0)
+            assert record.n_passive == np.count_nonzero(timers == 0)
+            assert record.n_faulty == np.count_nonzero(timers == FAULTY)
+        assert record.n_faulty > 0
+        # A sensor dropped from the active list keeps its timer: the record
+        # no longer sums to n.
+        sim._active = sim._active[1:]
+        record = sim.step()
+        assert record.n_active + record.n_passive + record.n_faulty == cfg.n - 1
 
     def test_all_faulty_network_goes_silent(self):
         cfg = NetworkConfig(

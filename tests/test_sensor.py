@@ -83,6 +83,12 @@ class TestDetectionProbability:
         spec = SensorSpec(c_star=1e12, tau_star=5, r_star=10.0)
         assert detection_probability(spec, REFERENCE) < 1e-9
 
+    def test_threshold_past_the_float_range_of_the_law_rejected(self):
+        # cdf used to overflow in multiply and return p = 0
+        spec = SensorSpec(c_star=1e308, tau_star=5, r_star=10.0)
+        with pytest.raises(ValueError, match=r"got c = 1e\+308 and c0 = 1e-300$"):
+            detection_probability(spec, ConcentrationModel(c0=1e-300))
+
     def test_nonincreasing_in_threshold_and_bounded(self):
         thresholds = np.linspace(0, 2000, 200)
         ps = [
