@@ -15,7 +15,7 @@ import numpy as np
 
 from . import environment, meanfield, netsim, sensor
 from .checks import check_real
-from .config import ExperimentConfig, apply_override, sweep_points
+from .config import ExperimentConfig, sweep_grid
 from .environment import ConcentrationModel
 
 # Columns of sweep.csv after "point" and the sweep axes.
@@ -144,31 +144,27 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> list[list]:
     through netsim.run_members; each row holds one member's raw tail
     statistics (dying runs included) and the point's p and alpha at g = 1.
     Rows come in grid order, then seed order, whatever jobs is. A point
-    with fewer run.steps than extract_plateau needs is rejected before any
-    member runs.
+    with fewer run.steps than extract_plateau needs, or whose contact rate
+    alpha_theory rejects, is rejected before any member runs.
     """
     n_seeds, base_seed = config.run.n_seeds, config.network.seed
-    points = sweep_points(config)
-    configs = []
-    for point in points:
-        cfg = config
-        for path, value in point.items():
-            cfg = apply_override(cfg, path, value)
+    grid = sweep_grid(config)
+    theory = []  # (p, alpha at g = 1) per point
+    for _, cfg in grid:
         if cfg.run.steps < _MIN_POINTS:
             raise ValueError(f"run.steps must be >= {_MIN_POINTS} to extract a plateau, "
                              f"got {cfg.run.steps}")
-        configs.append(cfg)
+        p = sensor.detection_probability(cfg.sensor, cfg.environment)
+        theory.append((p, meanfield.alpha_theory(cfg.sensor, cfg.network.area, p, 1.0)))
     members = [
         (replace(cfg.network, seed=base_seed + k), cfg.sensor, cfg.environment, cfg.run.steps)
-        for cfg in configs
+        for _, cfg in grid
         for k in range(n_seeds)
     ]
     trajectories = iter(netsim.run_members(members, jobs))
     rows = []
-    for index, (point, cfg) in enumerate(zip(points, configs)):
+    for index, ((point, cfg), (p, alpha_g1)) in enumerate(zip(grid, theory)):
         spec, net = cfg.sensor, cfg.network
-        p = sensor.detection_probability(spec, cfg.environment)
-        alpha_g1 = meanfield.alpha_theory(spec, net.area, p, 1.0)
         for k in range(n_seeds):
             mean, std = extract_plateau(
                 next(trajectories), cfg.run.tail_fraction, check_stationary=False

@@ -207,7 +207,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if section in _REQUIRED_SECTIONS and not parser.has_section(section):
             raise ValueError(f"missing required section [{section}]")
         built[section] = cls(**_section_kwargs(parser, section))
-    return ExperimentConfig(sweep=_parse_sweep(parser), **built)
+    config = ExperimentConfig(sweep=_parse_sweep(parser), **built)
+    sweep_grid(config)  # every sweep point passes its sections' checks
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -262,26 +264,43 @@ def sweep_points(config: ExperimentConfig) -> list[dict]:
     return points
 
 
+def sweep_grid(config: ExperimentConfig) -> list[tuple[dict, ExperimentConfig]]:
+    """(point, config at that point) for each of sweep_points, the point's
+    values applied in axis order; a value that a section rejects raises
+    "bad value for <path>: ..."."""
+    grid = []
+    for point in sweep_points(config):
+        cfg = config
+        for path, value in point.items():
+            try:
+                cfg = apply_override(cfg, path, value)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {path}: {exc}") from exc
+        grid.append((point, cfg))
+    return grid
+
+
 def resolve_pde(config: ExperimentConfig) -> PdeSettings:
     """Fill the derive-me (zero) PDE fields from the rest of the config."""
     from . import meanfield, sensor
 
     spec = config.sensor
     pde = config.pde
-    if not math.isfinite(pde.dx * pde.dx):
-        raise ValueError(f"dx = {pde.dx} is too large: dx^2 is not finite")
-    d = pde.diffusivity or spec.r_star ** 2 / spec.tau_star
+    check_real("dx ** 2", pde.dx * pde.dx)
     p = sensor.detection_probability(spec, config.environment)
+    # r0 rejects an r_star ** 2 that is not finite and > 0
     r0_value = meanfield.r0(
         p, config.network.n, spec.r_star, config.network.area, config.meanfield.g
     )
+    d = pde.diffusivity or check_real("diffusivity = r_star^2 / tau_star",
+                                      spec.r_star ** 2 / spec.tau_star, gt=0)
     alpha = pde.alpha or r0_value / spec.tau_star
-    dt = pde.dt if pde.dt else 0.5 * pde.dx ** 2 / (4.0 * d)
+    dt = check_real("dt", pde.dt or 0.5 * pde.dx ** 2 / (4.0 * d), gt=0)
+    steps_per_unit = check_real("1 / dt", 1.0 / dt)
+    check_real("t_end / dt", pde.t_end / dt)
     growth = alpha - 1.0 / spec.tau_star
     capacity = growth / alpha if alpha > 0 and growth > 0 else 0.0
     level = pde.level or (capacity / 2.0 if capacity > 0 else pde.seed_level / 2.0)
-    if not (0 < dt < math.inf and math.isfinite(1.0 / dt) and math.isfinite(pde.t_end / dt)):
-        raise ValueError(f"dt = {dt} must be finite and > 0, with finite 1 / dt and t_end / dt")
-    record_every = pde.record_every or max(1, round(1.0 / dt))
+    record_every = pde.record_every or max(1, round(steps_per_unit))
     return replace(pde, diffusivity=d, alpha=alpha, dt=dt, level=level,
                    record_every=record_every)

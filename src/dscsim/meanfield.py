@@ -40,7 +40,7 @@ def alpha_theory(spec: SensorSpec, s: float, p: float, g: float) -> float:
     check_real("s", s, gt=0)
     check_real("p", p, ge=0, le=1)
     check_real("g", g, gt=0)
-    check_real("r_star ** 2", spec.r_star * spec.r_star)  # ** raises OverflowError
+    check_real("r_star ** 2", spec.r_star * spec.r_star, gt=0)  # ** raises OverflowError
     return check_real("alpha = g pi r_star^2 p / (tau_star s)",
                       g * math.pi * spec.r_star ** 2 * p / (spec.tau_star * s), ge=0)
 
@@ -56,7 +56,7 @@ def r0(p: float, n: int, r_star: float, s: float, g: float = 1.0) -> float:
     check_real("g", g, gt=0)
     check_real("n", n, ge=0)
     check_real("r_star", r_star, gt=0)
-    check_real("r_star ** 2", r_star * r_star)  # ** raises OverflowError
+    check_real("r_star ** 2", r_star * r_star, gt=0)  # ** raises OverflowError
     return check_real("R0 = g p n pi r_star^2 / s", g * p * n * math.pi * r_star ** 2 / s, ge=0)
 
 
@@ -69,8 +69,11 @@ def logistic_solution(z0: float, b: float, t):
     check_real("z0", z0, ge=0, le=1)
     check_real("b", b)
     t_arr = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):  # exp overflow -> inf denominator -> z = 0
-        out = z0 / ((1.0 - z0) * np.exp(-b * t_arr) + z0)
+    if z0 in (0, 1):  # fixed points, where the formula can give 0 / 0 or 0 * inf
+        out = np.full(t_arr.shape, z0, dtype=float)
+    else:
+        with np.errstate(over="ignore"):  # exp overflow -> inf denominator -> z = 0
+            out = z0 / ((1.0 - z0) * np.exp(-b * t_arr) + z0)
     return out if t_arr.ndim else float(out)
 
 
@@ -85,7 +88,7 @@ def relaxation_time(r0_value: float, tau_star: float) -> float:
     """Time scale tau_star / (R0 - 1) to reach the supercritical steady state."""
     check_real("r0_value", r0_value, gt=1)
     check_real("tau_star", tau_star, gt=0)
-    return tau_star / (r0_value - 1.0)
+    return check_real("tau_star / (r0_value - 1)", tau_star / (r0_value - 1.0))
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,8 @@ def info_gain_conditions(
     check_real("s", s, gt=0)
     check_real("r_star", r_star, gt=0)
     check_real("r_star ** 2", r_star * r_star, gt=0)  # ** raises OverflowError; a divisor
-    delta_min = tau_star / (p * n * t_detect)
+    rate = check_real("p n t_detect", p * n * t_detect, gt=0, le=math.inf)  # a divisor
+    delta_min = check_real("delta_min = tau_star / (p n t_detect)", tau_star / rate)
     quotient = s / (math.pi * r_star ** 2) / (p * (1.0 - p))
     return InfoGainReport(
         dsc_superior=theta <= 1.0 - delta,
@@ -150,9 +154,8 @@ def info_gain_conditions(
 
 def _n_star(s: float, r_star: float) -> int:
     """InfoGainReport.n_star, for any p; a ValueError names it when it is not
-    finite. The callers have checked that r_star ** 2 does not overflow."""
-    square = r_star ** 2
-    count = 4.0 / math.pi * s / square if square else math.inf
+    finite. The callers have checked that r_star ** 2 is finite and > 0."""
+    count = 4.0 / math.pi * s / r_star ** 2
     return math.ceil(check_real("n_star = (4 / pi) s / r_star^2", count, ge=0))
 
 
@@ -257,12 +260,10 @@ def integrate_sis(
     check_real("t_end", t_end, gt=0)
     check_real("dt", dt, gt=0)
     check_real("rel_tol", rel_tol, gt=0)
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt = {t_end} / {dt} steps is not finite")
+    m = max(1, round(check_real("t_end / dt", t_end / dt)))
     # an int operand takes every stage off CPython's float fast path
     tau_star, n, nu = _to_float("tau_star", tau_star), _to_float("n", n), float(nu)
 
-    m = max(1, round(t_end / dt))
     times = np.arange(m + 1) * dt
     grid = times.tolist()  # scalar arithmetic is faster on floats than on numpy scalars
     equal = _equal_widths(times)
@@ -422,12 +423,10 @@ def integrate_pde(
             raise ValueError("initial fields must be finite and non-negative")
     check_real("dx", dx, gt=0)
     check_real("d", d, ge=0)
-    if not math.isfinite(dx * dx):
-        raise ValueError(f"dx = {dx} is too large: dx^2 is not finite")
+    check_real("dx ** 2", dx * dx)
     check_real("dt", dt, gt=0)
     check_real("t_end", t_end, gt=0)
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt = {t_end} / {dt} steps is not finite")
+    n_steps = max(1, round(check_real("t_end / dt", t_end / dt)))
     check_real("tau_star", tau_star, gt=0, le=math.inf)  # inf turns off deactivation
     check_integer("record_every", record_every, 1)
     if d > 0:
@@ -438,11 +437,7 @@ def integrate_pde(
             )
         with np.errstate(over="ignore"):  # an infinite sum is rejected below
             top = float((a0 + p0).max())
-        if not math.isfinite(64.0 * (top / (dx * dx))):  # see the docstring
-            raise ValueError(
-                f"dx = {dx} is too small for fields up to {top}: the Laplacian "
-                f"bound 64 * {top} / dx^2 is not finite"
-            )
+        check_real("64 max(a0 + p0) / dx^2", 64.0 * (top / (dx * dx)))  # see the docstring
     alpha = np.asarray(alpha_field, dtype=float)
     if not np.all((alpha >= 0) & np.isfinite(alpha)):
         raise ValueError("alpha_field must be finite and non-negative")
@@ -467,7 +462,6 @@ def integrate_pde(
     vu.interior[0], vu.interior[1] = a0[:rows], p0[:rows]
     interiors = list(vu.interior)
     half, whole, two, sixth = _scalars(0.5 * dt, dt, 2.0, dt / 6.0)
-    n_steps = max(1, round(t_end / dt))
     times, profiles, snaps_a, snaps_p = [], [], [], []
 
     def record(step: int) -> None:
@@ -571,6 +565,8 @@ def synchronization_check(alpha: float, tau_star: float, r_star: float, v_star: 
     check_real("tau_star", tau_star, gt=0)
     check_real("r_star", r_star, gt=0)
     check_real("v_star", v_star, ge=0)
+    check_real("r_star ** 2", r_star * r_star, gt=0)  # ** raises OverflowError; a divisor
+    check_real("v_star ** 2", v_star * v_star)  # ** raises OverflowError
     return alpha >= v_star ** 2 * tau_star / r_star ** 2
 
 

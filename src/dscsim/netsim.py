@@ -137,9 +137,7 @@ class NetworkConfig:
         check_real("failure_rate", self.failure_rate, ge=0, le=1)
         if self.rotation_period is not None:
             check_integer("rotation_period", self.rotation_period, 0)
-        check_integer("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_integer("seed", self.seed, 0)
 
     @property
     def area(self) -> float:
@@ -195,8 +193,7 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
     lo = pos.min(axis=0)
     # in Python floats, which overflow to inf without a warning
     extent = max(high - low for high, low in zip(pos.max(axis=0).tolist(), lo.tolist()))
-    if not math.isfinite(2.0 * extent * extent):  # bounds every dx**2 + dy**2 below
-        raise ValueError(f"positions must span a finite 2 * extent**2, got extent {extent}")
+    check_real("2 * extent**2 of positions", 2.0 * extent * extent)  # bounds dx**2 + dy**2 below
     # The 2**-16 margin exceeds the rounding error of the distance test and
     # of the cell arithmetic, so every accepted pair lies in the same or an
     # adjacent cell. Cells at least extent / (2 isqrt(n) + 2) wide keep the

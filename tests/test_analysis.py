@@ -269,14 +269,25 @@ class TestSweepBridge:
     def test_sweep_rejects_an_infinite_area_before_running(self, monkeypatch):
         # demo-sparse at width = height = 1e200, reached through a sweep point
         text = (CONFIGS / "demo-sparse.ini").read_text(encoding="utf-8")
-        config = parse_config(text.replace("height = 1000.0", "height = 1e200")
-                              + "network.width = 1e200\n")
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a member ran")
 
         monkeypatch.setattr(netsim, "run_members", unreachable)
         with pytest.raises(ValueError, match=r"width \* height must be finite and > 0, got inf"):
+            config = parse_config(text.replace("height = 1000.0", "height = 1e200")
+                                  + "network.width = 1e200\n")
+            sweep(config)
+
+    def test_sweep_rejects_a_vanishing_range_before_running(self, monkeypatch):
+        # r_star ** 2 underflows to 0 at 1e-170, where alpha_theory_g1 used
+        # to be written as 0.0 after every member ran
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(netsim, "run_members", unreachable)
+        config = parse_config(SWEEP_CONFIG.replace("r_star = 30, 90", "r_star = 30, 1e-170"))
+        with pytest.raises(ValueError, match=r"^r_star \*\* 2 must be finite and > 0, got 0.0$"):
             sweep(config)
 
     def test_analyze_sweep_groups_points(self):

@@ -5,17 +5,22 @@ config dataclasses, with the interval it accepts. For each row the table
 tries NaN, -inf, +inf (unless the interval is closed there) and the value
 just outside each finite bound, and expects a ValueError that names the
 parameter, its interval and the value; every closed bound must pass.
-test_every_real_parameter_has_a_row keeps the table complete.
+test_every_real_parameter_has_a_row keeps the table complete, and
+test_closed_forms_give_finite_values_or_name_an_argument tries the rows'
+callables at the extremes of the float range.
 """
 
 import dataclasses
 import inspect
 import math
 import re
+import warnings
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dscsim
 from dscsim.config import ExperimentConfig, MeanFieldSettings, PdeSettings, RunSettings
@@ -214,3 +219,68 @@ def test_every_real_parameter_has_a_row():
 def test_every_row_has_valid_arguments():
     for target, _, _ in ROWS:
         _call(target)
+
+
+# Every callable of ROWS but the two solvers, whose step counts and
+# stability bounds are policies of their own.
+SOLVERS = {dscsim.integrate_sis, dscsim.integrate_pde}
+CLOSED_FORMS = sorted({target for target, _, _ in ROWS} - SOLVERS, key=lambda t: t.__name__)
+EXTREMES = [sign * size for sign in (1.0, -1.0)
+            for size in (1e300, 1e-300, 5e-324, 1.7976931348623157e308, 1e160, 1e-160)]
+
+
+def _near_bounds(interval):
+    """Each finite bound of the interval and the floats on either side of it."""
+    low, _, high, _ = _bounds(interval)
+    return [value for bound in (low, high) if math.isfinite(bound)
+            for value in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))]
+
+
+@st.composite
+def _closed_form_calls(draw):
+    """A callable of CLOSED_FORMS and some of its rows' parameters, each at
+    an extreme or next to a bound of its interval."""
+    target = draw(st.sampled_from(CLOSED_FORMS))
+    changed = {}
+    for row_target, param, interval in ROWS:
+        if row_target is target and draw(st.booleans()):
+            changed[param] = draw(st.sampled_from(EXTREMES + _near_bounds(interval)))
+    return target, changed
+
+
+def _floats(value):
+    """Every float in a result: a scalar, an array, or a tuple or dataclass of them."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [x for item in value for x in _floats(item)]
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist()
+    return [value] if isinstance(value, float) else []
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(call=_closed_form_calls())
+# each raised ZeroDivisionError or OverflowError, or returned inf or NaN
+@example(call=(dscsim.info_gain_conditions, dict(p=1e-300, t_detect=1e-300)))
+@example(call=(dscsim.info_gain_conditions, dict(t_detect=5e-324)))
+@example(call=(dscsim.synchronization_check, dict(r_star=1e300)))
+@example(call=(dscsim.synchronization_check, dict(v_star=1e300)))
+@example(call=(dscsim.synchronization_check, dict(r_star=1e-300)))
+@example(call=(dscsim.logistic_solution, dict(z0=0.0, b=1e300)))
+@example(call=(dscsim.logistic_solution, dict(z0=1.0, b=-1e300)))
+@example(call=(dscsim.relaxation_time, dict(r0_value=1.0000000000000002, tau_star=1e300)))
+def test_closed_forms_give_finite_values_or_name_an_argument(call):
+    target, changed = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = _call(target, **changed)
+        except ValueError as exc:
+            names = inspect.signature(target).parameters
+            assert any(re.search(rf"\b{name}\b", str(exc)) for name in names), exc
+            return
+    if target is dscsim.front_positions:  # NaN where the profile never reaches the level
+        level = changed.get("level", VALID[target]["level"])
+        result = result[STEPS.profiles.max(axis=1) >= level]
+    assert all(math.isfinite(x) for x in _floats(result)), result

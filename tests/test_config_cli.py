@@ -20,8 +20,11 @@ from dscsim.config import (
     parse_config,
     resolve_pde,
     serialize_config,
+    sweep_grid,
     sweep_points,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """\
 [environment]
@@ -143,7 +146,7 @@ class TestParsing:
 
     def test_negative_seed_rejected(self):
         # numpy used to reject it late (simulate) or not at all (meanfield)
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
             parse_config(MINIMAL + "seed = -1\n")
 
     @pytest.mark.parametrize("line, key", [
@@ -165,7 +168,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("name", ["demo-sparse.ini", "demo-dense.ini"])
     def test_shipped_demo_configs_valid(self, name):
-        path = Path(__file__).resolve().parent.parent / "configs" / name
+        path = CONFIGS / name
         cfg = load_config(path)
         assert cfg.network.n == 400
         assert cfg.sweep  # both demos carry a sweep grid
@@ -216,7 +219,12 @@ def _configs(draw):
     for path in draw(st.lists(st.sampled_from(_SWEEPABLE), max_size=2, unique=True)):
         kind = KEY_TYPES[path].replace(" | None", "")
         values = draw(st.lists(_VALUES[kind], min_size=1, max_size=3))
-        axes.append(SweepAxis(path=path, values=tuple(values)))
+        axis = SweepAxis(path=path, values=tuple(values))
+        try:
+            sweep_grid(replace(cfg, sweep=(*axes, axis)))
+        except ValueError:
+            continue  # a value breaks an invariant of its section; drop the axis
+        axes.append(axis)
     return replace(cfg, sweep=tuple(axes))
 
 
@@ -256,6 +264,17 @@ class TestSweep:
     ])
     def test_bad_axis_value_names_its_axis(self, path, raw, reason):
         with pytest.raises(ValueError, match=f"bad value for {path}: {reason}"):
+            parse_config(SMALL_RUN + f"\n[sweep]\n{path} = {raw}\n")
+
+    @pytest.mark.parametrize("path, raw, reason", [
+        ("sensor.r_star", "-5, 20", "r_star must be finite and > 0, got -5.0"),
+        ("network.n", "0", "n must be an integer >= 1, got 0"),
+        ("network.initial_active", "1000", r"permanent sensors \(0\) plus initial_active"),
+        ("sensor.tau_star", "0", "tau_star must be an integer >= 1, got 0"),
+    ])
+    def test_point_its_section_rejects_names_its_axis(self, path, raw, reason):
+        # used to pass parse_config, so meanfield, pde and simulate ran on it
+        with pytest.raises(ValueError, match=f"^bad value for {path}: {reason}"):
             parse_config(SMALL_RUN + f"\n[sweep]\n{path} = {raw}\n")
 
     def test_empty_axis_rejected(self):
@@ -299,12 +318,12 @@ class TestResolvePde:
 
     @pytest.mark.parametrize("pde", SUBNORMAL_DT, ids=["explicit", "derived"])
     def test_dt_too_small_to_count_steps_rejected(self, pde):
-        with pytest.raises(ValueError, match=r"dt = .* 1 / dt and t_end / dt"):
+        with pytest.raises(ValueError, match=r"^1 / dt must be finite, got inf$"):
             resolve_pde(parse_config(MINIMAL + "\n[pde]\n" + pde))
 
     @pytest.mark.parametrize("pde", HUGE_DX, ids=["explicit-dt", "derived-dt"])
     def test_dx_with_overflowing_square_rejected(self, pde):
-        with pytest.raises(ValueError, match=r"dx = 1e\+200 is too large"):
+        with pytest.raises(ValueError, match=r"^dx \*\* 2 must be finite, got inf$"):
             resolve_pde(parse_config(MINIMAL + "\n[pde]\n" + pde))
 
     @pytest.mark.parametrize("level", [0.0, 1.0])
@@ -426,7 +445,7 @@ class TestCli:
         path.write_text(MINIMAL + "\n[pde]\n" + pde, encoding="utf-8")
         assert cli.main(["pde", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert re.search(r"^dscsim pde: error: dt = ", err, re.MULTILINE), err
+        assert re.search(r"^dscsim pde: error: 1 / dt must be finite", err, re.MULTILINE), err
 
     @pytest.mark.parametrize("pde", HUGE_DX, ids=["explicit-dt", "derived-dt"])
     def test_pde_dx_too_large_is_error_exit_naming_dx(self, tmp_path, capsys, pde):
@@ -435,7 +454,24 @@ class TestCli:
         path.write_text(MINIMAL + "\n[pde]\n" + pde, encoding="utf-8")
         assert cli.main(["pde", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert re.search(r"^dscsim pde: error: dx = ", err, re.MULTILINE), err
+        assert re.search(r"^dscsim pde: error: dx \*\* 2 must be finite", err, re.MULTILINE), err
+
+    @pytest.mark.parametrize("r_star, message", [
+        # used to exit with "float division by zero"
+        ("1e-170", r"r_star \*\* 2 must be finite and > 0, got 0.0"),
+        # used to exit with "(34, 'Numerical result out of range')"
+        ("1e200", r"r_star \*\* 2 must be finite and > 0, got inf"),
+        # r_star ** 2 is the least subnormal, and a fifth of it rounds to 0
+        ("2.3e-162", r"diffusivity = r_star\^2 / tau_star must be finite and > 0, got 0.0"),
+    ])
+    def test_pde_derived_diffusivity_out_of_range_is_error_exit(self, tmp_path, capsys,
+                                                                r_star, message):
+        text = (CONFIGS / "demo-dense.ini").read_text(encoding="utf-8")
+        text = re.sub(r"^(dt|diffusivity) = .*\n", "", text, flags=re.M)
+        path = tmp_path / "pde.ini"
+        path.write_text(text.replace("r_star = 65.0", f"r_star = {r_star}"), encoding="utf-8")
+        assert cli.main(["pde", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert re.fullmatch(f"dscsim pde: error: {message}\n", capsys.readouterr().err)
 
     def test_missing_config_is_error_exit(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.ini"),
@@ -515,7 +551,7 @@ class TestCli:
         argv = [subcommand, "--config", str(config_file), "--out", str(tmp_path), "--seed=-1"]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == (
-            f"dscsim {subcommand}: error: seed must be >= 0, got -1\n")
+            f"dscsim {subcommand}: error: seed must be an integer >= 0, got -1\n")
         assert not (tmp_path / "manifest.json").exists()
 
     def test_env_var_jobs_zero_is_error_exit(self, tmp_path, config_file, capsys, monkeypatch):

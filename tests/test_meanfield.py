@@ -131,7 +131,7 @@ class TestClosedForms:
         (0.3, 400, math.inf, 1.0, "r_star must be finite and > 0, got inf"),
         (0.3, 400, math.nan, 1.0, "r_star must be finite and > 0, got nan"),
         # r_star ** 2 used to raise a bare OverflowError
-        (1.0, 1e300, 1e200, 1.0, r"r_star \*\* 2 must be finite, got inf"),
+        (1.0, 1e300, 1e200, 1.0, r"r_star \*\* 2 must be finite and > 0, got inf"),
         # the finished value used to be returned as inf
         (1.0, 1e300, 1e10, 1e10, r"R0 = g p n pi r_star\^2 / s must be finite and >= 0, got inf"),
     ])
@@ -143,7 +143,7 @@ class TestClosedForms:
     def test_alpha_theory_rejects_an_overflowing_range(self):
         # r_star ** 2 used to raise a bare OverflowError
         spec = SensorSpec(c_star=1.0, tau_star=5, r_star=1e200)
-        with pytest.raises(ValueError, match=r"r_star \*\* 2 must be finite, got inf"):
+        with pytest.raises(ValueError, match=r"r_star \*\* 2 must be finite and > 0, got inf"):
             alpha_theory(spec, 1e6, 0.5, 1.0)
 
     def test_alpha_theory_rejects_an_overflowing_rate(self):
@@ -189,6 +189,13 @@ class TestLogistic:
         h = t[1] - t[0]
         dz = (z[2:] - z[:-2]) / (2 * h)
         assert np.max(np.abs(dz - b * z[1:-1] * (1 - z[1:-1]))) < 1e-6
+
+    @pytest.mark.parametrize("z0, b", [(0.0, 1e300), (1.0, -1e300), (0.0, -0.5), (1.0, 0.5)])
+    def test_fixed_points_stay_put(self, z0, b):
+        # the first two used to give NaN, from 0 / 0 and 0 * inf
+        t = np.array([0.0, 1.0, 1e4])
+        assert logistic_solution(z0, b, t).tolist() == [z0] * 3
+        assert logistic_solution(z0, b, 1.0) == z0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -472,7 +479,7 @@ class TestIntegrateSis:
         assert time.perf_counter() - start < 5.0
 
     def test_overflowing_step_count_rejected(self):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match=r"^t_end / dt must be finite, got inf$"):
             integrate_sis(1e-3, 5.0, 400.0, 1.0, 10.0, t_end=1e300, dt=1e-300)
 
     def test_long_grid_converges(self):
@@ -547,7 +554,7 @@ class TestIntegratePde:
             integrate_pde(seeded_fields(), 0.4, 5.0, t_end=t_end, dt=dt, dx=DX, d=0.0)
 
     def test_step_count_overflow_rejected(self):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match=r"^t_end / dt must be finite, got inf$"):
             integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1e300, dt=1e-300, dx=DX, d=0.0)
 
     @pytest.mark.parametrize("tau_star", [0.0, -5.0, math.nan])
@@ -644,7 +651,7 @@ class TestIntegratePde:
     @pytest.mark.parametrize("d", [1.0, 0.0])
     def test_dx_with_overflowing_square_rejected(self, d):
         # dx ** 2 used to raise OverflowError, which names no argument
-        with pytest.raises(ValueError, match=r"dx = 1e\+200 is too large"):
+        with pytest.raises(ValueError, match=r"^dx \*\* 2 must be finite, got inf$"):
             integrate_pde(seeded_fields(), 0.4, 5.0, t_end=1.0, dt=0.25, dx=1e200, d=d)
 
     @pytest.mark.filterwarnings("error")
@@ -659,7 +666,8 @@ class TestIntegratePde:
         dt = dx * dx / (4 * d)
         args = ((scale * active, np.zeros((4, 4))), 0.0, math.inf, dt, dt, dx, d)
         if scale == 1.0:
-            with pytest.raises(ValueError, match=r"dx = 1\.19\d*e-154 is too small"):
+            with pytest.raises(ValueError,
+                               match=r"^64 max\(a0 \+ p0\) / dx\^2 must be finite, got inf$"):
                 integrate_pde(*args)
         else:
             assert np.isfinite(integrate_pde(*args).active[-1]).all()
@@ -1038,11 +1046,13 @@ height = 1000.0
 
     # p = 0 at c* = 1e9, where the information-gain conditions are skipped;
     # at 1e-170 r_star ** 2 underflows to 0.
-    @pytest.mark.parametrize("r_star", [1e-160, 1e-170])
-    def test_n_star_past_the_float_range_rejected_naming_it(self, r_star):
+    @pytest.mark.parametrize("r_star, message", [
+        (1e-160, r"^n_star = \(4 / pi\) s / r_star\^2 must be finite and >= 0, got inf$"),
+        (1e-170, r"^r_star \*\* 2 must be finite and > 0, got 0.0$"),
+    ], ids=["1e-160", "1e-170"])
+    def test_n_star_past_the_float_range_rejected_naming_it(self, r_star, message):
         # used to raise OverflowError: cannot convert float infinity to integer
-        with pytest.raises(ValueError, match=(
-                r"^n_star = \(4 / pi\) s / r_star\^2 must be finite and >= 0, got inf$")):
+        with pytest.raises(ValueError, match=message):
             self.report(c_star=1e9, r_star=r_star)
 
 

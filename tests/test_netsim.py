@@ -226,7 +226,8 @@ class TestNeighborSearch:
         [[0.0, 0.0], [1e154, 1e154]],  # each square is finite, their sum is not
     ])
     def test_extent_whose_squares_overflow_rejected(self, positions):
-        with pytest.raises(ValueError, match=r"positions must span a finite 2 \* extent\*\*2"):
+        with pytest.raises(ValueError,
+                           match=r"^2 \* extent\*\*2 of positions must be finite, got inf$"):
             neighbor_csr(positions, 1.0)
 
     def test_largest_extent_accepted(self):
