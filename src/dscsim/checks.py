@@ -6,11 +6,18 @@ from __future__ import annotations
 import math
 
 
-def check_integer(name: str, value, minimum: int | None = None) -> None:
-    """Reject a value without __index__ (50.0, 2.5, "3") or below minimum,
-    naming it; numpy integers pass."""
-    if not hasattr(value, "__index__") or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
+def check_integer(name: str, value, minimum: int | None = None,
+                  maximum: int | None = None) -> None:
+    """Reject a value without __index__ (50.0, 2.5, "3") or outside
+    [minimum, maximum], naming it; an omitted bound is open, and numpy
+    integers pass."""
+    low = -math.inf if minimum is None else minimum
+    high = math.inf if maximum is None else maximum
+    if not hasattr(value, "__index__") or not low <= value <= high:
+        if maximum is not None:
+            bound = f" in [{low}, {maximum}]"
+        else:
+            bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 

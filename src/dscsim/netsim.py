@@ -74,6 +74,7 @@ read.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -470,21 +471,89 @@ class EnsembleResult:
     n_seeds: int
 
 
-def _union_key(member):
-    """What the members of one union share: all but seed, r_star and c_star."""
-    config, spec, model, steps = member
-    return replace(config, seed=0), spec.tau_star, model, steps
-
-
-def _chunk_run(chunk) -> list[np.ndarray]:
-    """Active-fraction trajectories of one union's members, in member order,
-    counted member by member from the active list each _advance returns."""
+def _chunk_run(chunk) -> np.ndarray:
+    """Active-fraction trajectories of one union's members, one row per
+    member in member order, counted member by member from the active list
+    each _advance returns."""
     config, model, steps, seeds, specs = chunk
     sim = Simulation(config, specs, model, seeds)
     counts = np.empty((len(seeds), steps))
     for column in counts.T:
         column[:] = np.bincount(sim._advance()[2] // config.n, minlength=len(seeds))
-    return list(counts / config.n)
+    return counts / config.n
+
+
+def _deal(members, jobs: int) -> tuple[list[int], list[tuple]]:
+    """The members dealt into unions: (order, chunks), the chunks
+    run_members runs and, chunk after chunk, the member index of each row
+    of their results. Checks every member's steps."""
+    groups: dict[tuple, list[int]] = {}
+    for index, (config, spec, model, steps) in enumerate(members):
+        check_integer("steps", steps, 1)
+        # A union's members share all but seed, r_star and c_star.
+        groups.setdefault((replace(config, seed=0), spec.tau_star, model, steps), []).append(index)
+    order, chunks = [], []
+    for (config, _, model, steps), indices in groups.items():
+        size = max(1, min(math.ceil(len(indices) / jobs), _UNION_SENSORS // config.n))
+        count = math.ceil(len(indices) / size)
+        for part in (indices[k::count] for k in range(count)):
+            order += part
+            chunks.append((config, model, steps, [members[i][0].seed for i in part],
+                           [members[i][1] for i in part]))
+    return order, chunks
+
+
+def _share_run(chunks, cpus, conn) -> None:
+    """A worker's share: pin to the cpus (None: leave the affinity), run the
+    chunks in order and send their arrays, or the exception raised, once."""
+    try:
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
+        result = [_chunk_run(chunk) for chunk in chunks]
+    except Exception as exc:  # handed to the parent, which raises it
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _fan_out(chunks, jobs: int) -> list[np.ndarray]:
+    """_chunk_run of every chunk, in chunk order, from w = min(jobs, chunks)
+    worker processes. Worker k runs chunks[k::w] pinned to its stripe
+    allowed[k % len(allowed)::w] of the parent's CPUs, so no two workers
+    share a CPU while w <= len(allowed), and sends their arrays once over
+    its own pipe. Every share is received before any worker is joined (a
+    child cannot exit while its pipe holds unread data), and no worker
+    outlives the call, whether it returns or raises."""
+    import multiprocessing  # only a fan-out needs it
+
+    w = min(jobs, len(chunks))
+    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    workers, results = [], [None] * len(chunks)
+    try:
+        for k in range(w):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            cpus = None if allowed is None else allowed[k % len(allowed)::w]
+            process = multiprocessing.Process(target=_share_run, args=(chunks[k::w], cpus, send))
+            process.start()
+            workers.append((process, receive))
+            send.close()  # the worker's copy is then the last: its exit gives EOF
+        for k, (process, receive) in enumerate(workers):
+            try:
+                share = receive.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"run_members worker {k} exited with code "
+                                   f"{process.exitcode} before sending its results") from None
+            if isinstance(share, Exception):
+                raise share
+            results[k::w] = share
+    finally:
+        for process, receive in workers:
+            if process.is_alive():
+                process.terminate()
+            process.join()
+            receive.close()
+    return results
 
 
 def run_members(members, jobs: int = 1) -> list[np.ndarray]:
@@ -498,33 +567,17 @@ def run_members(members, jobs: int = 1) -> list[np.ndarray]:
     its members point by point, then seed by seed, so with a seed count
     that is a multiple of the chunk count each seed's members land in one
     chunk and share one deployment. jobs and every member's steps are
-    checked before any union is built. With jobs > 1 the chunks execute in
-    separate processes. Every member's trajectory is the one run() gives it
-    alone, and the trajectories come back in input order, so the result
-    depends on neither jobs nor scheduling.
+    checked before any union is built. With jobs > 1 the chunks run in
+    worker processes, one pinned worker per share (_fan_out). Every member's
+    trajectory is the one run() gives it alone, and the trajectories come
+    back in input order, so the result depends on neither jobs nor
+    scheduling.
     """
     check_integer("jobs", jobs, 1)
-    groups: dict[tuple, list[int]] = {}
-    for index, member in enumerate(members):
-        check_integer("steps", member[3], 1)
-        groups.setdefault(_union_key(member), []).append(index)
-    chunks, order = [], []
-    for (config, _, model, steps), indices in groups.items():
-        size = max(1, min(math.ceil(len(indices) / jobs), _UNION_SENSORS // config.n))
-        count = math.ceil(len(indices) / size)
-        for part in (indices[k::count] for k in range(count)):
-            order += part
-            chunks.append((config, model, steps, [members[i][0].seed for i in part],
-                           [members[i][1] for i in part]))
-    if jobs == 1:
-        results = map(_chunk_run, chunks)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_chunk_run, chunks, chunksize=1))
+    order, chunks = _deal(members, jobs)
+    results = map(_chunk_run, chunks) if jobs == 1 else _fan_out(chunks, jobs)
     trajectories = [None] * len(order)
-    for index, trajectory in zip(order, (t for chunk in results for t in chunk)):
+    for index, trajectory in zip(order, (row for counts in results for row in counts)):
         trajectories[index] = trajectory
     return trajectories
 

@@ -14,7 +14,8 @@ class SensorSpec:
     """Hardware parameters shared by every sensor in a network.
 
     c_star: detection threshold (concentration units, finite, >= 0)
-    tau_star: active-period duration (time steps, >= 1)
+    tau_star: active-period duration (time steps, in [1, 2**63 - 1]: the
+              timers are int64)
     r_star: communication range (meters, finite, > 0)
     """
 
@@ -24,7 +25,7 @@ class SensorSpec:
 
     def __post_init__(self):
         check_real("c_star", self.c_star, ge=0)
-        check_integer("tau_star", self.tau_star, 1)
+        check_integer("tau_star", self.tau_star, 1, 2**63 - 1)
         check_real("r_star", self.r_star, gt=0)
 
 

@@ -270,7 +270,8 @@ class TestSweep:
         ("sensor.r_star", "-5, 20", "r_star must be finite and > 0, got -5.0"),
         ("network.n", "0", "n must be an integer >= 1, got 0"),
         ("network.initial_active", "1000", r"permanent sensors \(0\) plus initial_active"),
-        ("sensor.tau_star", "0", "tau_star must be an integer >= 1, got 0"),
+        ("sensor.tau_star", "0",
+         r"tau_star must be an integer in \[1, 9223372036854775807\], got 0"),
     ])
     def test_point_its_section_rejects_names_its_axis(self, path, raw, reason):
         # used to pass parse_config, so meanfield, pde and simulate ran on it
@@ -545,6 +546,20 @@ class TestCli:
         config = parse_config(MINIMAL + "\n[pde]\nnx = 12\nny = 2\nt_end = 3.0\ndt = 0.0625\n")
         assert cli.dispatch("pde", config, tmp_path, jobs=2) == 0
         assert (tmp_path / "front.csv").exists()
+
+    @pytest.mark.parametrize("subcommand", ["meanfield", "pde", "sweep", "simulate"])
+    def test_tau_star_beyond_the_timers_is_named(self, tmp_path, capsys, subcommand):
+        # used to exit with "int too large to convert to float", or with
+        # "Python int too large to convert to C long" from simulate
+        text = (CONFIGS / "demo-dense.ini").read_text(encoding="utf-8")
+        path = tmp_path / "huge.ini"
+        path.write_text(re.sub(r"^tau_star = .*$", f"tau_star = {10**309}", text, flags=re.M),
+                        encoding="utf-8")
+        assert cli.main([subcommand, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"dscsim {subcommand}: error: tau_star must be an integer in "
+            f"[1, 9223372036854775807], got {10**309}\n")
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("subcommand", ["meanfield", "pde", "simulate"])
     def test_negative_seed_is_error_exit(self, tmp_path, config_file, capsys, subcommand):

@@ -1,8 +1,10 @@
 """Agent-based protocol: placement, neighbor search, step semantics,
 conservation, determinism, and the epidemic dichotomy."""
 
-import concurrent.futures
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -420,7 +422,7 @@ class TestDeterminism:
         def refuse(*args, **kwargs):
             raise AssertionError("built before the inputs were checked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(multiprocessing, "Process", refuse)
         monkeypatch.setattr(Simulation, "__init__", refuse)
         # The bad member comes last, after a union of good ones.
         members = [(paper_config(seed=s, n=10), SPEC40, REFERENCE, 5) for s in range(3)]
@@ -868,33 +870,82 @@ class TestSharedDeployment:
         # costly supercritical ranges.
         ((0,), [[(0, 20.0), (0, 30.0)], [(0, 27.0), (0, 40.0)]]),
     ])
-    def test_sweep_deal_at_two_jobs(self, monkeypatch, seeds, dealt):
-        chunks = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                chunks.extend(items)
-                return [fn(chunk) for chunk in chunks]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_sweep_deal_at_two_jobs(self, seeds, dealt):
         # As analysis.sweep lists them: grid point by grid point, then seed.
         ranges = (20.0, 27.0, 30.0, 40.0)
         members = [(paper_config(seed=s, n=100), replace(SPEC40, r_star=r), REFERENCE, 30)
                    for r in ranges for s in seeds]
+        _, chunks = netsim._deal(members, 2)
+        assert [[(seed, spec.r_star) for seed, spec in zip(chunk[3], chunk[4])]
+                for chunk in chunks] == dealt
         got = run_members(members, jobs=2)
         for trajectory, member in zip(got, members):
             assert trajectory.tobytes() == active_fraction(run(*member), 100).tobytes()
-        assert [[(seed, spec.r_star) for seed, spec in zip(chunk[3], chunk[4])]
-                for chunk in chunks] == dealt
+
+
+# A patched _chunk_run reaches the workers only as a forked copy of this process.
+_FORK = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                           reason="the workers are not forked")
+
+
+@_FORK
+class TestFanOut:
+    """run_members at jobs > 1: one worker process per share, pinned to its
+    stripe of the CPUs and sending its results once; no worker outlives the
+    call, whether it returns or raises."""
+
+    # Two union keys (the step counts differ), so two chunks at jobs 2.
+    MEMBERS = [(paper_config(n=20), SPEC40, REFERENCE, steps) for steps in (3, 4)]
+
+    def test_success_leaves_no_worker(self):
+        got = run_members(self.MEMBERS, jobs=2)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in run_members(self.MEMBERS)]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_exception_is_raised(self, monkeypatch):
+        # Worker 0 raises; worker 1 would run for a minute unless stopped.
+        def boom(chunk):
+            if chunk[2] == 4:
+                time.sleep(60)
+            raise ValueError("boom")
+
+        monkeypatch.setattr(netsim, "_chunk_run", boom)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="^boom$"):
+            run_members(self.MEMBERS, jobs=2)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_is_named_with_its_exit_code(self, monkeypatch):
+        chunk_run = netsim._chunk_run
+        # Worker 0 sends its share; worker 1 dies before sending.
+        monkeypatch.setattr(netsim, "_chunk_run",
+                            lambda chunk: os._exit(3) if chunk[2] == 4 else chunk_run(chunk))
+        with pytest.raises(RuntimeError, match="worker 1 exited with code 3 "):
+            run_members(self.MEMBERS, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+    def test_each_worker_is_pinned_to_its_stripe(self, monkeypatch):
+        monkeypatch.setattr(netsim, "_chunk_run",
+                            lambda chunk: np.array([sorted(os.sched_getaffinity(0))]))
+        allowed = sorted(os.sched_getaffinity(0))
+        got = run_members(self.MEMBERS, jobs=2)
+        assert [t.tolist() for t in got] == [allowed[0::2], allowed[1 % len(allowed)::2]]
+
+    def test_one_chunk_starts_one_worker(self, monkeypatch):
+        started = []
+
+        class Counted(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(multiprocessing, "Process", Counted)
+        member = self.MEMBERS[0]
+        got = run_members([member], jobs=2)
+        assert len(started) == 1
+        assert got[0].tobytes() == active_fraction(run(*member), 20).tobytes()
 
 
 def _demo_sparse_union():

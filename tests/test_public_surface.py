@@ -23,10 +23,12 @@ def test_every_public_attribute_is_listed():
     assert sorted(public - set(dscsim.__all__)) == []
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # Only run_members at jobs > 1 imports concurrent.futures.
+def test_import_loads_no_process_machinery():
+    # Only run_members at jobs > 1 imports multiprocessing, and the package
+    # never imports concurrent.futures.
     src = str(Path(dscsim.__file__).resolve().parents[1])
-    code = "import sys, dscsim, dscsim.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import sys, dscsim, dscsim.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

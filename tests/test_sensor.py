@@ -31,9 +31,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="tau_star must be an integer"):
             SensorSpec(c_star=150.0, tau_star=tau_star, r_star=40.0)
 
-    @pytest.mark.parametrize("tau_star", [1, 5, np.int64(5), np.int32(5)])
+    @pytest.mark.parametrize("tau_star", [1, 5, np.int64(5), np.int32(5), 2**63 - 1])
     def test_integer_tau_accepted(self, tau_star):
         assert SensorSpec(c_star=150.0, tau_star=tau_star, r_star=40.0).tau_star == tau_star
+
+    def test_tau_beyond_the_int64_timers_rejected(self):
+        with pytest.raises(ValueError, match=r"^tau_star must be an integer in "
+                           r"\[1, 9223372036854775807\], got 9223372036854775808$"):
+            SensorSpec(c_star=150.0, tau_star=2**63, r_star=40.0)
 
     def test_zero_range_rejected(self):
         with pytest.raises(ValueError, match="r_star"):
