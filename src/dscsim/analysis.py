@@ -233,7 +233,7 @@ def analyze_sweep(rows) -> dict:
         for entry, (tau_star, n) in zip(per_point, sizes):
             r0_cal = g * entry["alpha_theory_g1"] * tau_star * n
             entry["r0"] = r0_cal
-            entry["plateau_theory"] = 1.0 - 1.0 / r0_cal if r0_cal > 1.0 else 0.0
+            entry["plateau_theory"] = meanfield.steady_state(r0_cal)[0] if r0_cal > 1.0 else 0.0
     fit = None
     if len(set(power_xs)) >= 3:
         result = fit_power_law(power_xs, [alpha_s for alpha_s, _ in pairs])

@@ -1,19 +1,24 @@
 """Argument checks. Each names the argument, the values it may take and the
-value it got; the module imports nothing from the package."""
+value it got; the module imports nothing from the package. A bool is a
+flag, never a number: check_integer and check_real reject it, and only
+check_flag accepts it."""
 
 from __future__ import annotations
 
 import math
+import numbers
+
+import numpy as np
 
 
 def check_integer(name: str, value, minimum: int | None = None,
                   maximum: int | None = None) -> None:
-    """Reject a value without __index__ (50.0, 2.5, "3") or outside
+    """Reject a bool or a value without __index__ (50.0, 2.5, "3") or outside
     [minimum, maximum], naming it; an omitted bound is open, and numpy
     integers pass."""
     low = -math.inf if minimum is None else minimum
     high = math.inf if maximum is None else maximum
-    if not hasattr(value, "__index__") or not low <= value <= high:
+    if isinstance(value, bool) or not hasattr(value, "__index__") or not low <= value <= high:
         if maximum is not None:
             bound = f" in [{low}, {maximum}]"
         else:
@@ -22,14 +27,16 @@ def check_integer(name: str, value, minimum: int | None = None,
 
 
 def check_real(name: str, value, *, gt=-math.inf, ge=None, lt=math.inf, le=None):
-    """Return a value inside the interval from gt (open) or ge (closed) to
-    lt (open) or le (closed); reject one outside it, naming it, the interval
-    and the value. An omitted bound is open at infinity: NaN always fails,
-    and +-inf fail unless le=math.inf closes the interval there."""
+    """Return a real number (numbers.Real, not a bool) inside the interval
+    from gt (open) or ge (closed) to lt (open) or le (closed); reject any
+    other value, naming it, the interval and the value. An omitted bound is
+    open at infinity: NaN always fails, and +-inf fail unless le=math.inf
+    closes the interval there."""
     low, high = gt if ge is None else ge, lt if le is None else le
-    above = value > low if ge is None else value >= low
-    if above and (value < high if le is None else value <= high):
-        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        above = value > low if ge is None else value >= low
+        if above and (value < high if le is None else value <= high):
+            return value
     if le is not None or high < math.inf:
         interval = f"in {'(' if ge is None else '['}{low}, {high}{')' if le is None else ']'}"
     elif low > -math.inf:
@@ -37,3 +44,10 @@ def check_real(name: str, value, *, gt=-math.inf, ge=None, lt=math.inf, le=None)
     else:
         interval = "finite"
     raise ValueError(f"{name} must be {interval}, got {value}")
+
+
+def check_flag(name: str, value) -> None:
+    """Reject a value that is not a Python or numpy bool (0, "false", None),
+    naming it."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")

@@ -197,7 +197,8 @@ def _sis_pass(alpha, tau_star, n, nu, y0, times: list, equal_widths: bool,
     On a grid of equal widths every interval applies one fixed map to y,
     so once an interval ends bitwise on its start value (a 0.0 after a
     -0.0 is a change) every later value is that value: the pass stops
-    there and fills the rest of the grid with it."""
+    there and fills the rest of the grid with it. A pass that leaves the
+    float range raises ValueError, naming alpha."""
     out = np.empty(len(times))
     out[0] = y = float(y0)
     for k in range(len(times) - 1):
@@ -222,6 +223,10 @@ def _sis_pass(alpha, tau_star, n, nu, y0, times: list, equal_widths: bool,
                 y != 0.0 or math.copysign(1.0, y) == math.copysign(1.0, start)):
             out[k + 2:] = y
             break
+    if not np.isfinite(out).all():
+        raise ValueError(f"integrate_sis left the float range in an RK4 pass of {substeps} "
+                         f"substeps per step at alpha = {alpha}, tau_star = {tau_star}, n = {n}, "
+                         f"nu = {nu}")
     return out
 
 
@@ -241,11 +246,11 @@ def integrate_sis(
     internal step halving until two refinements agree to rel_tol
     (relative to the trajectory scale). nu = 1 recovers the closed-form
     logistic case; nu < 1 damps growth in dense deployments. Raises
-    ValueError when the refinements have not agreed by _SIS_MAX_SUBSTEPS
-    substeps per grid step. On a grid of equal widths a pass stops at the
-    first interval that ends bitwise on its start value, a fixed point of
-    the step map, and repeats it to t_end; the values are the ones the
-    full pass would compute.
+    ValueError when a pass is not finite, or when the refinements have not
+    agreed by _SIS_MAX_SUBSTEPS substeps per grid step. On a grid of equal
+    widths a pass stops at the first interval that ends bitwise on its
+    start value, a fixed point of the step map, and repeats it to t_end;
+    the values are the ones the full pass would compute.
 
     The passes work on floats: tau_star, n and nu are converted once, after
     the checks. An int up to 2**53 converts exactly, so its bytes are the

@@ -38,37 +38,43 @@ concentration series, failures and reshuffles all derive from the single
 config seed through independent substreams, so per-sensor sample series
 never depend on iteration order or sensor count.
 
-Runs that share the deployment, tau_star, model and step count run as
-one disjoint union, whatever their seeds, r_star and c_star: one
-Simulation holds every member's sensors side by side, with a
-block-diagonal neighbor CSR at each member's own r_star, and one step
-kernel advances all of them per tick, reducing the populations member by
-member. A sweep over r_star or c_star is thus one union (or one per
-worker), not one per grid point. The members of one seed share its
-deployment and failure stream: the union places the seed's sensors,
-draws its initial order, builds its CSR at its members' largest r_star
-and squares each pair's distance once, and every member selects the pairs
-within its own range (rounding is monotone, so that is neighbor_csr's CSR
-at that range, byte for byte). No drawn value changes: a member reads the
-placement, initial order and failure draws a lone run draws, draws from
-its own rotation stream, and its sensors' concentration streams stay
-keyed by (member seed, sensor index). The stream store is
-indexed by sensor: row i holds sensor i's Philox key, derived with its
-seed's deployment (the seed's n keys in one rng.sensor_keys call), and its
-detection bits for one 128-step block. Only the fills are lazy: the kernel
-draws a stream only where its sensor senses, filling a row the first time
-the sensor senses in a block from one shared Philox set to its key and
-block counter. A row keeps only whether each uniform is >= its member's
-u*, the one thing the protocol reads.
-Every phase acts on index arrays: the sensing sensors, and the recipients
-of this step's messages, from which the wake-ups are taken. The active
-list is part of the Simulation's state: each tick senses it and rewrites
-it from those arrays (the sensing sensors still active after their
-timers, then each wake-up once, less this tick's failures, plus the
+The union. Runs that share the deployment, tau_star, model and step count
+run as one disjoint union, whatever their seeds, r_star and c_star: member
+k of a Simulation owns sensors k*n .. k*n + n - 1 of every state array,
+the neighbor CSR is block-diagonal, and one step kernel advances every
+member per tick. Member k's seed is distinct seed _seed_row[k], the
+distinct seeds in order of first appearance; the members of one row are
+siblings. One loop over the distinct seeds builds everything a seed
+determines, once: its placement, its initial order, its sensors' n stream
+keys (one rng.sensor_keys call), its failure stream, whose n uniforms per
+tick every sibling reads, and its neighbor CSR at the siblings' largest
+r_star with each pair's squared distance, computed as neighbor_csr does.
+Each member keeps the pairs with d2 <= r_star * r_star at its own r_star;
+rounding is monotone, so those are neighbor_csr's pairs at that range, byte
+for byte. Its u* and rotation stream stay its own, so a member reads every
+value its lone run draws.
+
+The stream store. _keys holds one (n, 2) block of Philox keys per distinct
+seed, so sensor i of member k has key _keys[_seed_row[k], i]. Row k*n + i
+of _detect holds that sensor's bits for sample block _block[k*n + i] (-1
+before it first senses): for each of the block's 128 steps, whether its
+uniform is >= member k's u*, the one thing the protocol reads. Only the
+fills are lazy: a row is filled the first time its sensor senses in a
+block, so streams are drawn only where sensors sense. Philox4x64 gives 4
+words per counter value and Generator.random one value per word, so block
+b of a stream starts at counter 128 b / 4: one shared Philox, set to the
+key and that counter with an empty buffer, stands where the stream stands
+after its first 128 b values, and a sensor's t-th reading is its stream's
+t-th value however late its block was filled.
+
+The active list. Every phase acts on index arrays: the sensing sensors,
+and the recipients of this step's messages, from which the wake-ups are
+taken. The list is part of the Simulation's state: each tick senses it and
+rewrites it from those arrays (the sensing sensors still active after
+their timers, then each wake-up once, less this tick's failures, plus the
 sensors a rotation wakes). So a tick costs what its active sensors and
 messages cost, not a pass over every sensor of the union. Only the first
-tick reads the list from the timers, so state written before it is
-read.
+tick reads the list from the timers, so state written before it is read.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import environment, rng
-from .checks import check_integer, check_real
+from .checks import check_flag, check_integer, check_real
 from .environment import ConcentrationModel
 from .sensor import SensorSpec
 
@@ -88,14 +94,12 @@ from .sensor import SensorSpec
 FAULTY = -1
 
 # Steps of per-sensor samples drawn per refill; amortizes generator calls
-# without changing any drawn value (streams are consumed sequentially). A
-# multiple of the 4 words of one Philox4x64 block, so the block starting
-# after step b of a stream starts at its counter b // 4, whatever the
-# stream drew before.
+# without changing any drawn value. A multiple of Philox4x64's 4 words, so
+# every block starts on a counter (module docstring, the stream store).
 _SAMPLE_BLOCK = 128
 # Sensors per union at most (at least one member). A union holds about
-# 170 bytes per sensor: 128 of detection block, 24 of stream key and
-# filled block, and the state arrays; plus 8 per edge.
+# 170 bytes per sensor: 128 of detection block, 8 of filled block, at most
+# 16 of stream key, and the state arrays; plus 8 per edge.
 _UNION_SENSORS = 1 << 16
 # Stream rows whose uniforms a fill holds at once (64 KiB of floats). One
 # buffer for every stale row would outgrow the detection block at a block
@@ -139,6 +143,8 @@ class NetworkConfig:
         if self.rotation_period is not None:
             check_integer("rotation_period", self.rotation_period, 0)
         check_integer("seed", self.seed, 0)
+        check_flag("single_shot", self.single_shot)
+        check_flag("refresh_on_detect", self.refresh_on_detect)
 
     @property
     def area(self) -> float:
@@ -226,15 +232,12 @@ class Simulation:
     Simulation(config, spec, model) is one run at config.seed; step()
     advances it one synchronous tick and returns its record. With seeds
     given, the object holds one member per seed (config.seed is then
-    unused) as a disjoint union: member k owns sensors k*n .. k*n + n - 1 of
-    every state array, the neighbor CSR is block-diagonal, and _advance()
-    steps all members at once. spec is then one SensorSpec for every member
-    or a sequence of one per seed; the members may differ in r_star and
-    c_star but not in tau_star, and a seed may repeat. Each distinct seed's
-    placement, initial order, CSR pairs with their squared distances, stream
-    keys and failure stream are built once; each member selects its pairs
-    at its own range and keeps its own rotation stream and threshold, so
-    its trajectory is the one it gives alone.
+    unused) as a disjoint union (module docstring): member k owns sensors
+    k*n .. k*n + n - 1 of every state array, and _advance() steps all
+    members at once. spec is then one SensorSpec for every member or a
+    sequence of one per seed; the members may differ in r_star and c_star
+    but not in tau_star, and a seed may repeat. Each member's trajectory is
+    the one it gives alone.
     """
 
     def __init__(
@@ -258,22 +261,25 @@ class Simulation:
         self._broadcast_used = np.zeros(m * n, dtype=bool)
         remaining, permanent = self.remaining.reshape(m, n), self.permanent.reshape(m, n)
         n_perm = config.permanent_count
+        period = config.rotation_period
+        self.rotation_period = 10 * self.tau_star if period is None else period
+        # Streams exist only where _advance draws them.
+        failing, rotating = config.failure_rate > 0.0, n_perm and self.rotation_period
         members: dict[int, list[int]] = {}
         for k, seed in enumerate(self.seeds):
             members.setdefault(seed, []).append(k)
-        # Sensor streams, row i for sensor i: _keys[i] is its Philox key and
-        # _detect[i] holds, for each step of sample block _block[i], whether
-        # its uniform is >= its member's u*. _block[i] is -1 until sensor i
-        # first senses; _sense fills a row for a block when it is first read.
-        keys = {seed: rng.sensor_keys(seed, np.arange(n)) for seed in members}
-        self._keys = np.concatenate([keys[seed] for seed in self.seeds])
+        # The stream store (module docstring): member k's seed is distinct seed
+        # _seed_row[k], whose sensor i has Philox key _keys[_seed_row[k], i].
+        self._seed_row = np.empty(m, dtype=np.int64)
+        self._keys = np.empty((len(members), n, 2), dtype=np.uint64)
         self._detect = np.empty((m * n, _SAMPLE_BLOCK), dtype=bool)
         self._block = np.full(m * n, -1, dtype=np.int64)
-        # One deployment per distinct seed: placement, initial order and CSR
-        # pairs at its members' largest r_star, squared as neighbor_csr does.
-        # Rounding is monotone, so a member's pairs in range are its lone CSR.
-        degrees, neighbors = [None] * m, [None] * m
-        for seed, ks in members.items():
+        degrees, neighbors, self._fail_rngs = [None] * m, [None] * m, []
+        for row, (seed, ks) in enumerate(members.items()):
+            self._seed_row[ks] = row
+            self._keys[row] = rng.sensor_keys(seed, np.arange(n))
+            if failing:  # read by every member of the seed
+                self._fail_rngs.append(rng.substream(seed, rng.FAILURE))
             positions = place_sensors(config, rng.substream(seed, rng.PLACEMENT))
             order = rng.substream(seed, rng.INITIAL_STATE).permutation(n)
             indptr, indices = neighbor_csr(positions, max(self.specs[k].r_star for k in ks))
@@ -292,15 +298,7 @@ class Simulation:
 
         self._u_star = environment.uniform_threshold(model, [s.c_star for s in self.specs])
         self._draw = np.random.Generator(np.random.Philox(0))
-
-        period = config.rotation_period
-        self.rotation_period = 10 * self.tau_star if period is None else period
-        # Streams exist only where _advance draws them. A seed's members share
-        # its failure stream; a rotation reads its own member's faulty set.
-        failing, rotating = config.failure_rate > 0.0, n_perm and self.rotation_period
-        self._fail_rngs = [rng.substream(s, rng.FAILURE) for s in members if failing]
-        row = {seed: i for i, seed in enumerate(members)}
-        self._fail_row = np.array([row[seed] for seed in self.seeds])
+        # A rotation reads its own member's faulty set.
         self._rotate_rngs = [rng.substream(s, rng.ROTATION) for s in self.seeds if rotating]
         self.t = 0
         # The sensors active after tick t, each once; None: read the timers.
@@ -309,13 +307,9 @@ class Simulation:
     def _fill(self, sensors: np.ndarray, block: int) -> None:
         """Detection bits of the given sensors for sample block `block`:
         steps block * _SAMPLE_BLOCK + 1 .. (block + 1) * _SAMPLE_BLOCK,
-        compared with each sensor's member's u*.
-
-        Each sensor's uniforms are drawn from the shared Philox set to its
-        key and to counter block * _SAMPLE_BLOCK // 4 with an empty buffer,
-        the state a fresh stream reaches by drawing its first
-        block * _SAMPLE_BLOCK values. At most _FILL_ROWS rows of uniforms are
-        held at once.
+        compared with each sensor's member's u*. The uniforms come from the
+        shared Philox set to each sensor's key and block counter (module
+        docstring), at most _FILL_ROWS rows at once.
         """
         bit_generator = self._draw.bit_generator
         # Python ints, which the state setter reads faster than numpy
@@ -325,12 +319,13 @@ class Simulation:
                  "state": {"counter": [block * _SAMPLE_BLOCK // 4, 0, 0, 0]}}
         for start in range(0, sensors.size, _FILL_ROWS):
             part = sensors[start:start + _FILL_ROWS]
+            member, sensor = np.divmod(part, self.config.n)
             uniforms = np.empty((part.size, _SAMPLE_BLOCK))
-            for key, out in zip(self._keys[part].tolist(), uniforms):
+            for key, out in zip(self._keys[self._seed_row[member], sensor].tolist(), uniforms):
                 state["state"]["key"] = key
                 bit_generator.state = state
                 self._draw.random(out=out)
-            self._detect[part] = uniforms >= self._u_star[part // self.config.n, None]
+            self._detect[part] = uniforms >= self._u_star[member, None]
         self._block[sensors] = block
 
     def _sense(self, sensing: np.ndarray) -> np.ndarray:
@@ -338,7 +333,7 @@ class Simulation:
         sensing sensor.
 
         A sensor's row is filled for a sample block the first time it senses
-        in that block; its key came with its seed's deployment.
+        in that block.
         """
         block, pos = divmod(self.t - 1, _SAMPLE_BLOCK)
         stale = sensing[self._block[sensing] != block]
@@ -409,7 +404,7 @@ class Simulation:
             draws = np.empty((len(self._fail_rngs), n))
             for gen, row in zip(self._fail_rngs, draws):
                 gen.random(out=row)
-            failed = (draws < cfg.failure_rate)[self._fail_row].ravel()
+            failed = (draws < cfg.failure_rate)[self._seed_row].ravel()
             dying = failed & (remaining != FAULTY)
             remaining[dying] = FAULTY
             self.permanent[dying] = False

@@ -6,11 +6,8 @@ substreams are obtained from a counter-based generator (Philox) keyed by
 per-sensor streams do not depend on how many sensors exist or in which
 order they are visited. A sensor's stream is fully described by its
 2-word Philox key, which sensor_keys derives for many sensors of one seed
-in one array operation. netsim derives every sensor's key with the seed's
-deployment, when a Simulation is built, and keeps only the key; it draws
-any 128-value block of the stream, when the sensor first senses in that
-block, by setting a shared Philox to the key and to the block's counter,
-which gives the values that drawing the stream from its start would give.
+in one array operation; the netsim module docstring says how a Simulation
+stores the keys and draws from them.
 """
 
 from __future__ import annotations

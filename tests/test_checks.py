@@ -4,8 +4,11 @@ ROWS holds one row per real parameter of the public functions and of the
 config dataclasses, with the interval it accepts. For each row the table
 tries NaN, -inf, +inf (unless the interval is closed there) and the value
 just outside each finite bound, and expects a ValueError that names the
-parameter, its interval and the value; every closed bound must pass.
-test_every_real_parameter_has_a_row keeps the table complete, and
+parameter, its interval and the value; every closed bound must pass. A
+bool, a string, None or a complex is no real number and is rejected the
+same way. FLAGS holds the bool fields of the config dataclasses, which take
+only a Python or numpy bool. test_every_real_parameter_has_a_row and
+test_every_flag_field_has_a_row keep the tables complete, and
 test_closed_forms_give_finite_values_or_name_an_argument tries the rows'
 callables at the extremes of the float range.
 """
@@ -158,8 +161,10 @@ def _call(target, **changed):
     return target(**{**VALID[target], **changed})
 
 
+# No real number: a bool is a flag, and "5", None and 1j do not compare.
+NOT_REAL = [True, np.False_, "5", None, 1j]
 REJECTED = [(target, param, interval, value) for target, param, interval in ROWS
-            for value in _outside(interval)]
+            for value in _outside(interval) + NOT_REAL]
 
 
 @pytest.mark.parametrize(
@@ -189,31 +194,58 @@ def test_closed_bound_accepted(target, param, value):
     _call(target, **{param: value})
 
 
-@pytest.mark.parametrize("n", [2.5, 0, math.nan])
+@pytest.mark.parametrize("n", [2.5, 0, math.nan, True])
 def test_info_gain_counts_sensors_in_integers(n):
     # info_gain_conditions(..., n=2.5) used to be evaluated
     with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {n}$"):
         _call(dscsim.info_gain_conditions, n=n)
 
 
+def _section_fields(annotation):
+    """(config section, field) for every field of that annotation."""
+    sections = [t for t in get_type_hints(ExperimentConfig).values() if dataclasses.is_dataclass(t)]
+    return {(cls, f.name) for cls in sections for f in dataclasses.fields(cls)
+            if f.type in (annotation.__name__, annotation)}
+
+
 def _real_parameters():
     """(callable, parameter) for every float-annotated parameter of a function
     in dscsim.__all__ and every float field of a config section."""
-    found = set()
+    found = _section_fields(float)
     for name in dscsim.__all__:
         obj = getattr(dscsim, name)
         if inspect.isfunction(obj):
             found |= {(obj, p.name) for p in inspect.signature(obj).parameters.values()
                       if p.annotation in ("float", float)}
-    sections = [t for t in get_type_hints(ExperimentConfig).values() if dataclasses.is_dataclass(t)]
-    for cls in sections:
-        found |= {(cls, f.name) for f in dataclasses.fields(cls) if f.type in ("float", float)}
     return found
 
 
 def test_every_real_parameter_has_a_row():
     missing = _real_parameters() - {(target, param) for target, param, _ in ROWS}
     assert sorted(f"{t.__name__}.{p}" for t, p in missing) == []
+
+
+# (config dataclass, bool field); each takes a Python or numpy bool only.
+FLAGS = [(dscsim.NetworkConfig, "single_shot"), (dscsim.NetworkConfig, "refresh_on_detect")]
+
+
+def test_every_flag_field_has_a_row():
+    missing = _section_fields(bool) - set(FLAGS)
+    assert sorted(f"{t.__name__}.{p}" for t, p in missing) == []
+
+
+# "false" would be truthy, and apply_override passes it through untouched.
+@pytest.mark.parametrize("value", [0, 1, "false", None, 1.0])
+@pytest.mark.parametrize("target, param", FLAGS)
+def test_flag_other_than_a_bool_rejected_naming_it(target, param, value):
+    with pytest.raises(ValueError, match=f"^{param} must be a bool, got {re.escape(repr(value))}$"):
+        _call(target, **{param: value})
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("target, param", FLAGS)
+def test_bool_flag_accepted(target, param, value):
+    assert getattr(_call(target, **{param: value}), param) is value
 
 
 def test_every_row_has_valid_arguments():

@@ -128,7 +128,7 @@ class TestParsing:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             MeanFieldSettings(**{name: value})
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", True, np.True_])
     @pytest.mark.parametrize("path", INT_KEYS)
     def test_non_integer_count_rejected_naming_its_field(self, path, value):
         # run.n_seeds = 2.0 used to fail in analysis.sweep, pde.seed_columns =

@@ -3,6 +3,7 @@ reaction-diffusion extension, each checked against an independent oracle
 (hand arithmetic, a local RK4 integrator, constructed fields)."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -444,6 +445,14 @@ class TestIntegrateSis:
         # integrate_sis(-1e-3, ...) used to return a decaying trajectory
         with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
             integrate_sis(alpha, 5.0, 400.0, 1.0, 10.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("alpha, tau_star, nu", [
+        (1.7976931348623157e308, 5.0, 0.0),  # used to warn, then report "differ by nan"
+        (1e-3, 5e-324, 1.0),
+    ])
+    def test_pass_out_of_the_float_range_rejected_naming_alpha(self, alpha, tau_star, nu):
+        with pytest.raises(ValueError, match=f"left the float range .* alpha = {re.escape(str(alpha))},"):
+            integrate_sis(alpha, tau_star, 400.0, nu, 10.0, 10.0, 1.0)
 
     def test_zero_alpha_of_either_sign_accepted(self):
         plus, minus = (integrate_sis(**dict(self.SIS_ARGS, alpha=a)) for a in (0.0, -0.0))

@@ -619,7 +619,15 @@ class TestLazyStreams:
         n = cfg.n
         for k, seed in enumerate(seeds):
             expected = rng.sensor_keys(seed, np.arange(n))
-            assert sim._keys[k * n:(k + 1) * n].tobytes() == expected.tobytes(), k
+            assert sim._keys[sim._seed_row[k]].tobytes() == expected.tobytes(), k
+
+    def test_keys_stored_once_per_distinct_seed(self):
+        # Distinct seeds in order of first appearance: 25, 26, 9.
+        cfg = paper_config(delta=0.01, failure_rate=0.01)
+        sim = Simulation(cfg, SPEC40, REFERENCE, seeds=(25, 26, 25, 9, 26))
+        assert sim._seed_row.tolist() == [0, 1, 0, 2, 1]
+        assert sim._keys.shape == (3, cfg.n, 2)
+        assert len(sim._fail_rngs) == 3
 
     def test_rows_filled_once_per_block_and_only_when_read(self, monkeypatch):
         seen = _record_sensing(monkeypatch)
