@@ -46,6 +46,18 @@ def check_real(name: str, value, *, gt=-math.inf, ge=None, lt=math.inf, le=None)
     raise ValueError(f"{name} must be {interval}, got {value}")
 
 
+def check_array(name: str, value, *, gt=-math.inf, ge=None, lt=math.inf, le=None):
+    """check_real for a float64 ndarray of any shape: return it if every element
+    lies in the interval, else raise naming its first element outside."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        inside = (value > gt if ge is None else value >= ge) & (
+            value < lt if le is None else value <= le)
+        if inside.all():
+            return value
+        value = value[~inside].item(0)
+    check_real(name, value, gt=gt, ge=ge, lt=lt, le=le)  # raises: no float64 array, or outside
+
+
 def check_flag(name: str, value) -> None:
     """Reject a value that is not a Python or numpy bool (0, "false", None),
     naming it."""

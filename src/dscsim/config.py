@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
@@ -246,10 +247,18 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def apply_override(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
-    """Replace one dotted parameter, returning a new config."""
+    """Replace one dotted parameter, returning a new config. A real (not a
+    bool) given for a float key is stored as a Python float, the value the
+    run uses and the manifest writes back."""
     section, _, key = path.partition(".")
     if section not in _SECTION_TYPES or key not in _SCHEMA[section]:
         raise ValueError(f"parameter path '{path}' does not exist")
+    if _SCHEMA[section][key][0] is _finite_float and isinstance(value, numbers.Real) \
+            and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an int or Fraction beyond the float range
+            raise ValueError(f"{key} must be within the float range, got {value}") from None
     sub = getattr(config, section)
     return replace(config, **{section: replace(sub, **{key: value})})
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sensor
-from .checks import check_integer, check_real
+from .checks import check_array, check_integer, check_real
 from .config import ExperimentConfig, resolve_pde
 from .sensor import SensorSpec
 
@@ -68,7 +68,7 @@ def logistic_solution(z0: float, b: float, t):
     """
     check_real("z0", z0, ge=0, le=1)
     check_real("b", b)
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = check_array("t", np.asarray(t, dtype=float))
     if z0 in (0, 1):  # fixed points, where the formula can give 0 / 0 or 0 * inf
         out = np.full(t_arr.shape, z0, dtype=float)
     else:
@@ -423,9 +423,8 @@ def integrate_pde(
         raise ValueError(f"fields must be 2-D arrays of one shape, got {a0.shape} and {p0.shape}")
     if a0.size == 0:
         raise ValueError(f"fields must not be empty, got shape {a0.shape}")
-    for f in (a0, p0):
-        if not np.all((f >= 0) & np.isfinite(f)):
-            raise ValueError("initial fields must be finite and non-negative")
+    check_array("fields[0]", a0, ge=0)
+    check_array("fields[1]", p0, ge=0)
     check_real("dx", dx, gt=0)
     check_real("d", d, ge=0)
     check_real("dx ** 2", dx * dx)
@@ -443,9 +442,7 @@ def integrate_pde(
         with np.errstate(over="ignore"):  # an infinite sum is rejected below
             top = float((a0 + p0).max())
         check_real("64 max(a0 + p0) / dx^2", 64.0 * (top / (dx * dx)))  # see the docstring
-    alpha = np.asarray(alpha_field, dtype=float)
-    if not np.all((alpha >= 0) & np.isfinite(alpha)):
-        raise ValueError("alpha_field must be finite and non-negative")
+    alpha = check_array("alpha_field", np.asarray(alpha_field, dtype=float), ge=0)
     shape = a0.shape
     try:
         full = np.broadcast_to(alpha, shape)

@@ -86,7 +86,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import environment, rng
-from .checks import check_flag, check_integer, check_real
+from .checks import check_array, check_flag, check_integer, check_real
 from .environment import ConcentrationModel
 from .sensor import SensorSpec
 
@@ -192,8 +192,9 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
     """
     check_real("r_star", r_star, gt=0)
     pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 2 or not np.isfinite(pos).all():
-        raise ValueError(f"positions must be finite and of shape (k, 2), got shape {pos.shape}")
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions must be of shape (k, 2), got shape {pos.shape}")
+    check_array("positions", pos)
     n = len(pos)
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)

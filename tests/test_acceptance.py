@@ -46,7 +46,7 @@ def ensemble_plateau(spec: SensorSpec, n_seeds: int = SEEDS, steps: int = STEPS)
     """Mean over seeds of the per-run tail-mean active fraction (identical
     to the tail mean of the ensemble-mean trajectory)."""
     members = [(base_config(seed=k), spec, REFERENCE, steps) for k in range(n_seeds)]
-    plateaus = [analysis.extract_plateau(traj, 0.25, check_stationary=False)[0]
+    plateaus = [analysis.extract_plateau(traj, 0.25)[0]
                 for traj in netsim.run_members(members, jobs=1)]
     return float(np.mean(plateaus))
 

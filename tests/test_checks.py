@@ -1,14 +1,18 @@
-"""Every real argument is checked by one rule, dscsim.checks.check_real.
+"""Every real argument is checked by one rule, dscsim.checks.check_real, and
+every real array argument by dscsim.checks.check_array, worded the same way.
 
 ROWS holds one row per real parameter of the public functions and of the
 config dataclasses, with the interval it accepts. For each row the table
 tries NaN, -inf, +inf (unless the interval is closed there) and the value
 just outside each finite bound, and expects a ValueError that names the
 parameter, its interval and the value; every closed bound must pass. A
-bool, a string, None or a complex is no real number and is rejected the
-same way. FLAGS holds the bool fields of the config dataclasses, which take
-only a Python or numpy bool. test_every_real_parameter_has_a_row and
-test_every_flag_field_has_a_row keep the tables complete, and
+bool, a string, None, a complex or an ndarray of any shape is no real
+number and is rejected the same way. ARRAYS does the same for the real
+array arguments: each value outside sits at index 2 of an otherwise valid
+array, and the message names that element. FLAGS holds the bool fields of
+the config dataclasses, which take only a Python or numpy bool.
+test_every_real_parameter_has_a_row, test_every_array_argument_has_a_row
+and test_every_flag_field_has_a_row keep the tables complete, and
 test_closed_forms_give_finite_values_or_name_an_argument tries the rows'
 callables at the extremes of the float range.
 """
@@ -26,9 +30,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dscsim
+from dscsim.checks import check_array
 from dscsim.config import ExperimentConfig, MeanFieldSettings, PdeSettings, RunSettings
 
 SPEC = dscsim.SensorSpec(c_star=154.5, tau_star=5, r_star=40.0)
+MODEL = dscsim.ConcentrationModel(c0=150.0)
 # A step front one cell further right at every record: speed 1 cell per time.
 STEPS = dscsim.PdeTrajectory(times=np.arange(6.0), active=[], passive=[], dx=1.0,
                              profiles=np.array([np.arange(10) < k + 2 for k in range(6)], float))
@@ -40,7 +46,7 @@ VALID = {
     dscsim.ConcentrationModel: dict(c0=150.0),
     dscsim.alpha_theory: dict(spec=SPEC, s=1e6, p=0.5, g=1.0),
     dscsim.r0: dict(p=0.5, n=400, r_star=40.0, s=1e6, g=1.0),
-    dscsim.logistic_solution: dict(z0=0.1, b=0.5, t=1.0),
+    dscsim.logistic_solution: dict(z0=0.1, b=0.5, t=np.array([0.0, 0.5, 1.0])),
     dscsim.steady_state: dict(r0_value=2.0),
     dscsim.relaxation_time: dict(r0_value=2.0, tau_star=5.0),
     dscsim.info_gain_conditions: dict(theta=0.5, delta=0.1, p=0.5, tau_star=5.0, n=400,
@@ -48,7 +54,8 @@ VALID = {
     dscsim.integrate_sis: dict(alpha=1e-3, tau_star=5.0, n=400.0, nu=1.0, y0=0.0, t_end=10.0,
                                dt=1.0),
     dscsim.integrate_pde: dict(fields=(np.full((2, 5), 0.2), np.full((2, 5), 0.8)),
-                               alpha_field=0.4, tau_star=5.0, t_end=1.0, dt=0.25, dx=1.0, d=0.1),
+                               alpha_field=np.full((2, 5), 0.4), tau_star=5.0, t_end=1.0, dt=0.25,
+                               dx=1.0, d=0.1),
     dscsim.front_positions: dict(trajectory=STEPS, level=0.5),
     dscsim.front_speed: dict(trajectory=STEPS, level=0.5),
     dscsim.synchronization_check: dict(alpha=1e-3, tau_star=5.0, r_star=40.0, v_star=0.0),
@@ -59,6 +66,13 @@ VALID = {
     RunSettings: {},
     MeanFieldSettings: {},
     PdeSettings: {},
+    dscsim.calibrate_g: dict(pairs=np.full((3, 2), 2e-4)),
+    dscsim.fit_power_law: dict(xs=np.array([1.0, 2.0, 4.0]), ys=np.array([2.0, 8.0, 32.0])),
+    dscsim.ks_distance: dict(samples=np.array([0.0, 10.0, 100.0]), model=MODEL),
+    dscsim.cdf: dict(model=MODEL, c=np.array([0.0, 10.0, 100.0])),
+    dscsim.pdf_continuous: dict(model=MODEL, c=np.array([0.0, 10.0, 100.0])),
+    dscsim.quantile: dict(model=MODEL, u=np.array([0.0, 0.5, 0.99])),
+    dscsim.environment.uniform_threshold: dict(model=MODEL, c_star=np.array([0.0, 154.5, 300.0])),
 }
 
 # (callable, parameter, interval); bounds are written as the message prints them.
@@ -161,8 +175,10 @@ def _call(target, **changed):
     return target(**{**VALID[target], **changed})
 
 
-# No real number: a bool is a flag, and "5", None and 1j do not compare.
-NOT_REAL = [True, np.False_, "5", None, 1j]
+# No real number: a bool is a flag, "5", None and 1j do not compare, and an
+# ndarray is no scalar, whether empty, 0-d or of two elements.
+NO_NUMBER = [True, np.False_, "5", None, 1j]
+NOT_REAL = NO_NUMBER + [np.array([]), np.array(2.0), np.array([1.0, 2.0])]
 REJECTED = [(target, param, interval, value) for target, param, interval in ROWS
             for value in _outside(interval) + NOT_REAL]
 
@@ -223,6 +239,122 @@ def _real_parameters():
 def test_every_real_parameter_has_a_row():
     missing = _real_parameters() - {(target, param) for target, param, _ in ROWS}
     assert sorted(f"{t.__name__}.{p}" for t, p in missing) == []
+
+
+# (callable, array parameter, interval); "fields[0]" is element 0 of the
+# fields tuple. An array passes when every element lies in the interval.
+ARRAYS = [
+    (dscsim.extract_plateau, "trajectory", "(-inf, inf)"),
+    (dscsim.calibrate_g, "pairs", "(0, inf)"),
+    (dscsim.fit_power_law, "xs", "(0, inf)"),
+    (dscsim.fit_power_law, "ys", "(0, inf)"),
+    (dscsim.ks_distance, "samples", "[0, inf)"),
+    # c = inf passes check_array and is rejected by the scaled check, naming c and c0
+    (dscsim.cdf, "c", "[0, inf]"),
+    (dscsim.pdf_continuous, "c", "[0, inf]"),
+    (dscsim.quantile, "u", "[0, 1)"),
+    (dscsim.environment.uniform_threshold, "c_star", "[0, inf]"),
+    (dscsim.logistic_solution, "t", "(-inf, inf)"),
+    (dscsim.integrate_pde, "fields[0]", "[0, inf)"),
+    (dscsim.integrate_pde, "fields[1]", "[0, inf)"),
+    (dscsim.integrate_pde, "alpha_field", "[0, inf)"),
+    (dscsim.neighbor_csr, "positions", "(-inf, inf)"),
+]
+
+
+def _planted(array, value):
+    out = np.array(array, dtype=float)
+    out.flat[2] = value
+    return out
+
+
+def _with_element(target, param, value):
+    """VALID[target] with value at flat index 2 of the param array."""
+    name, _, index = param.partition("[")
+    kwargs = dict(VALID[target])
+    if index:
+        items = list(kwargs[name])
+        items[int(index[:-1])] = _planted(items[int(index[:-1])], value)
+        kwargs[name] = tuple(items)
+    else:
+        kwargs[name] = _planted(kwargs[name], value)
+    return kwargs
+
+
+ARRAY_REJECTED = [(target, param, interval, value) for target, param, interval in ARRAYS
+                  for value in _outside(interval)]
+
+
+@pytest.mark.parametrize(
+    "target, param, interval, value", ARRAY_REJECTED,
+    ids=[f"{t.__name__}-{p}-{v}" for t, p, _, v in ARRAY_REJECTED],
+)
+def test_array_element_outside_the_interval_rejected_naming_it(target, param, interval, value):
+    message = (f"^{re.escape(param)} must be {re.escape(_described(interval))}, "
+               f"got {re.escape(str(value))}$")
+    with pytest.raises(ValueError, match=message):
+        target(**_with_element(target, param, value))
+
+
+# uniform_threshold reads c_star = inf as a threshold no reading reaches.
+ARRAY_ACCEPTED = [(target, param, value) for target, param, interval in ARRAYS
+                  for value in _closed_bounds(interval) if math.isfinite(value)]
+ARRAY_ACCEPTED.append((dscsim.environment.uniform_threshold, "c_star", math.inf))
+
+
+@pytest.mark.parametrize("target, param, value", ARRAY_ACCEPTED,
+                         ids=[f"{t.__name__}-{p}-{v}" for t, p, v in ARRAY_ACCEPTED])
+def test_array_closed_bound_accepted(target, param, value):
+    target(**_with_element(target, param, value))
+
+
+def test_infinite_threshold_gives_u_star_one():
+    assert dscsim.environment.uniform_threshold(MODEL, [math.inf]).tolist() == [1.0]
+
+
+def _array_arguments():
+    """(callable, parameter) for every ndarray in VALID, and parameter[i] for
+    each ndarray in a tuple."""
+    found = set()
+    for target, kwargs in VALID.items():
+        for name, value in kwargs.items():
+            if isinstance(value, np.ndarray):
+                found.add((target, name))
+            elif isinstance(value, tuple):
+                found |= {(target, f"{name}[{i}]") for i, item in enumerate(value)
+                          if isinstance(item, np.ndarray)}
+    return found
+
+
+def test_every_array_argument_has_a_row():
+    missing = _array_arguments() - {(target, param) for target, param, _ in ARRAYS}
+    assert sorted(f"{t.__name__}.{p}" for t, p in missing) == []
+
+
+# float32 too: its elements compare with a bound in float32, not as check_real does.
+@pytest.mark.parametrize("array", [np.array([value, value]) for value in NO_NUMBER]
+                         + [np.full(2, 0.1, np.float32)], ids=repr)
+def test_array_of_no_float64_dtype_rejected(array):
+    with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(str(array))}$"):
+        check_array("x", array)
+
+
+# Each raised a RuntimeWarning ("overflow encountered in dot", "invalid value
+# encountered in scalar divide", "overflow encountered in reduce", "invalid
+# value encountered in multiply") under -W error.
+@pytest.mark.parametrize("call, name", [
+    (lambda: dscsim.calibrate_g([(1e300, 1e300)]),
+     "dot(alpha_sim, alpha_theory) / dot(alpha_theory, alpha_theory)"),
+    (lambda: dscsim.calibrate_g([(5e-324, 5e-324)]),
+     "dot(alpha_sim, alpha_theory) / dot(alpha_theory, alpha_theory)"),
+    (lambda: dscsim.extract_plateau(np.full(20, 1.7e308)), "std of the trajectory's tail"),
+    (lambda: dscsim.logistic_solution(0.5, 0.0, np.inf), "t"),
+], ids=["calibrate_g-overflow", "calibrate_g-underflow", "extract_plateau", "logistic_solution"])
+def test_array_arithmetic_past_the_float_range_names_a_value(call, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
+            call()
 
 
 # (config dataclass, bool field); each takes a Python or numpy bool only.

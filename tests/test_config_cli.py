@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,22 @@ network.delta = 0.0, 0.05
     def test_round_trip_preserves_float_precision(self):
         cfg = parse_config(MINIMAL.replace("c0 = 150.0", "c0 = 150.00000000000003"))
         assert parse_config(serialize_config(cfg)).environment.c0 == cfg.environment.c0
+
+    # Fraction(1, 3) used to serialize as 1/3, which parse_config rejects, and
+    # np.float32(1 / 3) as 0.33333334, which is not the value the run used.
+    @pytest.mark.parametrize("value", [Fraction(1, 3), np.float32(1 / 3)], ids=repr)
+    @pytest.mark.parametrize("path", FLOAT_KEYS)
+    def test_overridden_real_round_trips(self, path, value):
+        value = value + 2 if path == "environment.gamma" else value  # gamma > 2
+        cfg = apply_override(_BASE, path, value)
+        section, _, key = path.partition(".")
+        assert type(getattr(getattr(cfg, section), key)) is float
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)], ids=str)
+    def test_real_beyond_the_float_range_rejected(self, value):
+        with pytest.raises(ValueError, match="^r_star must be within the float range, got "):
+            apply_override(_BASE, "sensor.r_star", value)
 
 
 _INTS = st.integers(-(2**63), 2**63)

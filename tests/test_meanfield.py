@@ -584,9 +584,9 @@ class TestIntegratePde:
         # alpha_field = -0.5 used to run to completion
         alpha = np.full((8, 30), 0.4)
         alpha[3, 7] = -1e-3
-        with pytest.raises(ValueError, match="alpha_field must be finite and non-negative"):
+        with pytest.raises(ValueError, match="^alpha_field must be finite and >= 0, got -0.001$"):
             integrate_pde(seeded_fields(), alpha, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
-        with pytest.raises(ValueError, match="alpha_field must be finite and non-negative"):
+        with pytest.raises(ValueError, match="^alpha_field must be finite and >= 0, got -0.5$"):
             integrate_pde(seeded_fields(), -0.5, 5.0, t_end=1.0, dt=0.25, dx=DX, d=D)
 
     def test_negative_zero_alpha_accepted(self):
@@ -645,7 +645,9 @@ class TestIntegratePde:
         # one NaN cell used to spread over the whole grid within four steps
         fields = {"field_active": np.full((2, 5), 0.2), "field_passive": np.full((2, 5), 0.8)}
         fields[field][1, 3] = bad
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        index = 0 if field == "field_active" else 1
+        message = rf"^fields\[{index}\] must be finite and >= 0, got {bad}$"
+        with pytest.raises(ValueError, match=message):
             integrate_pde((fields["field_active"], fields["field_passive"]), 0.4, 5.0,
                           t_end=1.0, dt=0.25, dx=1.0, d=0.1)
 
