@@ -40,10 +40,10 @@ def extract_plateau(trajectory, tail_fraction: float = 0.25) -> tuple[float, flo
     whatever its trend: a dying or still rising run gives its raw tail
     statistics. A std that is not finite (the tail's mean or spread
     overflows) is rejected."""
-    y = np.asarray(trajectory, dtype=float)
-    if y.size < _MIN_POINTS:
-        raise ValueError(f"trajectory too short: {y.size} < {_MIN_POINTS} points")
-    check_array("trajectory", y)
+    size = np.size(trajectory)
+    if size < _MIN_POINTS:
+        raise ValueError(f"trajectory too short: {size} < {_MIN_POINTS} points")
+    y = check_array("trajectory", trajectory)
     check_real("tail_fraction", tail_fraction, gt=0, le=1)
     k = max(1, int(np.ceil(y.size * tail_fraction)))
     tail = y[-k:]
@@ -76,12 +76,13 @@ def calibrate_g(pairs) -> float:
     pairs: iterable of (alpha_sim, alpha_theory_at_g1), all finite and
     positive.
     """
-    arr = np.asarray(list(pairs), dtype=float)
-    if arr.size == 0:
+    pairs = list(pairs)
+    shape = np.shape(pairs)
+    if 0 in shape:
         raise ValueError("calibrate_g needs at least one pair")
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if len(shape) != 2 or shape[1] != 2:
         raise ValueError("pairs must be (alpha_sim, alpha_theory) tuples")
-    check_array("pairs", arr, gt=0)
+    arr = check_array("pairs", pairs, gt=0)
     sim, theory = arr[:, 0], arr[:, 1]
     with np.errstate(all="ignore"):  # a dot that overflows or underflows is rejected below
         g = float(np.dot(sim, theory) / np.dot(theory, theory))
@@ -90,13 +91,12 @@ def calibrate_g(pairs) -> float:
 
 def fit_power_law(xs, ys) -> FitResult:
     """Ordinary least squares on (log x, log y)."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 3:
-        raise ValueError(f"xs and ys must be 1-D with one length >= 3, got shapes {x.shape} "
-                         f"and {y.shape}")
-    check_array("xs", x, gt=0)
-    check_array("ys", y, gt=0)
+    shape = np.shape(xs)
+    if len(shape) != 1 or shape != np.shape(ys) or shape[0] < 3:
+        raise ValueError(f"xs and ys must be 1-D with one length >= 3, got shapes {shape} "
+                         f"and {np.shape(ys)}")
+    x = check_array("xs", xs, gt=0)
+    y = check_array("ys", ys, gt=0)
     lx, ly = np.log(x), np.log(y)
     design = np.vstack([lx, np.ones_like(lx)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, ly, rcond=None)
@@ -114,7 +114,7 @@ def ks_distance(samples, model: ConcentrationModel) -> float:
     analytic cdf jumps to 1 - omega at c = 0, and its left limit there
     is 0.
     """
-    xs = np.sort(check_array("samples", np.asarray(samples, dtype=float), ge=0))
+    xs = np.sort(check_array("samples", samples, ge=0))
     m = xs.size
     if m == 0:
         raise ValueError("need at least one sample")

@@ -16,7 +16,6 @@ initial_active = 10, g = 0.7.
 from __future__ import annotations
 
 import configparser
-import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
@@ -115,13 +114,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw!r}")
-    return value
-
-
 # The sections, in ExperimentConfig's field order: every field whose type is
 # a dataclass. A section whose field has no default is required.
 _HINTS = get_type_hints(ExperimentConfig)
@@ -132,7 +124,7 @@ _REQUIRED_SECTIONS = {
 }
 
 # Field annotation (a string under postponed evaluation) -> converter.
-_CONVERTERS = {"float": _finite_float, "int": int, "int | None": int, "bool": _parse_bool}
+_CONVERTERS = {"float": float, "int": int, "int | None": int, "bool": _parse_bool}
 
 # section -> key -> (converter, required), in field order; a field without
 # a default is a required key.
@@ -249,18 +241,16 @@ def serialize_config(config: ExperimentConfig) -> str:
 def apply_override(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
     """Replace one dotted parameter, returning a new config. A real (not a
     bool) given for a float key is stored as a Python float, the value the
-    run uses and the manifest writes back."""
+    run uses and the manifest writes back, once the section's check has
+    judged it."""
     section, _, key = path.partition(".")
     if section not in _SECTION_TYPES or key not in _SCHEMA[section]:
         raise ValueError(f"parameter path '{path}' does not exist")
-    if _SCHEMA[section][key][0] is _finite_float and isinstance(value, numbers.Real) \
+    sub = replace(getattr(config, section), **{key: value})
+    if _SCHEMA[section][key][0] is float and isinstance(value, numbers.Real) \
             and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:  # an int or Fraction beyond the float range
-            raise ValueError(f"{key} must be within the float range, got {value}") from None
-    sub = getattr(config, section)
-    return replace(config, **{section: replace(sub, **{key: value})})
+        sub = replace(sub, **{key: float(value)})  # the check rejects a real no float holds
+    return replace(config, **{section: sub})
 
 
 def sweep_points(config: ExperimentConfig) -> list[dict]:

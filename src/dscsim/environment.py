@@ -60,7 +60,7 @@ def atom_weight(model: ConcentrationModel) -> float:
 def _scaled(model: ConcentrationModel, c) -> tuple[np.ndarray, np.ndarray]:
     """c >= 0 and omega / (gamma - 2) * c / c0, as float arrays; a scaled
     value that is not finite is rejected, naming c and c0."""
-    c_arr = check_array("c", np.asarray(c, dtype=float), ge=0, le=np.inf)  # inf is named below
+    c_arr = check_array("c", c, ge=0, le=np.inf)  # inf is named below
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         z = model.omega / ((model.gamma - 2.0) * model.c0) * c_arr
     if not np.all(np.isfinite(z)):
@@ -96,7 +96,7 @@ def quantile(model: ConcentrationModel, u):
     Returns 0 on the atom (u < 1 - omega) and the positive branch above it.
     u = 1 is excluded: the inverse diverges there.
     """
-    u_arr = check_array("u", np.asarray(u, dtype=float), ge=0, lt=1)
+    u_arr = check_array("u", u, ge=0, lt=1)
     if model.omega == 0.0:
         out = np.zeros_like(u_arr)
         return out if u_arr.ndim else 0.0
@@ -123,7 +123,7 @@ def uniform_threshold(model: ConcentrationModel, c_star) -> np.ndarray:
     bit); raises if the readings on the 256 lattice points each side of a u*
     are not a step, i.e. the float quantile is not monotone there.
     """
-    target = check_array("c_star", np.asarray(c_star, dtype=float), ge=0, le=np.inf).reshape(-1, 1)
+    target = check_array("c_star", c_star, ge=0, le=np.inf).reshape(-1, 1)
     below = np.full(target.shape, -1)  # the largest k known to read below c_star
     for step in 2 ** np.arange(53, -1, -1):
         k = np.minimum(below + step, _LATTICE - 1)

@@ -68,7 +68,7 @@ def logistic_solution(z0: float, b: float, t):
     """
     check_real("z0", z0, ge=0, le=1)
     check_real("b", b)
-    t_arr = check_array("t", np.asarray(t, dtype=float))
+    t_arr = check_array("t", t)
     if z0 in (0, 1):  # fixed points, where the formula can give 0 / 0 or 0 * inf
         out = np.full(t_arr.shape, z0, dtype=float)
     else:
@@ -172,20 +172,14 @@ class Trajectory:
 # substeps over all refinement passes, fewer when a pass reaches its
 # fixed point early; the benchmark's converge at 128.
 _SIS_MAX_SUBSTEPS = 1 << 12
+# The most steps m whose grid of m + 1 points numpy allows in one float64 array.
+_MAX_STEPS = np.iinfo(np.intp).max // np.dtype(float).itemsize - 1
 
 
 def _equal_widths(times) -> bool:
     """True when every interval of the grid `times` has the same width."""
     widths = np.diff(times)
     return bool((widths == widths[0]).all())
-
-
-def _to_float(name: str, value) -> float:
-    """value as a float; an int beyond the float range is rejected, naming it."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be within the float range, got {value}") from None
 
 
 def _sis_pass(alpha, tau_star, n, nu, y0, times: list, equal_widths: bool,
@@ -250,24 +244,22 @@ def integrate_sis(
     agreed by _SIS_MAX_SUBSTEPS substeps per grid step. On a grid of equal
     widths a pass stops at the first interval that ends bitwise on its
     start value, a fixed point of the step map, and repeats it to t_end;
-    the values are the ones the full pass would compute.
+    the values are the ones the full pass would compute. A grid of more
+    points than one float64 array can hold is rejected, naming t_end / dt.
 
-    The passes work on floats: tau_star, n and nu are converted once, after
-    the checks. An int up to 2**53 converts exactly, so its bytes are the
-    int's; a larger one rounds there, and one past the float range is
-    rejected, naming it.
+    The passes work on floats, the ones check_real returns for tau_star, n
+    and nu: an int operand takes every stage off CPython's float fast path.
+    An int up to 2**53 converts exactly, so its bytes are the int's.
     """
     check_real("alpha", alpha, ge=0)
-    check_real("tau_star", tau_star, gt=0)
-    check_real("n", n, ge=0)
-    check_real("nu", nu, ge=0, le=1)
+    tau_star = check_real("tau_star", tau_star, gt=0)
+    n = check_real("n", n, ge=0)
+    nu = check_real("nu", nu, ge=0, le=1)
     check_real("y0", y0, ge=0, le=n)
     check_real("t_end", t_end, gt=0)
     check_real("dt", dt, gt=0)
     check_real("rel_tol", rel_tol, gt=0)
-    m = max(1, round(check_real("t_end / dt", t_end / dt)))
-    # an int operand takes every stage off CPython's float fast path
-    tau_star, n, nu = _to_float("tau_star", tau_star), _to_float("n", n), float(nu)
+    m = max(1, round(check_real("t_end / dt", t_end / dt, ge=0, lt=_MAX_STEPS)))
 
     times = np.arange(m + 1) * dt
     grid = times.tolist()  # scalar arithmetic is faster on floats than on numpy scalars
@@ -418,13 +410,14 @@ def integrate_pde(
     8 * 8M / dx^2 is the bound. Growth the reaction adds on top reaches
     interior cells as well, so it is the model's own, not the pads'.
     """
-    a0, p0 = (np.asarray(f, dtype=float) for f in fields)
-    if a0.ndim != 2 or a0.shape != p0.shape:
-        raise ValueError(f"fields must be 2-D arrays of one shape, got {a0.shape} and {p0.shape}")
-    if a0.size == 0:
-        raise ValueError(f"fields must not be empty, got shape {a0.shape}")
-    check_array("fields[0]", a0, ge=0)
-    check_array("fields[1]", p0, ge=0)
+    a0, p0 = fields
+    shape, p_shape = np.shape(a0), np.shape(p0)
+    if len(shape) != 2 or shape != p_shape:
+        raise ValueError(f"fields must be 2-D arrays of one shape, got {shape} and {p_shape}")
+    if 0 in shape:
+        raise ValueError(f"fields must not be empty, got shape {shape}")
+    a0 = check_array("fields[0]", a0, ge=0)
+    p0 = check_array("fields[1]", p0, ge=0)
     check_real("dx", dx, gt=0)
     check_real("d", d, ge=0)
     check_real("dx ** 2", dx * dx)
@@ -442,8 +435,7 @@ def integrate_pde(
         with np.errstate(over="ignore"):  # an infinite sum is rejected below
             top = float((a0 + p0).max())
         check_real("64 max(a0 + p0) / dx^2", 64.0 * (top / (dx * dx)))  # see the docstring
-    alpha = check_array("alpha_field", np.asarray(alpha_field, dtype=float), ge=0)
-    shape = a0.shape
+    alpha = check_array("alpha_field", alpha_field, ge=0)
     try:
         full = np.broadcast_to(alpha, shape)
     except ValueError:

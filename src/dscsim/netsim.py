@@ -191,10 +191,10 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
     have consecutive ids), and its points are filtered by the exact test.
     """
     check_real("r_star", r_star, gt=0)
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 2:
-        raise ValueError(f"positions must be of shape (k, 2), got shape {pos.shape}")
-    check_array("positions", pos)
+    shape = np.shape(positions)
+    if len(shape) != 2 or shape[1] != 2:
+        raise ValueError(f"positions must be of shape (k, 2), got shape {shape}")
+    pos = check_array("positions", positions)
     n = len(pos)
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)

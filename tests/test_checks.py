@@ -7,21 +7,29 @@ tries NaN, -inf, +inf (unless the interval is closed there) and the value
 just outside each finite bound, and expects a ValueError that names the
 parameter, its interval and the value; every closed bound must pass. A
 bool, a string, None, a complex or an ndarray of any shape is no real
-number and is rejected the same way. ARRAYS does the same for the real
-array arguments: each value outside sits at index 2 of an otherwise valid
-array, and the message names that element. FLAGS holds the bool fields of
-the config dataclasses, which take only a Python or numpy bool.
+number and is rejected the same way, shown by its repr, and a real that no
+float holds (10**400) is rejected as outside the float range. ARRAYS does
+the same for the real array arguments: each value outside sits at index 2
+of an otherwise valid array, and the message names that element; a list
+holding 10**400 there, and a complex array, are rejected naming the
+argument. FLAGS holds the bool fields of the config dataclasses, which
+take only a Python or numpy bool.
 test_every_real_parameter_has_a_row, test_every_array_argument_has_a_row
 and test_every_flag_field_has_a_row keep the tables complete, and
 test_closed_forms_give_finite_values_or_name_an_argument tries the rows'
-callables at the extremes of the float range.
+callables at the extremes of the float range and beyond it.
+test_only_checks_catches_overflow keeps the conversion to float in
+dscsim.checks.
 """
 
+import ast
 import dataclasses
 import inspect
 import math
 import re
 import warnings
+from fractions import Fraction
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -188,7 +196,22 @@ REJECTED = [(target, param, interval, value) for target, param, interval in ROWS
     ids=[f"{t.__name__}-{p}-{v}" for t, p, _, v in REJECTED],
 )
 def test_value_outside_the_interval_rejected_naming_it(target, param, interval, value):
-    message = f"^{param} must be {re.escape(_described(interval))}, got {re.escape(str(value))}$"
+    message = f"^{param} must be {re.escape(_described(interval))}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        _call(target, **{param: value})
+
+
+# Reals that no float holds. Most rows used to raise a bare OverflowError for
+# 10**400, and 14 accepted it.
+BEYOND = [10**400, -(10**400), Fraction(10**400, 3)]
+BEYOND_IDS = ["10**400", "-10**400", "Fraction(10**400, 3)"]
+
+
+@pytest.mark.parametrize("value", BEYOND, ids=BEYOND_IDS)
+@pytest.mark.parametrize("target, param", [(t, p) for t, p, _ in ROWS],
+                         ids=[f"{t.__name__}-{p}" for t, p, _ in ROWS])
+def test_real_no_float_holds_rejected_naming_it(target, param, value):
+    message = f"^{param} must be within the float range, got {re.escape(str(value))}$"
     with pytest.raises(ValueError, match=message):
         _call(target, **{param: value})
 
@@ -268,16 +291,24 @@ def _planted(array, value):
     return out
 
 
-def _with_element(target, param, value):
-    """VALID[target] with value at flat index 2 of the param array."""
+def _as_list_holding(array, value):
+    """The array as nested Python lists, with value at flat index 2."""
+    out = np.array(array, dtype=object)
+    out.flat[2] = value
+    return out.tolist()
+
+
+def _with_element(target, param, value, plant=_planted):
+    """VALID[target] with value at flat index 2 of the param array, or with
+    the array replaced by plant(array, value)."""
     name, _, index = param.partition("[")
     kwargs = dict(VALID[target])
     if index:
         items = list(kwargs[name])
-        items[int(index[:-1])] = _planted(items[int(index[:-1])], value)
+        items[int(index[:-1])] = plant(items[int(index[:-1])], value)
         kwargs[name] = tuple(items)
     else:
-        kwargs[name] = _planted(kwargs[name], value)
+        kwargs[name] = plant(kwargs[name], value)
     return kwargs
 
 
@@ -294,6 +325,26 @@ def test_array_element_outside_the_interval_rejected_naming_it(target, param, in
                f"got {re.escape(str(value))}$")
     with pytest.raises(ValueError, match=message):
         target(**_with_element(target, param, value))
+
+
+@pytest.mark.parametrize("value", BEYOND, ids=BEYOND_IDS)
+@pytest.mark.parametrize("target, param", [(t, p) for t, p, _ in ARRAYS],
+                         ids=[f"{t.__name__}-{p}" for t, p, _ in ARRAYS])
+def test_list_holding_a_real_no_float_holds_rejected_naming_it(target, param, value):
+    # each raised a bare OverflowError
+    kwargs = _with_element(target, param, value, plant=_as_list_holding)
+    with pytest.raises(ValueError, match=f"^{re.escape(param)} must be within the float range, "):
+        target(**kwargs)
+
+
+@pytest.mark.parametrize("target, param, interval", ARRAYS,
+                         ids=[f"{t.__name__}-{p}" for t, p, _ in ARRAYS])
+def test_complex_array_rejected_naming_it(target, param, interval):
+    # each warned "Casting complex values to real discards the imaginary part"
+    kwargs = _with_element(target, param, None, plant=lambda array, _: array + 0j)
+    message = f"^{re.escape(param)} must be {re.escape(_described(interval))}, got .*j"
+    with pytest.raises(ValueError, match=message):
+        target(**kwargs)
 
 
 # uniform_threshold reads c_star = inf as a threshold no reading reaches.
@@ -331,12 +382,31 @@ def test_every_array_argument_has_a_row():
     assert sorted(f"{t.__name__}.{p}" for t, p in missing) == []
 
 
-# float32 too: its elements compare with a bound in float32, not as check_real does.
-@pytest.mark.parametrize("array", [np.array([value, value]) for value in NO_NUMBER]
-                         + [np.full(2, 0.1, np.float32)], ids=repr)
-def test_array_of_no_float64_dtype_rejected(array):
-    with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(str(array))}$"):
-        check_array("x", array)
+# None converts to NaN; numpy converts no complex, no word and no ragged list.
+@pytest.mark.parametrize("value, shown", [
+    (np.array([None, None]), "nan"),
+    ([None, 1.0], "nan"),
+    (np.array([1j, 1j]), "array([0.+1.j, 0.+1.j])"),
+    ([1j, 1.0], "[1j, 1.0]"),
+    ([np.complex128(1j)], "[np.complex128(1j)]"),
+    (np.array([1, 1j], dtype=object), "array([1, 1j], dtype=object)"),
+    (["5", "five"], "['5', 'five']"),
+    ([[1.0, 2.0], [3.0]], "[[1.0, 2.0], [3.0]]"),
+], ids=repr)
+def test_array_no_float_holds_rejected(value, shown):
+    with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(shown)}$"):
+        check_array("x", value)
+
+
+# What np.asarray(value, dtype=float) converts passes, as every array
+# argument was converted before it was checked.
+@pytest.mark.parametrize("value", [np.array([True, False]), np.array(["5", "0.1"]),
+                                   np.full(2, 0.1, np.float32), [np.False_, 2], 3],
+                         ids=repr)
+def test_array_converted_as_numpy_converts_it(value):
+    converted = check_array("x", value)
+    assert converted.dtype == np.float64
+    assert converted.tobytes() == np.asarray(value, dtype=float).tobytes()
 
 
 # Each raised a RuntimeWarning ("overflow encountered in dot", "invalid value
@@ -391,6 +461,7 @@ SOLVERS = {dscsim.integrate_sis, dscsim.integrate_pde}
 CLOSED_FORMS = sorted({target for target, _, _ in ROWS} - SOLVERS, key=lambda t: t.__name__)
 EXTREMES = [sign * size for sign in (1.0, -1.0)
             for size in (1e300, 1e-300, 5e-324, 1.7976931348623157e308, 1e160, 1e-160)]
+EXTREMES += [10**400, -(10**400)]  # beyond the float range
 
 
 def _near_bounds(interval):
@@ -448,3 +519,19 @@ def test_closed_forms_give_finite_values_or_name_an_argument(call):
         level = changed.get("level", VALID[target]["level"])
         result = result[STEPS.profiles.max(axis=1) >= level]
     assert all(math.isfinite(x) for x in _floats(result)), result
+
+
+def _catches_overflow(handler):
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(name, ast.Name) and name.id == "OverflowError" for name in names)
+
+
+def test_only_checks_catches_overflow():
+    # a real that no float holds is decided in dscsim.checks, nowhere else
+    package = Path(dscsim.__file__).parent
+    catching = sorted(
+        f"{path.name}:{node.lineno}" for path in package.glob("*.py") if path.name != "checks.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and _catches_overflow(node))
+    assert catching == []
