@@ -40,11 +40,10 @@ def extract_plateau(trajectory, tail_fraction: float = 0.25) -> tuple[float, flo
     whatever its trend: a dying or still rising run gives its raw tail
     statistics. A std that is not finite (the tail's mean or spread
     overflows) is rejected."""
-    size = np.size(trajectory)
-    if size < _MIN_POINTS:
-        raise ValueError(f"trajectory too short: {size} < {_MIN_POINTS} points")
     y = check_array("trajectory", trajectory)
-    check_real("tail_fraction", tail_fraction, gt=0, le=1)
+    if y.size < _MIN_POINTS:
+        raise ValueError(f"trajectory too short: {y.size} < {_MIN_POINTS} points")
+    tail_fraction = check_real("tail_fraction", tail_fraction, gt=0, le=1)
     k = max(1, int(np.ceil(y.size * tail_fraction)))
     tail = y[-k:]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed mean gives an inf or NaN std
@@ -61,10 +60,10 @@ def alpha_from_sim(plateau_active_fraction: float, tau_star: float, n: int) -> f
     alpha_s = 1 / (tau_star * n * (1 - plateau)). Only meaningful for a
     genuinely supercritical plateau in (0, 1).
     """
-    check_real("plateau_active_fraction", plateau_active_fraction, gt=0, lt=1)
-    check_real("tau_star", tau_star, gt=0)
-    check_real("n", n, gt=0)
-    scale = tau_star * n * (1.0 - plateau_active_fraction)
+    plateau = check_real("plateau_active_fraction", plateau_active_fraction, gt=0, lt=1)
+    tau_star = check_real("tau_star", tau_star, gt=0)
+    n = check_real("n", n, gt=0)
+    scale = tau_star * n * (1.0 - plateau)
     # 1 / scale overflows at and below 2**-1024; an infinite scale is rejected too
     check_real("tau_star * n * (1 - plateau_active_fraction)", scale, gt=2.0 ** -1024)
     return 1.0 / scale
@@ -76,13 +75,11 @@ def calibrate_g(pairs) -> float:
     pairs: iterable of (alpha_sim, alpha_theory_at_g1), all finite and
     positive.
     """
-    pairs = list(pairs)
-    shape = np.shape(pairs)
-    if 0 in shape:
+    arr = check_array("pairs", list(pairs), gt=0)
+    if 0 in arr.shape:
         raise ValueError("calibrate_g needs at least one pair")
-    if len(shape) != 2 or shape[1] != 2:
+    if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("pairs must be (alpha_sim, alpha_theory) tuples")
-    arr = check_array("pairs", pairs, gt=0)
     sim, theory = arr[:, 0], arr[:, 1]
     with np.errstate(all="ignore"):  # a dot that overflows or underflows is rejected below
         g = float(np.dot(sim, theory) / np.dot(theory, theory))
@@ -91,12 +88,11 @@ def calibrate_g(pairs) -> float:
 
 def fit_power_law(xs, ys) -> FitResult:
     """Ordinary least squares on (log x, log y)."""
-    shape = np.shape(xs)
-    if len(shape) != 1 or shape != np.shape(ys) or shape[0] < 3:
-        raise ValueError(f"xs and ys must be 1-D with one length >= 3, got shapes {shape} "
-                         f"and {np.shape(ys)}")
     x = check_array("xs", xs, gt=0)
     y = check_array("ys", ys, gt=0)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 3:
+        raise ValueError(f"xs and ys must be 1-D with one length >= 3, got shapes {x.shape} "
+                         f"and {y.shape}")
     lx, ly = np.log(x), np.log(y)
     design = np.vstack([lx, np.ones_like(lx)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, ly, rcond=None)
@@ -177,15 +173,21 @@ def analyze_sweep(rows) -> dict:
         raise ValueError(f"sweep rows lack the columns {', '.join(missing)}")
     fixed = {"point", *SWEEP_COLUMNS}
     axes = [c for c in rows[0] if c not in fixed]
+
+    def number(row, column, kind=float):
+        """The cell read as a kind (an int or a finite float), or a ValueError naming it."""
+        try:
+            value = kind(row[column])
+            if kind is float and not math.isfinite(value):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"sweep column {column} is {row[column]!r} "
+                             f"at point {row['point']}") from None
+        return value
+
     grouped: dict[int, list] = {}
     for row in rows:
-        grouped.setdefault(int(row["point"]), []).append(row)
-
-    def number(row, column):
-        value = float(row[column])
-        if not math.isfinite(value):
-            raise ValueError(f"sweep column {column} is {row[column]!r} at point {row['point']}")
-        return value
+        grouped.setdefault(number(row, "point", int), []).append(row)
 
     per_point, sizes, pairs, power_xs = [], [], [], []
     for point_idx, members in sorted(grouped.items()):
@@ -194,9 +196,9 @@ def analyze_sweep(rows) -> dict:
         plateau_sim = float(np.mean(plateaus))
         p = number(first, "p")
         alpha_g1 = number(first, "alpha_theory_g1")
-        n = int(first["n"])
+        n = number(first, "n", int)
         tau_star = number(first, "tau_star")
-        supercritical = int(first["initial_active"]) / n < plateau_sim < 1.0
+        supercritical = number(first, "initial_active", int) / n < plateau_sim < 1.0
         alpha_s = alpha_from_sim(plateau_sim, tau_star, n) if supercritical else None
         if supercritical:
             pairs.append((alpha_s, alpha_g1))

@@ -1,5 +1,7 @@
-"""Argument checks, and the package's one conversion of a real argument to
-a float. Each names the argument, the values it may take and the value it
+"""Argument checks, and the package's one conversion of an argument to the
+value the code runs on: each check returns the int, float, float array or
+bool it judged, and callers compute with that, not with the object given.
+A rejection names the argument, the values it may take and the value it
 got; the module imports nothing from the package. A bool is a flag, never
 a number: check_integer and check_real reject it, and only check_flag
 accepts it."""
@@ -8,23 +10,25 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 import numpy as np
 
 
 def check_integer(name: str, value, minimum: int | None = None,
-                  maximum: int | None = None) -> None:
-    """Reject a bool or a value without __index__ (50.0, 2.5, "3") or outside
-    [minimum, maximum], naming it; an omitted bound is open, and numpy
-    integers pass."""
+                  maximum: int | None = None) -> int:
+    """Return the int operator.index(value) if it lies in [minimum, maximum];
+    reject a bool, an ndarray, a value without __index__ (50.0, 2.5, "3") or
+    one outside, naming it. An omitted bound is open; numpy integers pass."""
     low = -math.inf if minimum is None else minimum
     high = math.inf if maximum is None else maximum
-    if isinstance(value, bool) or not hasattr(value, "__index__") or not low <= value <= high:
+    if isinstance(value, (bool, np.ndarray)) or not hasattr(value, "__index__") or not low <= value <= high:
         if maximum is not None:
             bound = f" in [{low}, {maximum}]"
         else:
             bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return operator.index(value)
 
 
 def check_real(name: str, value, *, gt=-math.inf, ge=None, lt=math.inf, le=None) -> float:
@@ -75,8 +79,9 @@ def check_array(name: str, value, *, gt=-math.inf, ge=None, lt=math.inf, le=None
     check_real(name, value, gt=gt, ge=ge, lt=lt, le=le)  # raises: no float array, or outside
 
 
-def check_flag(name: str, value) -> None:
-    """Reject a value that is not a Python or numpy bool (0, "false", None),
-    naming it."""
+def check_flag(name: str, value) -> bool:
+    """Return the Python bool of a Python or numpy bool; reject any other
+    value (0, "false", None), naming it."""
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)

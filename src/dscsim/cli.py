@@ -158,7 +158,7 @@ def dispatch(subcommand: str, config: ExperimentConfig, out_dir, jobs: int = 1, 
     """
     if subcommand not in _HANDLERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    check_integer("jobs", jobs, 1)
+    jobs = check_integer("jobs", jobs, 1)
     if jobs != 1 and subcommand not in _JOBS_SUBCOMMANDS:
         raise ValueError(f"{subcommand} takes no jobs, got {jobs}")
     out = Path(out_dir)

@@ -16,11 +16,10 @@ initial_active = 10, g = 0.7.
 from __future__ import annotations
 
 import configparser
-import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
-from .checks import check_integer, check_real
+from .checks import check_flag, check_integer, check_real
 from .environment import ConcentrationModel
 from .netsim import NetworkConfig
 from .sensor import SensorSpec
@@ -125,6 +124,8 @@ _REQUIRED_SECTIONS = {
 
 # Field annotation (a string under postponed evaluation) -> converter.
 _CONVERTERS = {"float": float, "int": int, "int | None": int, "bool": _parse_bool}
+# Converter -> the check whose result apply_override stores.
+_STORED = {float: check_real, int: check_integer, _parse_bool: check_flag}
 
 # section -> key -> (converter, required), in field order; a field without
 # a default is a required key.
@@ -239,17 +240,16 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def apply_override(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
-    """Replace one dotted parameter, returning a new config. A real (not a
-    bool) given for a float key is stored as a Python float, the value the
-    run uses and the manifest writes back, once the section's check has
-    judged it."""
+    """Replace one dotted parameter, returning a new config. Once the
+    section's checks have judged the value, it is stored as its key's check
+    returns it: a Python float, int or bool, the value the run uses and the
+    manifest writes back."""
     section, _, key = path.partition(".")
     if section not in _SECTION_TYPES or key not in _SCHEMA[section]:
         raise ValueError(f"parameter path '{path}' does not exist")
     sub = replace(getattr(config, section), **{key: value})
-    if _SCHEMA[section][key][0] is float and isinstance(value, numbers.Real) \
-            and not isinstance(value, bool):
-        sub = replace(sub, **{key: float(value)})  # the check rejects a real no float holds
+    if value is not None:  # rotation_period = None picks the default
+        sub = replace(sub, **{key: _STORED[_SCHEMA[section][key][0]](key, value)})
     return replace(config, **{section: sub})
 
 

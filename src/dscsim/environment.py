@@ -136,5 +136,4 @@ def uniform_threshold(model: ConcentrationModel, c_star) -> np.ndarray:
 
 def time_series(model: ConcentrationModel, steps: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. concentration series of the given length (one value per step)."""
-    check_integer("steps", steps, 1)
-    return np.asarray(quantile(model, rng.random(steps)))
+    return np.asarray(quantile(model, rng.random(check_integer("steps", steps, 1))))

@@ -37,9 +37,9 @@ from .sensor import SensorSpec
 
 def alpha_theory(spec: SensorSpec, s: float, p: float, g: float) -> float:
     """Contact rate alpha = g * pi * r_star**2 * p / (tau_star * s)."""
-    check_real("s", s, gt=0)
-    check_real("p", p, ge=0, le=1)
-    check_real("g", g, gt=0)
+    s = check_real("s", s, gt=0)
+    p = check_real("p", p, ge=0, le=1)
+    g = check_real("g", g, gt=0)
     check_real("r_star ** 2", spec.r_star * spec.r_star, gt=0)  # ** raises OverflowError
     return check_real("alpha = g pi r_star^2 p / (tau_star s)",
                       g * math.pi * spec.r_star ** 2 * p / (spec.tau_star * s), ge=0)
@@ -51,11 +51,11 @@ def r0(p: float, n: int, r_star: float, s: float, g: float = 1.0) -> float:
     The sampling time tau_star cancels: whether an epidemic is possible
     does not depend on how long individual sensors stay awake.
     """
-    check_real("s", s, gt=0)
-    check_real("p", p, ge=0, le=1)
-    check_real("g", g, gt=0)
-    check_real("n", n, ge=0)
-    check_real("r_star", r_star, gt=0)
+    s = check_real("s", s, gt=0)
+    p = check_real("p", p, ge=0, le=1)
+    g = check_real("g", g, gt=0)
+    n = check_real("n", n, ge=0)
+    r_star = check_real("r_star", r_star, gt=0)
     check_real("r_star ** 2", r_star * r_star, gt=0)  # ** raises OverflowError
     return check_real("R0 = g p n pi r_star^2 / s", g * p * n * math.pi * r_star ** 2 / s, ge=0)
 
@@ -66,8 +66,8 @@ def logistic_solution(z0: float, b: float, t):
     Solves dz/dt = b z (1 - z) with z(0) = z0 in [0, 1]. b = 0 freezes z;
     b < 0 drives it to 0, b > 0 to 1.
     """
-    check_real("z0", z0, ge=0, le=1)
-    check_real("b", b)
+    z0 = check_real("z0", z0, ge=0, le=1)
+    b = check_real("b", b)
     t_arr = check_array("t", t)
     if z0 in (0, 1):  # fixed points, where the formula can give 0 / 0 or 0 * inf
         out = np.full(t_arr.shape, z0, dtype=float)
@@ -79,15 +79,14 @@ def logistic_solution(z0: float, b: float, t):
 
 def steady_state(r0_value: float) -> tuple[float, float]:
     """Supercritical steady state: (active_fraction, theta) with theta = 1/R0."""
-    check_real("r0_value", r0_value, gt=1)
-    theta = 1.0 / r0_value
+    theta = 1.0 / check_real("r0_value", r0_value, gt=1)
     return 1.0 - theta, theta
 
 
 def relaxation_time(r0_value: float, tau_star: float) -> float:
     """Time scale tau_star / (R0 - 1) to reach the supercritical steady state."""
-    check_real("r0_value", r0_value, gt=1)
-    check_real("tau_star", tau_star, gt=0)
+    r0_value = check_real("r0_value", r0_value, gt=1)
+    tau_star = check_real("tau_star", tau_star, gt=0)
     return check_real("tau_star / (r0_value - 1)", tau_star / (r0_value - 1.0))
 
 
@@ -129,14 +128,14 @@ def info_gain_conditions(
     r_star: float,
 ) -> InfoGainReport:
     """Evaluate every information-gain condition; see InfoGainReport."""
-    check_real("theta", theta, ge=0)
-    check_real("delta", delta, ge=0, le=1)
-    check_real("p", p, gt=0, lt=1)  # the count thresholds divide by p (1 - p)
-    check_real("tau_star", tau_star, gt=0)
-    check_integer("n", n, 1)
-    check_real("t_detect", t_detect, gt=0)
-    check_real("s", s, gt=0)
-    check_real("r_star", r_star, gt=0)
+    theta = check_real("theta", theta, ge=0)
+    delta = check_real("delta", delta, ge=0, le=1)
+    p = check_real("p", p, gt=0, lt=1)  # the count thresholds divide by p (1 - p)
+    tau_star = check_real("tau_star", tau_star, gt=0)
+    n = check_integer("n", n, 1)
+    t_detect = check_real("t_detect", t_detect, gt=0)
+    s = check_real("s", s, gt=0)
+    r_star = check_real("r_star", r_star, gt=0)
     check_real("r_star ** 2", r_star * r_star, gt=0)  # ** raises OverflowError; a divisor
     rate = check_real("p n t_detect", p * n * t_detect, gt=0, le=math.inf)  # a divisor
     delta_min = check_real("delta_min = tau_star / (p n t_detect)", tau_star / rate)
@@ -194,7 +193,7 @@ def _sis_pass(alpha, tau_star, n, nu, y0, times: list, equal_widths: bool,
     there and fills the rest of the grid with it. A pass that leaves the
     float range raises ValueError, naming alpha."""
     out = np.empty(len(times))
-    out[0] = y = float(y0)
+    out[0] = y = y0
     for k in range(len(times) - 1):
         h = (times[k + 1] - times[k]) / substeps
         half, sixth = 0.5 * h, h / 6.0
@@ -247,18 +246,18 @@ def integrate_sis(
     the values are the ones the full pass would compute. A grid of more
     points than one float64 array can hold is rejected, naming t_end / dt.
 
-    The passes work on floats, the ones check_real returns for tau_star, n
-    and nu: an int operand takes every stage off CPython's float fast path.
-    An int up to 2**53 converts exactly, so its bytes are the int's.
+    The passes work on the floats check_real returns: an int or numpy
+    operand takes every stage off CPython's float fast path. An int up to
+    2**53 converts exactly, so its bytes are the int's.
     """
-    check_real("alpha", alpha, ge=0)
+    alpha = check_real("alpha", alpha, ge=0)
     tau_star = check_real("tau_star", tau_star, gt=0)
     n = check_real("n", n, ge=0)
     nu = check_real("nu", nu, ge=0, le=1)
-    check_real("y0", y0, ge=0, le=n)
-    check_real("t_end", t_end, gt=0)
-    check_real("dt", dt, gt=0)
-    check_real("rel_tol", rel_tol, gt=0)
+    y0 = check_real("y0", y0, ge=0, le=n)
+    t_end = check_real("t_end", t_end, gt=0)
+    dt = check_real("dt", dt, gt=0)
+    rel_tol = check_real("rel_tol", rel_tol, gt=0)
     m = max(1, round(check_real("t_end / dt", t_end / dt, ge=0, lt=_MAX_STEPS)))
 
     times = np.arange(m + 1) * dt
@@ -410,22 +409,25 @@ def integrate_pde(
     8 * 8M / dx^2 is the bound. Growth the reaction adds on top reaches
     interior cells as well, so it is the model's own, not the pads'.
     """
-    a0, p0 = fields
-    shape, p_shape = np.shape(a0), np.shape(p0)
-    if len(shape) != 2 or shape != p_shape:
-        raise ValueError(f"fields must be 2-D arrays of one shape, got {shape} and {p_shape}")
-    if 0 in shape:
-        raise ValueError(f"fields must not be empty, got shape {shape}")
+    try:
+        a0, p0 = fields
+    except (TypeError, ValueError):  # no pair to unpack
+        raise ValueError(f"fields must be a pair (a, p), got {fields!r}") from None
     a0 = check_array("fields[0]", a0, ge=0)
     p0 = check_array("fields[1]", p0, ge=0)
-    check_real("dx", dx, gt=0)
-    check_real("d", d, ge=0)
+    shape = a0.shape
+    if a0.ndim != 2 or shape != p0.shape:
+        raise ValueError(f"fields must be 2-D arrays of one shape, got {shape} and {p0.shape}")
+    if 0 in shape:
+        raise ValueError(f"fields must not be empty, got shape {shape}")
+    dx = check_real("dx", dx, gt=0)
+    d = check_real("d", d, ge=0)
     check_real("dx ** 2", dx * dx)
-    check_real("dt", dt, gt=0)
-    check_real("t_end", t_end, gt=0)
+    dt = check_real("dt", dt, gt=0)
+    t_end = check_real("t_end", t_end, gt=0)
     n_steps = max(1, round(check_real("t_end / dt", t_end / dt)))
-    check_real("tau_star", tau_star, gt=0, le=math.inf)  # inf turns off deactivation
-    check_integer("record_every", record_every, 1)
+    tau_star = check_real("tau_star", tau_star, gt=0, le=math.inf)  # inf turns off deactivation
+    record_every = check_integer("record_every", record_every, 1)
     if d > 0:
         limit = dx ** 2 / (4.0 * d)
         if dt > limit * (1.0 + 1e-12):
@@ -517,7 +519,7 @@ def front_positions(trajectory: PdeTrajectory, level: float) -> np.ndarray:
     fraction (profile[i] - level) / drop of a cell on, clipped to [0, 1],
     where drop = profile[i] - profile[i + 1] is positive (0 at the last
     cell); NaN where the profile never reaches the level."""
-    check_real("level", level)
+    level = check_real("level", level)
     profiles, dx = np.asarray(trajectory.profiles, dtype=float), trajectory.dx
     above = profiles >= level
     last = profiles.shape[1] - 1
@@ -555,10 +557,10 @@ def front_speed(trajectory: PdeTrajectory, level: float) -> float:
 def synchronization_check(alpha: float, tau_star: float, r_star: float, v_star: float) -> bool:
     """True iff the activation front can keep up with wind advection:
     alpha >= v_star**2 * tau_star / r_star**2."""
-    check_real("alpha", alpha, ge=0)
-    check_real("tau_star", tau_star, gt=0)
-    check_real("r_star", r_star, gt=0)
-    check_real("v_star", v_star, ge=0)
+    alpha = check_real("alpha", alpha, ge=0)
+    tau_star = check_real("tau_star", tau_star, gt=0)
+    r_star = check_real("r_star", r_star, gt=0)
+    v_star = check_real("v_star", v_star, ge=0)
     check_real("r_star ** 2", r_star * r_star, gt=0)  # ** raises OverflowError; a divisor
     check_real("v_star ** 2", v_star * v_star)  # ** raises OverflowError
     return alpha >= v_star ** 2 * tau_star / r_star ** 2

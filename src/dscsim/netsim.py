@@ -190,11 +190,10 @@ def neighbor_csr(positions: np.ndarray, r_star: float) -> tuple[np.ndarray, np.n
     a point is three runs of that order, one per column (a column's cells
     have consecutive ids), and its points are filtered by the exact test.
     """
-    check_real("r_star", r_star, gt=0)
-    shape = np.shape(positions)
-    if len(shape) != 2 or shape[1] != 2:
-        raise ValueError(f"positions must be of shape (k, 2), got shape {shape}")
+    r_star = check_real("r_star", r_star, gt=0)
     pos = check_array("positions", positions)
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions must be of shape (k, 2), got shape {pos.shape}")
     n = len(pos)
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -448,7 +447,7 @@ def run(
     config: NetworkConfig, spec: SensorSpec, model: ConcentrationModel, steps: int
 ) -> list[SimRecord]:
     """Full trajectory of `steps` records from the initial state."""
-    check_integer("steps", steps, 1)
+    steps = check_integer("steps", steps, 1)
     sim = Simulation(config, spec, model)
     return [sim.step() for _ in range(steps)]
 
@@ -485,7 +484,7 @@ def _deal(members, jobs: int) -> tuple[list[int], list[tuple]]:
     of their results. Checks every member's steps."""
     groups: dict[tuple, list[int]] = {}
     for index, (config, spec, model, steps) in enumerate(members):
-        check_integer("steps", steps, 1)
+        steps = check_integer("steps", steps, 1)
         # A union's members share all but seed, r_star and c_star.
         groups.setdefault((replace(config, seed=0), spec.tau_star, model, steps), []).append(index)
     order, chunks = [], []
@@ -569,7 +568,7 @@ def run_members(members, jobs: int = 1) -> list[np.ndarray]:
     back in input order, so the result depends on neither jobs nor
     scheduling.
     """
-    check_integer("jobs", jobs, 1)
+    jobs = check_integer("jobs", jobs, 1)
     order, chunks = _deal(members, jobs)
     results = map(_chunk_run, chunks) if jobs == 1 else _fan_out(chunks, jobs)
     trajectories = [None] * len(order)
@@ -587,7 +586,7 @@ def ensemble_run(
     jobs: int = 1,
 ) -> EnsembleResult:
     """Ensemble over seeds config.seed, config.seed + 1, ..., run by run_members."""
-    check_integer("n_seeds", n_seeds, 1)
+    n_seeds = check_integer("n_seeds", n_seeds, 1)
     members = [
         (replace(config, seed=config.seed + i), spec, model, steps) for i in range(n_seeds)
     ]

@@ -31,8 +31,7 @@ class SensorSpec:
 
 def read(spec: SensorSpec, c: float) -> int:
     """Binary reading: 1 iff c >= c_star (boundary inclusive)."""
-    check_real("c", c, ge=0)
-    return 1 if c >= spec.c_star else 0
+    return 1 if check_real("c", c, ge=0) >= spec.c_star else 0
 
 
 def detection_probability(spec: SensorSpec, model: ConcentrationModel) -> float:

@@ -314,6 +314,17 @@ class TestSweepBridge:
         with pytest.raises(ValueError, match=f"sweep column {column} is '{cell}' at point 1$"):
             analyze_sweep(rows)
 
+    @pytest.mark.parametrize("column", ["point", "n", "initial_active"])
+    def test_analyze_sweep_rejects_non_integer_cells(self, column):
+        # a bare int() raised "invalid literal for int() with base 10: '400.0'"
+        header = ["point", "sensor.r_star", *SWEEP_COLUMNS]
+        rows = [dict(zip(header, map(str, row))) for row in sweep(parse_config(SWEEP_CONFIG))]
+        for row in rows[3:]:
+            row[column] += ".0"
+        cell, point = rows[3][column], rows[3]["point"]
+        with pytest.raises(ValueError, match=f"^sweep column {column} is '{cell}' at point {point}$"):
+            analyze_sweep(rows)
+
     def test_analyze_sweep_names_missing_columns(self):
         rows = [{"point": "0", "seed": "0", "plateau_mean": "0.1"}]
         absent = "plateau_std, p, alpha_theory_g1, n, tau_star, initial_active"

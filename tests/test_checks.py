@@ -12,20 +12,24 @@ float holds (10**400) is rejected as outside the float range. ARRAYS does
 the same for the real array arguments: each value outside sits at index 2
 of an otherwise valid array, and the message names that element; a list
 holding 10**400 there, and a complex array, are rejected naming the
-argument. FLAGS holds the bool fields of the config dataclasses, which
-take only a Python or numpy bool.
+argument, as is a ragged list. A function computes on the float its check
+returns: an np.float32, np.float64 or Fraction argument gives the result of
+its float, bit for bit. FLAGS holds the bool fields of the config
+dataclasses, which take only a Python or numpy bool.
 test_every_real_parameter_has_a_row, test_every_array_argument_has_a_row
 and test_every_flag_field_has_a_row keep the tables complete, and
 test_closed_forms_give_finite_values_or_name_an_argument tries the rows'
 callables at the extremes of the float range and beyond it.
 test_only_checks_catches_overflow keeps the conversion to float in
-dscsim.checks.
+dscsim.checks, and test_checked_arguments_are_used_as_converted keeps every
+caller on the value its check returns.
 """
 
 import ast
 import dataclasses
 import inspect
 import math
+import pickle
 import re
 import warnings
 from fractions import Fraction
@@ -233,6 +237,21 @@ def test_closed_bound_accepted(target, param, value):
     _call(target, **{param: value})
 
 
+# (function, parameter, numeric type) for each function row; a config dataclass
+# stores what it is given.
+CONVERTED = [(target, param, kind) for target, param, _ in ROWS if inspect.isfunction(target)
+             for kind in (np.float32, np.float64, Fraction)]
+
+
+@pytest.mark.parametrize("target, param, kind", CONVERTED,
+                         ids=[f"{t.__name__}-{p}-{k.__name__}" for t, p, k in CONVERTED])
+def test_real_computes_as_its_float(target, param, kind):
+    # alpha_theory(s=np.float32(1e6)) used to compute tau_star * s in float32
+    value = kind(VALID[target].get(param, inspect.signature(target).parameters[param].default))
+    got = _call(target, **{param: value})
+    assert pickle.dumps(got) == pickle.dumps(_call(target, **{param: float(value)}))
+
+
 @pytest.mark.parametrize("n", [2.5, 0, math.nan, True])
 def test_info_gain_counts_sensors_in_integers(n):
     # info_gain_conditions(..., n=2.5) used to be evaluated
@@ -334,6 +353,16 @@ def test_list_holding_a_real_no_float_holds_rejected_naming_it(target, param, va
     # each raised a bare OverflowError
     kwargs = _with_element(target, param, value, plant=_as_list_holding)
     with pytest.raises(ValueError, match=f"^{re.escape(param)} must be within the float range, "):
+        target(**kwargs)
+
+
+@pytest.mark.parametrize("target, param", [(t, p) for t, p, _ in ARRAYS],
+                         ids=[f"{t.__name__}-{p}" for t, p, _ in ARRAYS])
+def test_ragged_list_rejected_naming_it(target, param):
+    # neighbor_csr, extract_plateau, calibrate_g, fit_power_law and
+    # integrate_pde read its shape first and raised numpy's "inhomogeneous shape"
+    kwargs = _with_element(target, param, [1.0, 2.0], plant=_as_list_holding)
+    with pytest.raises(ValueError, match=f"^{re.escape(param)} must be "):
         target(**kwargs)
 
 
@@ -535,3 +564,36 @@ def test_only_checks_catches_overflow():
         if isinstance(node, ast.ExceptHandler) and node.type is not None
         and _catches_overflow(node))
     assert catching == []
+
+
+def _unconverted(path):
+    """file:line of each bare check_* call on a parameter that its function
+    reads afterwards, and of each np.shape or np.size call."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.shape", "np.size"):
+            found.append(f"{path.name}:{node.lineno}")
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        reads = [(name.id, name.lineno, name.col_offset) for name in ast.walk(node)
+                 if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)]
+        for stmt in ast.walk(node):
+            call = stmt.value if isinstance(stmt, ast.Expr) else None
+            if not (isinstance(call, ast.Call) and ast.unparse(call.func).startswith("check_")
+                    and len(call.args) > 1 and isinstance(call.args[1], ast.Name)):
+                continue
+            after = (stmt.end_lineno, stmt.end_col_offset)
+            value = call.args[1].id
+            if value in params and any(name == value and (line, col) > after
+                                       for name, line, col in reads):
+                found.append(f"{path.name}:{stmt.lineno}")
+    return found
+
+
+def test_checked_arguments_are_used_as_converted():
+    # 48 bare checks computed on the caller's object, and five functions read
+    # a shape before the array's check
+    package = Path(dscsim.__file__).parent
+    assert [site for path in sorted(package.glob("*.py")) for site in _unconverted(path)] == []

@@ -131,11 +131,13 @@ class TestParsing:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             MeanFieldSettings(**{name: value})
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", True, np.True_])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", True, np.True_,
+                                       np.array(3), np.array([3])])
     @pytest.mark.parametrize("path", INT_KEYS)
     def test_non_integer_count_rejected_naming_its_field(self, path, value):
         # run.n_seeds = 2.0 used to fail in analysis.sweep, pde.seed_columns =
-        # 2.5 in run_pde, network.n = 50.0 inside numpy.
+        # 2.5 in run_pde, network.n = 50.0 inside numpy; an array was taken
+        # for its element.
         key = path.partition(".")[2]
         with pytest.raises(ValueError, match=f"^{key} must be an integer"):
             apply_override(_BASE, path, value)
@@ -145,7 +147,8 @@ class TestParsing:
         section, _, key = path.partition(".")
         value = np.int64(getattr(getattr(_BASE, section), key))
         cfg = apply_override(_BASE, path, value)
-        assert getattr(getattr(cfg, section), key) is value
+        stored = getattr(getattr(cfg, section), key)
+        assert type(stored) is int and stored == value  # the int check_integer returns
 
     def test_negative_seed_rejected(self):
         # numpy used to reject it late (simulate) or not at all (meanfield)
@@ -560,6 +563,20 @@ class TestCli:
                          "--input", str(moved)]) == 0
         assert (given / "analysis.json").read_bytes() == (default / "analysis.json").read_bytes()
         assert not (given / "sweep.csv").exists()
+
+    def test_numpy_overrides_write_the_bytes_of_python_ones(self, tmp_path):
+        # np.int64 n_seeds and seed reached manifest.json, which json could
+        # not write, and np.True_ was written as "single_shot = True"
+        outputs = []
+        for number, flag in ((int, bool), (np.int64, np.bool_)):
+            config = parse_config(SMALL_RUN)
+            for path, value in (("run.n_seeds", number(2)), ("network.seed", number(7)),
+                                ("network.single_shot", flag(True))):
+                config = apply_override(config, path, value)
+            out = tmp_path / number.__name__
+            assert cli.dispatch("sweep", config, out) == 0
+            outputs.append([(out / name).read_bytes() for name in ("sweep.csv", "manifest.json")])
+        assert outputs[0] == outputs[1]
 
     def test_dispatch_accepts_jobs_on_pde(self, tmp_path):
         config = parse_config(MINIMAL + "\n[pde]\nnx = 12\nny = 2\nt_end = 3.0\ndt = 0.0625\n")

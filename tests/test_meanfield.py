@@ -277,7 +277,7 @@ def sis_pass_bytes(alpha, tau_star, n, nu, y0, dt, steps, substeps):
     times = np.arange(steps + 1) * dt
     grid = times.tolist()
     # the floats that integrate_sis hands the pass; the reference keeps ints
-    got = meanfield._sis_pass(alpha, float(tau_star), float(n), float(nu), y0, grid,
+    got = meanfield._sis_pass(alpha, float(tau_star), float(n), float(nu), float(y0), grid,
                               meanfield._equal_widths(times), substeps)
     return got.tobytes(), reference_sis_pass(alpha, tau_star, n, nu, y0, grid, substeps).tobytes()
 
@@ -333,13 +333,22 @@ class TestSisFixedPoint:
         assert got == expected
 
     @pytest.mark.parametrize("dt, substeps", [(1.0, 3), (0.1, 3000)])
-    def test_work_stops_at_the_fixed_point(self, dt, substeps):
+    def test_work_stops_at_the_fixed_point(self, monkeypatch, dt, substeps):
         # y0 = 0 is a fixed point at nu > 0: on the unit grid each pass
         # stops after its first interval, and the passes of 1 and 2
-        # substeps agree; the 0.1 grid has unequal widths and runs in full
-        alpha = CountedRate(1e-3)
-        traj = integrate_sis(alpha, 5.0, 400.0, 0.7, 0.0, 1000 * dt, dt)
+        # substeps agree; the 0.1 grid has unequal widths and runs in full.
+        # integrate_sis converts alpha to a float, so the passes it made
+        # are run again on their own arguments with a CountedRate alpha,
+        # which _sis_pass takes as given.
+        passes, original = [], meanfield._sis_pass
+        monkeypatch.setattr(meanfield, "_sis_pass",
+                            lambda *args: passes.append(args) or original(*args))
+        traj = integrate_sis(1e-3, 5.0, 400.0, 0.7, 0.0, 1000 * dt, dt)
         assert traj.y.size == 1001 and not traj.y.any()
+        assert [args[-1] for args in passes] == [1, 2]  # substeps per pass
+        alpha = CountedRate(passes[0][0])
+        for _, *rest in passes:
+            assert original(alpha, *rest).tobytes() == traj.y.tobytes()
         assert alpha.calls == 4 * substeps
 
 
@@ -351,15 +360,15 @@ class TestFloatOperands:
     def test_sis_pass_receives_floats(self, monkeypatch):
         seen, original = [], meanfield._sis_pass
 
-        def spy(alpha, tau_star, n, nu, *rest):
-            seen.append((tau_star, n, nu))
-            return original(alpha, tau_star, n, nu, *rest)
+        def spy(alpha, tau_star, n, nu, y0, *rest):
+            seen.append((alpha, tau_star, n, nu, y0))
+            return original(alpha, tau_star, n, nu, y0, *rest)
 
         monkeypatch.setattr(meanfield, "_sis_pass", spy)
-        ints = integrate_sis(1e-3, 5, 400, 1, 10, 50.0, 1.0)
+        mixed = integrate_sis(np.float64(1e-3), 5, 400, 1, 10, 50.0, 1.0)
         assert seen and {type(x) for args in seen for x in args} == {float}
-        floats = integrate_sis(1e-3, 5.0, 400.0, 1.0, 10, 50.0, 1.0)
-        assert ints.y.tobytes() == floats.y.tobytes()
+        floats = integrate_sis(1e-3, 5.0, 400.0, 1.0, 10.0, 50.0, 1.0)
+        assert mixed.y.tobytes() == floats.y.tobytes()
 
     def test_int_beyond_the_float_range_rejected(self):
         with pytest.raises(ValueError, match="n must be within the float range"):
@@ -685,6 +694,12 @@ class TestIntegratePde:
                 integrate_pde(*args)
         else:
             assert np.isfinite(integrate_pde(*args).active[-1]).all()
+
+    @pytest.mark.parametrize("fields", [(np.zeros((2, 5)),) * 3, (np.zeros((2, 5)),), 0.5])
+    def test_fields_other_than_a_pair_rejected(self, fields):
+        # (a, p, x) raised "too many values to unpack (expected 2)"
+        with pytest.raises(ValueError, match=r"^fields must be a pair \(a, p\), got "):
+            integrate_pde(fields, 0.4, 5.0, t_end=1.0, dt=0.25, dx=1.0, d=0.1)
 
     @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
     def test_empty_fields_rejected(self, shape):
