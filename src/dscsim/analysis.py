@@ -41,6 +41,8 @@ def extract_plateau(trajectory, tail_fraction: float = 0.25) -> tuple[float, flo
     statistics. A std that is not finite (the tail's mean or spread
     overflows) is rejected."""
     y = check_array("trajectory", trajectory)
+    if y.ndim != 1:
+        raise ValueError(f"trajectory must be 1-D, got shape {y.shape}")
     if y.size < _MIN_POINTS:
         raise ValueError(f"trajectory too short: {y.size} < {_MIN_POINTS} points")
     tail_fraction = check_real("tail_fraction", tail_fraction, gt=0, le=1)
@@ -174,13 +176,13 @@ def analyze_sweep(rows) -> dict:
     fixed = {"point", *SWEEP_COLUMNS}
     axes = [c for c in rows[0] if c not in fixed]
 
-    def number(row, column, kind=float):
-        """The cell read as a kind (an int or a finite float), or a ValueError naming it."""
+    def number(row, column, kind=float, minimum=-math.inf):
+        """The cell read as a finite float or an int >= minimum, or a ValueError naming it."""
         try:
             value = kind(row[column])
-            if kind is float and not math.isfinite(value):
+            if not (math.isfinite(value) if kind is float else value >= minimum):
                 raise ValueError
-        except ValueError:
+        except (TypeError, ValueError):  # a short row's missing cell is None
             raise ValueError(f"sweep column {column} is {row[column]!r} "
                              f"at point {row['point']}") from None
         return value
@@ -196,9 +198,9 @@ def analyze_sweep(rows) -> dict:
         plateau_sim = float(np.mean(plateaus))
         p = number(first, "p")
         alpha_g1 = number(first, "alpha_theory_g1")
-        n = number(first, "n", int)
+        n = number(first, "n", int, 1)
         tau_star = number(first, "tau_star")
-        supercritical = number(first, "initial_active", int) / n < plateau_sim < 1.0
+        supercritical = number(first, "initial_active", int, 0) / n < plateau_sim < 1.0
         alpha_s = alpha_from_sim(plateau_sim, tau_star, n) if supercritical else None
         if supercritical:
             pairs.append((alpha_s, alpha_g1))

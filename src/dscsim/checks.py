@@ -85,3 +85,8 @@ def check_flag(name: str, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, got {value!r}")
     return bool(value)
+
+
+def store_checked(obj, name: str, check, *bounds, **interval) -> None:
+    """Set field `name` of the frozen dataclass obj to what check returns for it."""
+    object.__setattr__(obj, name, check(name, getattr(obj, name), *bounds, **interval))

@@ -19,7 +19,7 @@ import configparser
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
-from .checks import check_flag, check_integer, check_real
+from .checks import check_integer, check_real, store_checked
 from .environment import ConcentrationModel
 from .netsim import NetworkConfig
 from .sensor import SensorSpec
@@ -32,9 +32,9 @@ class RunSettings:
     tail_fraction: float = 0.25
 
     def __post_init__(self):
-        check_integer("steps", self.steps, 1)
-        check_integer("n_seeds", self.n_seeds, 1)
-        check_real("tail_fraction", self.tail_fraction, gt=0, le=1)
+        store_checked(self, "steps", check_integer, 1)
+        store_checked(self, "n_seeds", check_integer, 1)
+        store_checked(self, "tail_fraction", check_real, gt=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,9 @@ class MeanFieldSettings:
     v_star: float = 0.0
 
     def __post_init__(self):
-        check_real("g", self.g, gt=0)
-        check_real("t_detect", self.t_detect, gt=0)
-        check_real("v_star", self.v_star, ge=0)
+        store_checked(self, "g", check_real, gt=0)
+        store_checked(self, "t_detect", check_real, gt=0)
+        store_checked(self, "v_star", check_real, ge=0)
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,18 @@ class PdeSettings:
     record_every: int = 0
 
     def __post_init__(self):
-        check_integer("nx", self.nx, 3)
-        check_integer("ny", self.ny, 1)
-        check_integer("seed_columns", self.seed_columns, 1)
+        store_checked(self, "nx", check_integer, 3)
+        store_checked(self, "ny", check_integer, 1)
+        store_checked(self, "seed_columns", check_integer, 1)
         if self.seed_columns > self.nx:
             raise ValueError(f"seed_columns must be <= nx = {self.nx}, got {self.seed_columns}")
-        check_integer("record_every", self.record_every, 0)
-        check_real("dx", self.dx, gt=0)
-        check_real("t_end", self.t_end, gt=0)
-        check_real("seed_level", self.seed_level, gt=0, le=1)
+        store_checked(self, "record_every", check_integer, 0)
+        store_checked(self, "dx", check_real, gt=0)
+        store_checked(self, "t_end", check_real, gt=0)
+        store_checked(self, "seed_level", check_real, gt=0, le=1)
         for key in ("dt", "diffusivity", "alpha"):
-            check_real(key, getattr(self, key), ge=0)
-        check_real("level", self.level, ge=0, le=1)
+            store_checked(self, key, check_real, ge=0)
+        store_checked(self, "level", check_real, ge=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,6 @@ _REQUIRED_SECTIONS = {
 
 # Field annotation (a string under postponed evaluation) -> converter.
 _CONVERTERS = {"float": float, "int": int, "int | None": int, "bool": _parse_bool}
-# Converter -> the check whose result apply_override stores.
-_STORED = {float: check_real, int: check_integer, _parse_bool: check_flag}
 
 # section -> key -> (converter, required), in field order; a field without
 # a default is a required key.
@@ -240,17 +238,13 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def apply_override(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
-    """Replace one dotted parameter, returning a new config. Once the
-    section's checks have judged the value, it is stored as its key's check
-    returns it: a Python float, int or bool, the value the run uses and the
-    manifest writes back."""
+    """Replace one dotted parameter, returning a new config. The section
+    stores the value as its key's check returns it: a Python float, int or
+    bool, the value the run uses and the manifest writes back."""
     section, _, key = path.partition(".")
     if section not in _SECTION_TYPES or key not in _SCHEMA[section]:
         raise ValueError(f"parameter path '{path}' does not exist")
-    sub = replace(getattr(config, section), **{key: value})
-    if value is not None:  # rotation_period = None picks the default
-        sub = replace(sub, **{key: _STORED[_SCHEMA[section][key][0]](key, value)})
-    return replace(config, **{section: sub})
+    return replace(config, **{section: replace(getattr(config, section), **{key: value})})
 
 
 def sweep_points(config: ExperimentConfig) -> list[dict]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_array, check_integer, check_real
+from .checks import check_array, check_integer, check_real, store_checked
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class ConcentrationModel:
     omega: float = 0.98
 
     def __post_init__(self):
-        check_real("c0", self.c0, gt=0)
-        check_real("gamma", self.gamma, gt=2)
-        check_real("omega", self.omega, ge=0, le=1)
+        store_checked(self, "c0", check_real, gt=0)
+        store_checked(self, "gamma", check_real, gt=2)
+        store_checked(self, "omega", check_real, ge=0, le=1)
 
 
 def atom_weight(model: ConcentrationModel) -> float:

@@ -86,7 +86,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import environment, rng
-from .checks import check_array, check_flag, check_integer, check_real
+from .checks import check_array, check_flag, check_integer, check_real, store_checked
 from .environment import ConcentrationModel
 from .sensor import SensorSpec
 
@@ -128,23 +128,23 @@ class NetworkConfig:
     refresh_on_detect: bool = False
 
     def __post_init__(self):
-        check_integer("n", self.n, 1)
-        check_real("width", self.width, gt=0)
-        check_real("height", self.height, gt=0)
+        store_checked(self, "n", check_integer, 1)
+        store_checked(self, "width", check_real, gt=0)
+        store_checked(self, "height", check_real, gt=0)
         check_real("width * height", self.area, gt=0)  # no overflow, no underflow
-        check_real("delta", self.delta, ge=0, le=1)
-        check_integer("initial_active", self.initial_active, 0)
+        store_checked(self, "delta", check_real, ge=0, le=1)
+        store_checked(self, "initial_active", check_integer, 0)
         if self.permanent_count + self.initial_active > self.n:
             raise ValueError(
                 f"permanent sensors ({self.permanent_count}) plus initial_active "
                 f"({self.initial_active}) exceed n ({self.n})"
             )
-        check_real("failure_rate", self.failure_rate, ge=0, le=1)
+        store_checked(self, "failure_rate", check_real, ge=0, le=1)
         if self.rotation_period is not None:
-            check_integer("rotation_period", self.rotation_period, 0)
-        check_integer("seed", self.seed, 0)
-        check_flag("single_shot", self.single_shot)
-        check_flag("refresh_on_detect", self.refresh_on_detect)
+            store_checked(self, "rotation_period", check_integer, 0)
+        store_checked(self, "seed", check_integer, 0)
+        store_checked(self, "single_shot", check_flag)
+        store_checked(self, "refresh_on_detect", check_flag)
 
     @property
     def area(self) -> float:
@@ -245,7 +245,8 @@ class Simulation:
     ):
         self.config = config
         self.model = model
-        self.seeds = (config.seed,) if seeds is None else tuple(seeds)
+        seeds = (config.seed,) if seeds is None else seeds
+        self.seeds = tuple(check_integer(f"seeds[{k}]", seed, 0) for k, seed in enumerate(seeds))
         if not self.seeds:
             raise ValueError("a Simulation needs at least one seed")
         n, m = config.n, len(self.seeds)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import environment
-from .checks import check_integer, check_real
+from .checks import check_integer, check_real, store_checked
 from .environment import ConcentrationModel
 
 
@@ -24,9 +24,9 @@ class SensorSpec:
     r_star: float
 
     def __post_init__(self):
-        check_real("c_star", self.c_star, ge=0)
-        check_integer("tau_star", self.tau_star, 1, 2**63 - 1)
-        check_real("r_star", self.r_star, gt=0)
+        store_checked(self, "c_star", check_real, ge=0)
+        store_checked(self, "tau_star", check_integer, 1, 2**63 - 1)
+        store_checked(self, "r_star", check_real, gt=0)
 
 
 def read(spec: SensorSpec, c: float) -> int:

@@ -1,6 +1,7 @@
 """Plateau extraction, calibration, power-law fits, and the KS check."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,13 @@ class TestExtractPlateau:
     def test_trending_tail_returns_its_tail_mean(self):
         mean, _ = extract_plateau(np.linspace(0.0, 1.0, 100))
         assert mean == pytest.approx(np.linspace(0.0, 1.0, 100)[-25:].mean())
+
+    @pytest.mark.parametrize("shape", [(4, 10), (40, 1), (1, 40), ()])
+    def test_trajectory_must_be_one_dimensional(self, shape):
+        # a (4, 3) trajectory was averaged over its last 3 rows, 9 values
+        message = f"^trajectory must be 1-D, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            extract_plateau(np.ones(shape))
 
     def test_bad_tail_fraction(self):
         with pytest.raises(ValueError):
@@ -323,6 +331,25 @@ class TestSweepBridge:
             row[column] += ".0"
         cell, point = rows[3][column], rows[3]["point"]
         with pytest.raises(ValueError, match=f"^sweep column {column} is '{cell}' at point {point}$"):
+            analyze_sweep(rows)
+
+    @pytest.mark.parametrize("column, cell", [("n", "0"), ("n", "-4"), ("initial_active", "-1")])
+    def test_analyze_sweep_rejects_counts_below_their_minimum(self, column, cell):
+        # n = 0 raised ZeroDivisionError, n = -4 "n must be finite and > 0"
+        header = ["point", "sensor.r_star", *SWEEP_COLUMNS]
+        rows = [dict(zip(header, map(str, row))) for row in sweep(parse_config(SWEEP_CONFIG))]
+        for row in rows[3:]:
+            row[column] = cell
+        with pytest.raises(ValueError, match=f"^sweep column {column} is '{cell}' at point 1$"):
+            analyze_sweep(rows)
+
+    def test_analyze_sweep_names_the_missing_cell_of_a_short_row(self):
+        # csv.DictReader gives a short row's missing cells as None, which
+        # float() and int() refused with a TypeError
+        header = ["point", "sensor.r_star", *SWEEP_COLUMNS]
+        rows = [dict(zip(header, map(str, row))) for row in sweep(parse_config(SWEEP_CONFIG))]
+        rows[3].update(n=None, tau_star=None, initial_active=None)
+        with pytest.raises(ValueError, match="^sweep column n is None at point 1$"):
             analyze_sweep(rows)
 
     def test_analyze_sweep_names_missing_columns(self):

@@ -13,16 +13,19 @@ the same for the real array arguments: each value outside sits at index 2
 of an otherwise valid array, and the message names that element; a list
 holding 10**400 there, and a complex array, are rejected naming the
 argument, as is a ragged list. A function computes on the float its check
-returns: an np.float32, np.float64 or Fraction argument gives the result of
-its float, bit for bit. FLAGS holds the bool fields of the config
-dataclasses, which take only a Python or numpy bool.
-test_every_real_parameter_has_a_row, test_every_array_argument_has_a_row
-and test_every_flag_field_has_a_row keep the tables complete, and
+returns, and a config dataclass stores it: an np.float32, np.float64 or
+Fraction argument gives the result of its float, bit for bit, down to the
+meanfield.json that cli.dispatch writes. FLAGS holds the bool fields of the
+config dataclasses, which take only a Python or numpy bool and store a
+Python bool; INTEGERS holds their int fields, which store the Python int of
+a numpy integer. test_every_real_parameter_has_a_row,
+test_every_array_argument_has_a_row and test_every_flag_field_has_a_row
+keep the tables complete, and
 test_closed_forms_give_finite_values_or_name_an_argument tries the rows'
 callables at the extremes of the float range and beyond it.
 test_only_checks_catches_overflow keeps the conversion to float in
 dscsim.checks, and test_checked_arguments_are_used_as_converted keeps every
-caller on the value its check returns.
+caller, and every dataclass's __post_init__, on the value its check returns.
 """
 
 import ast
@@ -42,8 +45,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dscsim
+from dscsim import cli
 from dscsim.checks import check_array
-from dscsim.config import ExperimentConfig, MeanFieldSettings, PdeSettings, RunSettings
+from dscsim.config import (ExperimentConfig, MeanFieldSettings, PdeSettings, RunSettings,
+                           load_config)
 
 SPEC = dscsim.SensorSpec(c_star=154.5, tau_star=5, r_star=40.0)
 MODEL = dscsim.ConcentrationModel(c0=150.0)
@@ -237,16 +242,17 @@ def test_closed_bound_accepted(target, param, value):
     _call(target, **{param: value})
 
 
-# (function, parameter, numeric type) for each function row; a config dataclass
-# stores what it is given.
-CONVERTED = [(target, param, kind) for target, param, _ in ROWS if inspect.isfunction(target)
+# (callable, parameter, numeric type) for each row: a function computes on the
+# float, and a config dataclass stores it.
+CONVERTED = [(target, param, kind) for target, param, _ in ROWS
              for kind in (np.float32, np.float64, Fraction)]
 
 
 @pytest.mark.parametrize("target, param, kind", CONVERTED,
                          ids=[f"{t.__name__}-{p}-{k.__name__}" for t, p, k in CONVERTED])
 def test_real_computes_as_its_float(target, param, kind):
-    # alpha_theory(s=np.float32(1e6)) used to compute tau_star * s in float32
+    # alpha_theory(s=np.float32(1e6)) used to compute tau_star * s in float32,
+    # and ConcentrationModel(c0=np.float32(0.3)) stored c0 as a float32
     value = kind(VALID[target].get(param, inspect.signature(target).parameters[param].default))
     got = _call(target, **{param: value})
     assert pickle.dumps(got) == pickle.dumps(_call(target, **{param: float(value)}))
@@ -476,7 +482,34 @@ def test_flag_other_than_a_bool_rejected_naming_it(target, param, value):
 @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
 @pytest.mark.parametrize("target, param", FLAGS)
 def test_bool_flag_accepted(target, param, value):
-    assert getattr(_call(target, **{param: value}), param) is value
+    assert getattr(_call(target, **{param: value}), param) is bool(value)
+
+
+# (config dataclass, int field), rotation_period (int | None) included.
+INTEGERS = sorted(_section_fields(int) | {(dscsim.NetworkConfig, "rotation_period")},
+                  key=lambda row: (row[0].__name__, row[1]))
+
+
+@pytest.mark.parametrize("target, param", INTEGERS,
+                         ids=[f"{t.__name__}-{p}" for t, p in INTEGERS])
+def test_numpy_integer_field_stores_its_int(target, param):
+    # NetworkConfig(n=np.int64(10)) stored the np.int64
+    value = getattr(_call(target), param) or 0
+    got = _call(target, **{param: np.int64(value)})
+    assert pickle.dumps(got) == pickle.dumps(_call(target, **{param: value}))
+
+
+def test_meanfield_report_of_a_float32_c0_writes_the_bytes_of_its_float(tmp_path):
+    # c_star_opt came out as np.float32(93.80238), which json could not write
+    config = load_config(Path(__file__).parent.parent / "configs" / "demo-sparse.ini")
+    written = []
+    for c0 in (np.float32(150.3), float(np.float32(150.3))):
+        environment = dataclasses.replace(config.environment, c0=c0)
+        out = tmp_path / type(c0).__name__
+        assert cli.dispatch("meanfield", dataclasses.replace(config, environment=environment),
+                            out) == 0
+        written.append((out / "meanfield.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_every_row_has_valid_arguments():
@@ -566,34 +599,48 @@ def test_only_checks_catches_overflow():
     assert catching == []
 
 
+def _bare_checks(node):
+    """(statement, value checked) for each check_* call whose result is dropped."""
+    for stmt in ast.walk(node):
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        if (isinstance(call, ast.Call) and ast.unparse(call.func).startswith("check_")
+                and len(call.args) > 1):
+            yield stmt, call.args[1]
+
+
 def _unconverted(path):
     """file:line of each bare check_* call on a parameter that its function
-    reads afterwards, and of each np.shape or np.size call."""
+    reads afterwards or on a field of the dataclass whose __post_init__ makes
+    it, and of each np.shape or np.size call."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.shape", "np.size"):
             found.append(f"{path.name}:{node.lineno}")
+        if isinstance(node, ast.ClassDef):
+            fields = {f"self.{stmt.target.id}" for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)}
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name == "__post_init__":
+                    found += [f"{path.name}:{stmt.lineno}" for stmt, value in _bare_checks(method)
+                              if ast.unparse(value) in fields
+                              or ast.unparse(value).startswith("getattr(self,")]
         if not isinstance(node, ast.FunctionDef):
             continue
         args = node.args
         params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
         reads = [(name.id, name.lineno, name.col_offset) for name in ast.walk(node)
                  if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)]
-        for stmt in ast.walk(node):
-            call = stmt.value if isinstance(stmt, ast.Expr) else None
-            if not (isinstance(call, ast.Call) and ast.unparse(call.func).startswith("check_")
-                    and len(call.args) > 1 and isinstance(call.args[1], ast.Name)):
-                continue
+        for stmt, value in _bare_checks(node):
             after = (stmt.end_lineno, stmt.end_col_offset)
-            value = call.args[1].id
-            if value in params and any(name == value and (line, col) > after
-                                       for name, line, col in reads):
+            if isinstance(value, ast.Name) and value.id in params and any(
+                    name == value.id and (line, col) > after for name, line, col in reads):
                 found.append(f"{path.name}:{stmt.lineno}")
     return found
 
 
 def test_checked_arguments_are_used_as_converted():
-    # 48 bare checks computed on the caller's object, and five functions read
-    # a shape before the array's check
+    # 48 bare checks computed on the caller's object, five functions read a
+    # shape before the array's check, and the six config dataclasses stored
+    # each field as given after checking it
     package = Path(dscsim.__file__).parent
     assert [site for path in sorted(package.glob("*.py")) for site in _unconverted(path)] == []

@@ -796,6 +796,16 @@ class TestUnion:
         with pytest.raises(ValueError, match="single record"):
             Simulation(paper_config(n=10), SPEC40, REFERENCE, seeds=(1, 2)).step()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, "1", None])
+    def test_union_seed_must_be_an_integer_at_least_zero(self, seed):
+        # -1 failed inside numpy, 1.5 inside SeedSequence, and True ran seed 1
+        with pytest.raises(ValueError, match=rf"^seeds\[1\] must be an integer >= 0, got "):
+            Simulation(paper_config(n=10), SPEC40, REFERENCE, seeds=(2, seed))
+
+    def test_union_runs_on_the_int_of_each_seed(self):
+        sim = Simulation(paper_config(n=10), SPEC40, REFERENCE, seeds=np.array([3, 4]))
+        assert sim.seeds == (3, 4) and all(type(seed) is int for seed in sim.seeds)
+
     def test_union_members_must_share_tau_star(self):
         specs = [SPEC40, replace(SPEC40, tau_star=6)]
         with pytest.raises(ValueError, match="share tau_star"):
