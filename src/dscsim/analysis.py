@@ -8,13 +8,12 @@ and the sweep -> analyze experiment that ties them together.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import environment, meanfield, netsim, sensor
-from .checks import check_array, check_real
+from . import environment, meanfield, netsim, rng, sensor
+from .checks import check_array, check_integer, check_real
 from .config import ExperimentConfig, sweep_grid
 from .environment import ConcentrationModel
 
@@ -138,9 +137,7 @@ def sweep(config: ExperimentConfig, jobs: int = 1) -> list[list]:
     grid = sweep_grid(config)
     theory = []  # (p, alpha at g = 1) per point
     for _, cfg in grid:
-        if cfg.run.steps < _MIN_POINTS:
-            raise ValueError(f"run.steps must be >= {_MIN_POINTS} to extract a plateau, "
-                             f"got {cfg.run.steps}")
+        check_integer("run.steps", cfg.run.steps, _MIN_POINTS)
         p = sensor.detection_probability(cfg.sensor, cfg.environment)
         theory.append((p, meanfield.alpha_theory(cfg.sensor, cfg.network.area, p, 1.0)))
     members = [
@@ -176,31 +173,31 @@ def analyze_sweep(rows) -> dict:
     fixed = {"point", *SWEEP_COLUMNS}
     axes = [c for c in rows[0] if c not in fixed]
 
-    def number(row, column, kind=float, minimum=-math.inf):
-        """The cell read as a finite float or an int >= minimum, or a ValueError naming it."""
+    def number(row, column, check=check_real, *bounds, **interval):
+        """The cell judged by check, text read first as an int (check_integer) or a float."""
+        cell = row[column]
         try:
-            value = kind(row[column])
-            if not (math.isfinite(value) if kind is float else value >= minimum):
-                raise ValueError
-        except (TypeError, ValueError):  # a short row's missing cell is None
+            if isinstance(cell, str):
+                cell = (int if check is check_integer else float)(cell)
+            return check(column, cell, *bounds, **interval)
+        except ValueError:  # check rejects a short row's missing cell, None
             raise ValueError(f"sweep column {column} is {row[column]!r} "
                              f"at point {row['point']}") from None
-        return value
 
     grouped: dict[int, list] = {}
     for row in rows:
-        grouped.setdefault(number(row, "point", int), []).append(row)
+        grouped.setdefault(number(row, "point", check_integer, 0), []).append(row)
 
     per_point, sizes, pairs, power_xs = [], [], [], []
     for point_idx, members in sorted(grouped.items()):
         first = members[0]
-        plateaus = [number(r, "plateau_mean") for r in members]
+        plateaus = [number(r, "plateau_mean", ge=0, le=1) for r in members]
         plateau_sim = float(np.mean(plateaus))
-        p = number(first, "p")
-        alpha_g1 = number(first, "alpha_theory_g1")
-        n = number(first, "n", int, 1)
-        tau_star = number(first, "tau_star")
-        supercritical = number(first, "initial_active", int, 0) / n < plateau_sim < 1.0
+        p = number(first, "p", ge=0, le=1)
+        alpha_g1 = number(first, "alpha_theory_g1", ge=0)
+        n = number(first, "n", check_integer, 1, rng.SENSOR_LIMIT)
+        tau_star = number(first, "tau_star", check_integer, 1, 2**63 - 1)
+        supercritical = number(first, "initial_active", check_integer, 0, n) / n < plateau_sim < 1.0
         alpha_s = alpha_from_sim(plateau_sim, tau_star, n) if supercritical else None
         if supercritical:
             pairs.append((alpha_s, alpha_g1))

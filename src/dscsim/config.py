@@ -75,9 +75,7 @@ class PdeSettings:
     def __post_init__(self):
         store_checked(self, "nx", check_integer, 3)
         store_checked(self, "ny", check_integer, 1)
-        store_checked(self, "seed_columns", check_integer, 1)
-        if self.seed_columns > self.nx:
-            raise ValueError(f"seed_columns must be <= nx = {self.nx}, got {self.seed_columns}")
+        store_checked(self, "seed_columns", check_integer, 1, self.nx)
         store_checked(self, "record_every", check_integer, 0)
         store_checked(self, "dx", check_real, gt=0)
         store_checked(self, "t_end", check_real, gt=0)

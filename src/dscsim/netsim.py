@@ -112,6 +112,8 @@ _FILL_ROWS = 64
 class NetworkConfig:
     """Static description of one network deployment.
 
+    n: sensor count in [1, 2**32], as rng.sensor_keys derives the
+    concentration streams of sensor ids below rng.SENSOR_LIMIT only.
     rotation_period: steps between permanent-set reshuffles; None picks the
     default 10 * tau_star, 0 disables reshuffling.
     """
@@ -128,7 +130,7 @@ class NetworkConfig:
     refresh_on_detect: bool = False
 
     def __post_init__(self):
-        store_checked(self, "n", check_integer, 1)
+        store_checked(self, "n", check_integer, 1, rng.SENSOR_LIMIT)
         store_checked(self, "width", check_real, gt=0)
         store_checked(self, "height", check_real, gt=0)
         check_real("width * height", self.area, gt=0)  # no overflow, no underflow

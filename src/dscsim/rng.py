@@ -23,6 +23,8 @@ ENVIRONMENT = 2
 FAILURE = 3
 ROTATION = 4
 
+SENSOR_LIMIT = 1 << 32  # sensor ids lie below it: sensor_keys mixes each in as a 32-bit word
+
 # Constants of numpy's SeedSequence hash (a pool of 4 uint32 words).
 _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -57,7 +59,7 @@ def sensor_keys(seed: int, sensors) -> np.ndarray:
     """
     sensors = np.asarray(sensors)
     if sensors.size and (sensors.dtype.kind not in "iu" or sensors.min() < 0
-                         or sensors.max() > _MASK):
+                         or sensors.max() >= SENSOR_LIMIT):
         raise ValueError("sensor indices must be integers in [0, 2**32)")
     # The pool of spawn key (ENVIRONMENT,) is that of (ENVIRONMENT, sensor)
     # before the sensor word is mixed in, as (sensor ^ h_d) * h_{d+1} into

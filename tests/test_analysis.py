@@ -269,7 +269,7 @@ class TestSweepBridge:
             raise AssertionError("a member ran")
 
         monkeypatch.setattr(netsim, "run_members", unreachable)
-        with pytest.raises(ValueError, match=r"run.steps must be >= 10 .*, got (9|5)$"):
+        with pytest.raises(ValueError, match=r"^run.steps must be an integer >= 10, got (9|5)$"):
             sweep(parse_config(text))
 
     def test_sweep_rejects_an_infinite_area_before_running(self, monkeypatch):
@@ -333,14 +333,36 @@ class TestSweepBridge:
         with pytest.raises(ValueError, match=f"^sweep column {column} is '{cell}' at point {point}$"):
             analyze_sweep(rows)
 
-    @pytest.mark.parametrize("column, cell", [("n", "0"), ("n", "-4"), ("initial_active", "-1")])
-    def test_analyze_sweep_rejects_counts_below_their_minimum(self, column, cell):
-        # n = 0 raised ZeroDivisionError, n = -4 "n must be finite and > 0"
+    @pytest.mark.parametrize("column, cell", [
+        ("n", "0"), ("n", "-4"), ("initial_active", "-1"),
+        pytest.param("n", str(10**400), id="n-10**400"),
+        pytest.param("initial_active", str(10**400), id="initial_active-10**400"),
+        ("n", str(2**32 + 1)),
+        ("initial_active", "101"), ("p", "2.0"), ("p", "-0.5"), ("plateau_mean", "7.0"),
+        ("plateau_mean", "-0.5"), ("tau_star", "2.5"), ("tau_star", "0"),
+        ("tau_star", str(2**63)), ("alpha_theory_g1", "-0.0001"), ("point", "-1"),
+    ])
+    def test_analyze_sweep_rejects_cells_outside_their_range(self, column, cell):
+        # n = 0 raised ZeroDivisionError, initial_active = 10**400 OverflowError;
+        # p = 2.0 was written to analysis.json, plateau_mean = 7.0 made the
+        # point subcritical, tau_star = 2.5 doubled g, and tau_star = 0 was
+        # rejected naming no column or point
         header = ["point", "sensor.r_star", *SWEEP_COLUMNS]
         rows = [dict(zip(header, map(str, row))) for row in sweep(parse_config(SWEEP_CONFIG))]
         for row in rows[3:]:
             row[column] = cell
-        with pytest.raises(ValueError, match=f"^sweep column {column} is '{cell}' at point 1$"):
+        point = rows[3]["point"]
+        with pytest.raises(ValueError, match=f"^sweep column {column} is '{cell}' at point {point}$"):
+            analyze_sweep(rows)
+
+    @pytest.mark.parametrize("column, cell", [("tau_star", 5.9), ("n", 100.0), ("p", 10**400)])
+    def test_analyze_sweep_judges_a_cell_given_as_a_number(self, column, cell):
+        # int(5.9) read tau_star as 5, float(10**400) raised OverflowError
+        header = ["point", "sensor.r_star", *SWEEP_COLUMNS]
+        rows = [dict(zip(header, row)) for row in sweep(parse_config(SWEEP_CONFIG))]
+        for row in rows[3:]:
+            row[column] = cell
+        with pytest.raises(ValueError, match=f"^sweep column {column} is {cell!r} at point 1$"):
             analyze_sweep(rows)
 
     def test_analyze_sweep_names_the_missing_cell_of_a_short_row(self):

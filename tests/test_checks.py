@@ -18,9 +18,10 @@ Fraction argument gives the result of its float, bit for bit, down to the
 meanfield.json that cli.dispatch writes. FLAGS holds the bool fields of the
 config dataclasses, which take only a Python or numpy bool and store a
 Python bool; INTEGERS holds their int fields, which store the Python int of
-a numpy integer. test_every_real_parameter_has_a_row,
-test_every_array_argument_has_a_row and test_every_flag_field_has_a_row
-keep the tables complete, and
+a numpy integer, and INT_BOUNDS the range of each, whose edges must pass and
+one step past them be rejected. test_every_real_parameter_has_a_row,
+test_every_array_argument_has_a_row, test_every_flag_field_has_a_row and
+test_every_integer_field_has_a_bounds_row keep the tables complete, and
 test_closed_forms_give_finite_values_or_name_an_argument tries the rows'
 callables at the extremes of the float range and beyond it.
 test_only_checks_catches_overflow keeps the conversion to float in
@@ -497,6 +498,54 @@ def test_numpy_integer_field_stores_its_int(target, param):
     value = getattr(_call(target), param) or 0
     got = _call(target, **{param: np.int64(value)})
     assert pickle.dumps(got) == pickle.dumps(_call(target, **{param: value}))
+
+
+# (config dataclass, int field, minimum, maximum, other arguments): the field
+# is tried in _call(target, **other arguments). None is an open bound; a bound
+# that depends on other fields is a callable of the call's arguments.
+INT_BOUNDS = [
+    (dscsim.NetworkConfig, "initial_active", 0,
+     lambda a: a["n"] - math.ceil(a["delta"] * a["n"]), dict(delta=0.25)),
+    (dscsim.NetworkConfig, "n", 1, 2**32, {}),
+    (dscsim.NetworkConfig, "rotation_period", 0, None, {}),
+    (dscsim.NetworkConfig, "seed", 0, None, {}),
+    (PdeSettings, "nx", 3, None, dict(seed_columns=1)),
+    (PdeSettings, "ny", 1, None, {}),
+    (PdeSettings, "record_every", 0, None, {}),
+    (PdeSettings, "seed_columns", 1, lambda a: a["nx"], dict(nx=10)),
+    (RunSettings, "n_seeds", 1, None, {}),
+    (RunSettings, "steps", 1, None, {}),
+    (dscsim.SensorSpec, "tau_star", 1, 2**63 - 1, {}),
+]
+
+
+def test_every_integer_field_has_a_bounds_row():
+    missing = set(INTEGERS) - {(target, param) for target, param, *_ in INT_BOUNDS}
+    assert sorted(f"{t.__name__}.{p}" for t, p in missing) == []
+
+
+def _edges(row):
+    """(value, accepted) at each finite bound of the row and one step past it."""
+    target, _, minimum, maximum, others = row
+    arguments = {**VALID[target], **others}
+    low, high = (bound(arguments) if callable(bound) else bound for bound in (minimum, maximum))
+    return [(value, accepted) for bound, step in ((low, -1), (high, 1)) if bound is not None
+            for value, accepted in ((bound, True), (bound + step, False))]
+
+
+EDGES = [(row, value, accepted) for row in INT_BOUNDS for value, accepted in _edges(row)]
+
+
+@pytest.mark.parametrize("row, value, accepted", EDGES,
+                         ids=[f"{row[0].__name__}-{row[1]}-{value}" for row, value, _ in EDGES])
+def test_integer_field_accepts_its_edges_and_rejects_one_past(row, value, accepted):
+    # seed_columns > nx, initial_active > n - ceil(delta n) and n > 2**32 are bounds too
+    target, param, _, _, others = row
+    if accepted:
+        assert getattr(_call(target, **others, **{param: value}), param) == value
+    else:
+        with pytest.raises(ValueError, match=rf"\b{param}\b"):
+            _call(target, **others, **{param: value})
 
 
 def test_meanfield_report_of_a_float32_c0_writes_the_bytes_of_its_float(tmp_path):

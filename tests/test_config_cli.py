@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dscsim import cli
 from dscsim.config import (
     MeanFieldSettings,
+    PdeSettings,
     SweepAxis,
     apply_override,
     load_config,
@@ -149,6 +150,18 @@ class TestParsing:
         cfg = apply_override(_BASE, path, value)
         stored = getattr(getattr(cfg, section), key)
         assert type(stored) is int and stored == value  # the int check_integer returns
+
+    def test_sensor_count_beyond_the_float_range_rejected_naming_n(self):
+        # raised a bare OverflowError from NetworkConfig.permanent_count
+        message = r"^n must be an integer in \[1, 4294967296\], got 10{400}$"
+        with pytest.raises(ValueError, match=message):
+            parse_config(MINIMAL.replace("n = 400", f"n = {10**400}"))
+
+    def test_seed_columns_stop_at_nx(self):
+        assert PdeSettings(nx=10, seed_columns=10).seed_columns == 10
+        message = r"^seed_columns must be an integer in \[1, 10\], got 11$"
+        with pytest.raises(ValueError, match=message):
+            PdeSettings(nx=10, seed_columns=11)
 
     def test_negative_seed_rejected(self):
         # numpy used to reject it late (simulate) or not at all (meanfield)
@@ -290,7 +303,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("path, raw, reason", [
         ("sensor.r_star", "-5, 20", "r_star must be finite and > 0, got -5.0"),
-        ("network.n", "0", "n must be an integer >= 1, got 0"),
+        ("network.n", "0", r"n must be an integer in \[1, 4294967296\], got 0"),
         ("network.initial_active", "1000", r"permanent sensors \(0\) plus initial_active"),
         ("sensor.tau_star", "0",
          r"tau_star must be an integer in \[1, 9223372036854775807\], got 0"),

@@ -66,6 +66,13 @@ class TestConfigValidation:
         cfg = NetworkConfig(n=10, width=10.0, height=10.0, delta=0.11, initial_active=0)
         assert cfg.permanent_count == 2
 
+    def test_sensor_count_stops_at_the_sensor_id_limit(self):
+        # n = 2**32 + 1 was rejected by sensor_keys once a Simulation had allocated its state
+        assert NetworkConfig(n=2**32, width=10.0, height=10.0).n == rng.SENSOR_LIMIT
+        message = r"^n must be an integer in \[1, 4294967296\], got 4294967297$"
+        with pytest.raises(ValueError, match=message):
+            NetworkConfig(n=2**32 + 1, width=10.0, height=10.0)
+
     @pytest.mark.parametrize("period", [2.5, 5.0, np.float64(5.0), "5", -1, np.int64(-1)])
     def test_rotation_period_must_be_an_integer_at_least_zero(self, period):
         # t % 2.5 == 0 would reshuffle every 5 steps, silently.
